@@ -9,20 +9,10 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from .tableau import gf2_basis
+
 # (x, z) encodings of the letters X, Y, Z, in this fixed scan order
 _LETTERS = ((1, 0), (1, 1), (0, 1))
-
-
-def _gf2_basis(vectors: list[int]) -> list[int]:
-    """XOR basis, kept sorted descending so reduction is a single pass."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
 
 
 def _reduce(v: int, basis: list[int]) -> int:
@@ -37,7 +27,7 @@ def _scan_weight(
     """Count (or detect) weight-w Paulis that commute with every generator
     but lie outside the generators' GF(2) span.  Returns the count, or 1/0
     in detection mode."""
-    basis = _gf2_basis([(x << n) | z for x, z in zip(gx, gz)])
+    basis = gf2_basis([(x << n) | z for x, z in zip(gx, gz)])
     m = len(gx)
     count = 0
     for support in combinations(range(n), w):

@@ -271,18 +271,13 @@ def _generator_masks(tableau, n: int, k: int) -> tuple[list[int], list[int]]:
     The tableau must come from encoder_tableau, whose H prefix folds the
     |+> preparations in; the state stabilizer is then the image of Z_j for
     every ancilla wire, i.e. stabilizer row n+j regardless of basis."""
-    gx, gz = [], []
-    for j in range(k, n):
-        p = tableau.row_pauli(n + j)
-        gx.append(p.x)
-        gz.append(p.z)
-    return gx, gz
+    return tableau.x[n + k:], tableau.z[n + k:]
 
 
-def _violations(tableau, n: int, k: int, target_d: int) -> tuple[int, ...]:
+def _violations(gx: list[int], gz: list[int], n: int,
+                target_d: int) -> tuple[int, ...]:
     """Counts of undetected nontrivial Paulis at each weight below the
     target distance; all-zero means the target is met."""
-    gx, gz = _generator_masks(tableau, n, k)
     return tuple(kernels.pauli_weight_profile(gx, gz, n, target_d - 1))
 
 
@@ -298,14 +293,18 @@ def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set
     t = encoder_tableau(Circuit.from_pairs(cfg.n, ()), x_set)
     gates: list[tuple[int, int]] = []
     target = (0,) * (cfg.target_d - 1)
-    cur = _violations(t, cfg.n, cfg.k, cfg.target_d)
+    gx, gz = _generator_masks(t, cfg.n, cfg.k)
+    cur = _violations(gx, gz, cfg.n, cfg.target_d)
     while cur != target and len(gates) < cfg.max_gates:
         best = None
         best_moves: list[tuple[int, int]] = []
         for mv in directed:
-            trial = t.copy()
-            trial.cnot(*mv)
-            s = _violations(trial, cfg.n, cfg.k, cfg.target_d)
+            # CNOT a -> b on the generators (signs are not scored):
+            # X on a spreads to b, Z on b spreads to a
+            a, b = mv
+            s = _violations([x ^ (x >> a & 1) << b for x in gx],
+                            [z ^ (z >> b & 1) << a for z in gz],
+                            cfg.n, cfg.target_d)
             if best is None or s < best:
                 best, best_moves = s, [mv]
             elif s == best:
@@ -316,7 +315,8 @@ def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set
             mv = directed[sub.randrange(len(directed))]
         t.cnot(*mv)
         gates.append(mv)
-        cur = _violations(t, cfg.n, cfg.k, cfg.target_d)
+        gx, gz = _generator_masks(t, cfg.n, cfg.k)
+        cur = _violations(gx, gz, cfg.n, cfg.target_d)
     return gates
 
 

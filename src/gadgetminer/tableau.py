@@ -2,9 +2,10 @@
 
 The tableau follows the Aaronson-Gottesman layout: for an n-qubit Clifford
 U, rows 0..n-1 hold the images U X_i U† (destabilizers) and rows n..2n-1 the
-images U Z_i U† (stabilizers), each as an X-bit row, a Z-bit row and a sign
-bit.  Only CNOT enters circuits here; H and S are provided for encoder input
-bases and for tests, and never appear in the mining IR.
+images U Z_i U† (stabilizers), each as X and Z bitmasks (bit q = qubit q,
+as in Pauli) and a sign bit.  Only CNOT enters circuits here; H and S are
+provided for encoder input bases and for tests, and never appear in the
+mining IR.
 
 Conventions (conjugation by CNOT with control c, target t):
     X_c -> X_c X_t      X_t -> X_t
@@ -16,8 +17,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .circuit import Circuit
 
@@ -89,22 +88,15 @@ class Pauli:
 
 
 def _phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
-    """Exponent k of i^k picked up by the qubit-wise product P1 * P2."""
-    g = 0
-    active = (x1 | z1) & (x2 | z2)
-    q = 0
-    while active >> q:
-        if (active >> q) & 1:
-            a = ((x1 >> q) & 1, (z1 >> q) & 1)
-            bx, bz = (x2 >> q) & 1, (z2 >> q) & 1
-            if a == (1, 1):
-                g += bz - bx
-            elif a == (1, 0):
-                g += bz * (2 * bx - 1)
-            elif a == (0, 1):
-                g += bx * (1 - 2 * bz)
-        q += 1
-    return g % 4
+    """Exponent k of i^k picked up by the qubit-wise product P1 * P2.
+
+    XY = iZ, YZ = iX and ZX = iY contribute +1 each; the reversed orders
+    contribute -1."""
+    xo1, y1, zo1 = x1 & ~z1, x1 & z1, z1 & ~x1
+    xo2, y2, zo2 = x2 & ~z2, x2 & z2, z2 & ~x2
+    plus = (xo1 & y2) | (y1 & zo2) | (zo1 & xo2)
+    minus = (y1 & xo2) | (zo1 & y2) | (xo1 & zo2)
+    return (plus.bit_count() - minus.bit_count()) % 4
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +105,7 @@ def _phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
 
 
 class CliffordTableau:
-    """2n x n X/Z bit matrices plus 2n sign bits; starts as the identity."""
+    """2n rows of X/Z bitmasks plus 2n sign bits; starts as the identity."""
 
     __slots__ = ("n", "x", "z", "r")
 
@@ -121,33 +113,43 @@ class CliffordTableau:
         if n < 1:
             raise TableauError(f"qubit count must be positive, got {n}")
         self.n = n
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        self.r = np.zeros(2 * n, dtype=np.uint8)
-        for i in range(n):
-            self.x[i, i] = 1  # destabilizer i = X_i
-            self.z[n + i, i] = 1  # stabilizer i = Z_i
+        # destabilizer i = X_i, stabilizer i = Z_i
+        self.x = [1 << i for i in range(n)] + [0] * n
+        self.z = [0] * n + [1 << i for i in range(n)]
+        self.r = [0] * (2 * n)
 
     # -- gates (in place) ---------------------------------------------------
 
     def cnot(self, control: int, target: int) -> CliffordTableau:
         a, b = control, target
         self._check_pair(a, b)
-        self.r ^= self.x[:, a] & self.z[:, b] & (self.x[:, b] ^ self.z[:, a] ^ 1)
-        self.x[:, b] ^= self.x[:, a]
-        self.z[:, a] ^= self.z[:, b]
+        x, z, r = self.x, self.z, self.r
+        for i in range(2 * self.n):
+            xi, zi = x[i], z[i]
+            xa, zb = xi >> a & 1, zi >> b & 1
+            r[i] ^= xa & zb & ((xi >> b ^ zi >> a ^ 1) & 1)
+            x[i] = xi ^ xa << b
+            z[i] = zi ^ zb << a
         return self
 
     def h(self, q: int) -> CliffordTableau:
         self._check_qubit(q)
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+        x, z, r = self.x, self.z, self.r
+        for i in range(2 * self.n):
+            xq, zq = x[i] >> q & 1, z[i] >> q & 1
+            r[i] ^= xq & zq
+            swap = (xq ^ zq) << q
+            x[i] ^= swap
+            z[i] ^= swap
         return self
 
     def s(self, q: int) -> CliffordTableau:
         self._check_qubit(q)
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.z[:, q] ^= self.x[:, q]
+        x, z, r = self.x, self.z, self.r
+        for i in range(2 * self.n):
+            xq = x[i] >> q & 1
+            r[i] ^= xq & z[i] >> q
+            z[i] ^= xq << q
         return self
 
     def _check_qubit(self, q: int) -> None:
@@ -174,18 +176,16 @@ class CliffordTableau:
         return (
             isinstance(other, CliffordTableau)
             and self.n == other.n
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.z, other.z)
-            and np.array_equal(self.r, other.r)
+            and self.x == other.x
+            and self.z == other.z
+            and self.r == other.r
         )
 
     def __hash__(self):
         return hash(self.to_bytes())
 
     def row_pauli(self, i: int) -> Pauli:
-        x = int.from_bytes(np.packbits(self.x[i], bitorder="little").tobytes(), "little")
-        z = int.from_bytes(np.packbits(self.z[i], bitorder="little").tobytes(), "little")
-        return Pauli(self.n, x, z, int(self.r[i]))
+        return Pauli(self.n, self.x[i], self.z[i], self.r[i])
 
     def stabilizer_rows(self) -> list[Pauli]:
         return [self.row_pauli(self.n + i) for i in range(self.n)]
@@ -195,10 +195,16 @@ class CliffordTableau:
 
     def to_bytes(self) -> bytes:
         """Faithful fixed-convention serialization; equal bytes <=> equal
-        tableau <=> equal Clifford unitary."""
-        head = self.n.to_bytes(4, "big")
-        body = np.concatenate([self.x.ravel(), self.z.ravel(), self.r]).astype(np.uint8)
-        return head + np.packbits(body).tobytes()
+        tableau <=> equal Clifford unitary.
+
+        Layout: 4-byte big-endian n, then the X rows, the Z rows (row-major,
+        qubit 0 first) and the signs as one bit stream, packed MSB-first and
+        zero-padded to a whole byte."""
+        n = self.n
+        bits = "".join(format(m, f"0{n}b")[::-1] for m in self.x + self.z)
+        bits += "".join(map(str, self.r))
+        bits += "0" * (-len(bits) % 8)
+        return n.to_bytes(4, "big") + int(bits, 2).to_bytes(len(bits) // 8, "big")
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_bytes()).hexdigest()
@@ -207,24 +213,21 @@ class CliffordTableau:
         """Rows must form a symplectic basis: row i anticommutes with row
         i±n and commutes with everything else."""
         n = self.n
-        prod = (self.x.astype(np.uint8) @ self.z.T + self.z.astype(np.uint8) @ self.x.T) % 2
-        expected = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        for i in range(n):
-            expected[i, i + n] = expected[i + n, i] = 1
-        return np.array_equal(prod, expected)
+        rows = [self.row_pauli(i) for i in range(2 * n)]
+        return all(
+            rows[i].commutes(rows[j]) != (j == i + n)
+            for i in range(2 * n)
+            for j in range(i + 1, 2 * n)
+        )
 
     def nontrivial_qubits(self) -> set[int]:
         """Qubits on which the unitary acts nontrivially (columns differ from
         the identity tableau)."""
         ident = CliffordTableau(self.n)
-        out = set()
-        for q in range(self.n):
-            if not (
-                np.array_equal(self.x[:, q], ident.x[:, q])
-                and np.array_equal(self.z[:, q], ident.z[:, q])
-            ):
-                out.add(q)
-        return out
+        diff = 0
+        for m, e in zip(self.x + self.z, ident.x + ident.z):
+            diff |= m ^ e
+        return {q for q in range(self.n) if diff >> q & 1}
 
 
 def apply_cnot(t: CliffordTableau, control: int, target: int) -> CliffordTableau:
@@ -345,7 +348,7 @@ class StabilizerCode:
             for h in self.generators[i + 1 :]:
                 if not g.commutes(h):
                     raise TableauError(f"generators do not commute: {g}, {h}")
-        if gf2_rank([(g.x << self.n) | g.z for g in self.generators]) != len(
+        if len(gf2_basis([(g.x << self.n) | g.z for g in self.generators])) != len(
             self.generators
         ):
             raise TableauError("generators are not independent over GF(2)")
@@ -362,7 +365,8 @@ class StabilizerCode:
         return cls(n=int(obj["n"]), k=int(obj["k"]), generators=gens)
 
 
-def gf2_rank(vectors: Iterable[int]) -> int:
+def gf2_basis(vectors: Iterable[int]) -> list[int]:
+    """XOR basis, kept sorted descending so reduction is a single pass."""
     basis: list[int] = []
     for v in vectors:
         for b in basis:
@@ -370,7 +374,7 @@ def gf2_rank(vectors: Iterable[int]) -> int:
         if v:
             basis.append(v)
             basis.sort(reverse=True)
-    return len(basis)
+    return basis
 
 
 def encoder_code(c: Circuit, k: int, x_ancillas: Iterable[int] = ()) -> StabilizerCode:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,16 @@ def test_module_entry_point():
         [sys.executable, "-m", "gadgetminer", "--version"],
         capture_output=True, text=True)
     assert out.returncode == 0
+
+
+def test_cli_import_does_not_load_numpy():
+    import gadgetminer
+
+    src = str(Path(gadgetminer.__file__).resolve().parents[1])
+    code = "import sys, gadgetminer.cli; assert 'numpy' not in sys.modules"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
 
 
 def test_mine_matches_golden(tmp_path, capsys):
@@ -131,6 +142,14 @@ def test_gen_deterministic(tmp_path):
     assert run_cli(args + ["--output", tmp_path / "b"]) == 0
     assert (tmp_path / "a" / "manifest.json").read_bytes() == \
         (tmp_path / "b" / "manifest.json").read_bytes()
+
+
+def test_gen_manifest_matches_golden(tmp_path):
+    rc = run_cli(["gen", "--n", 6, "--k", 1, "--d", 2, "--seed", 7,
+                  "--attempts", 40, "--count", 8, "--output", tmp_path / "enc"])
+    assert rc == 0
+    manifest = (tmp_path / "enc" / "manifest.json").read_bytes()
+    assert manifest == (FIXTURES / "golden_gen_manifest.json").read_bytes()
 
 
 def test_gen_failure_exit_code(tmp_path, capsys):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,7 @@ from gadgetminer.tableau import (
     encoder_code,
     encoder_tableau,
     generator_weights,
-    gf2_rank,
+    gf2_basis,
 )
 
 from conftest import (
@@ -140,6 +143,20 @@ def test_cnot_involution_and_digest():
     b = CliffordTableau(3).cnot(0, 1)
     assert a.digest() == b.digest()
     assert a.digest() != CliffordTableau(3).digest()
+
+
+def test_to_bytes_matches_golden():
+    """Pins the layout that corpus digests depend on: 4-byte big-endian n,
+    then X rows, Z rows and signs packed MSB-first and zero-padded.  The
+    gate sequences use H and S so that sign bits are set."""
+    golden = Path(__file__).parent / "fixtures" / "golden_tableau.json"
+    for case in json.loads(golden.read_text()):
+        t = CliffordTableau(case["n"])
+        for gate in case["gates"].split("; "):
+            name, *qubits = gate.split()
+            getattr(t, "cnot" if name == "cx" else name)(*map(int, qubits))
+        assert t.to_bytes().hex() == case["to_bytes"]
+        assert t.digest() == hashlib.sha256(bytes.fromhex(case["to_bytes"])).hexdigest()
 
 
 def test_copy_is_independent():
@@ -268,10 +285,10 @@ def test_code_json_round_trip(five_qubit_code):
 
 
 def test_gf2_rank():
-    assert gf2_rank([0b101, 0b011, 0b110]) == 2
-    assert gf2_rank([]) == 0
-    assert gf2_rank([0, 0]) == 0
-    assert gf2_rank([1, 2, 4]) == 3
+    assert len(gf2_basis([0b101, 0b011, 0b110])) == 2
+    assert gf2_basis([]) == []
+    assert gf2_basis([0, 0]) == []
+    assert gf2_basis([1, 2, 4]) == [4, 2, 1]
 
 
 def test_five_qubit_code_distance(five_qubit_code):
