@@ -102,8 +102,15 @@ def _collect_circuits(paths) -> tuple[list[Circuit], list[Path]]:
 
 
 def _mine_one(payload):
-    circuit, c_g, time_budget, early_reject = payload
-    limits = MiningLimits(time_budget=time_budget)
+    """Mine one circuit with the time left before the run's deadline, or
+    return None when the deadline has already passed."""
+    circuit, c_g, deadline, max_candidates, early_reject = payload
+    budget = None
+    if deadline is not None:
+        budget = deadline - time.monotonic()
+        if budget <= 0:
+            return None
+    limits = MiningLimits(max_candidates=max_candidates, time_budget=budget)
     return mine_circuit(
         circuit_to_graph(circuit), c_g, limits=limits,
         early_reject=early_reject)
@@ -111,47 +118,39 @@ def _mine_one(payload):
 
 def cmd_mine(args) -> int:
     started = time.monotonic()
+    if args.max_candidates is not None and args.max_candidates < 0:
+        raise ValueError("--max-candidates must be >= 0")
     circuits, files = _collect_circuits(args.input)
+    # one absolute deadline for the whole run; the monotonic clock is
+    # system-wide, so pool workers compare against the same clock
     deadline = None
     if args.time_budget is not None:
         deadline = started + args.time_budget
-    truncated = False
-    reasons: list[str] = []
-    results = []
-
-    def remaining() -> float | None:
-        if deadline is None:
-            return None
-        return deadline - time.monotonic()
-
-    payloads = []
-    skipped = 0
-    for c in circuits:
-        left = remaining()
-        if left is not None and left <= 0:
-            skipped = len(circuits) - len(payloads)
-            truncated = True
-            if "time_budget" not in reasons:
-                reasons.append("time_budget")
-            break
-        payloads.append((c, args.gadget_cnots, left, not args.no_early_reject))
+    # each circuit keeps at most cap + 1 candidates: that many prove the
+    # run is over the cap, and the cut below keeps the first cap in input
+    # order, which every circuit's own prefix of cap + 1 still contains
+    per_circuit_cap = None
+    if args.max_candidates is not None:
+        per_circuit_cap = args.max_candidates + 1
+    payloads = [(c, args.gadget_cnots, deadline, per_circuit_cap,
+                 not args.no_early_reject) for c in circuits]
     if args.jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_mine_one, payloads))
     else:
         results = [_mine_one(p) for p in payloads]
+    skipped = sum(res is None for res in results)
+    results = [res for res in results if res is not None]
     candidates = []
     for res in results:
         candidates.extend(res.candidates)
-        if res.truncated:
-            truncated = True
-            if res.reason and res.reason not in reasons:
-                reasons.append(res.reason)
+    reasons: list[str] = []
+    if skipped or any(res.reason == "time_budget" for res in results):
+        reasons.append("time_budget")
     if args.max_candidates is not None and len(candidates) > args.max_candidates:
         candidates = candidates[: args.max_candidates]
-        truncated = True
-        if "max_candidates" not in reasons:
-            reasons.append("max_candidates")
+        reasons.append("max_candidates")
+    truncated = bool(reasons)
     classes = group_candidates(candidates)
     gadgets = identify_gadgets(classes, args.min_repeats)
     outdir = Path(args.output)

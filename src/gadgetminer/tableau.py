@@ -370,7 +370,8 @@ def gf2_basis(vectors: Iterable[int]) -> list[int]:
     basis: list[int] = []
     for v in vectors:
         for b in basis:
-            v = min(v, v ^ b)
+            if v ^ b < v:
+                v ^= b
         if v:
             basis.append(v)
             basis.sort(reverse=True)

@@ -4,15 +4,32 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from gadgetminer.canon import (
+    classes_to_csv,
+    classes_to_json_obj,
+    group_candidates,
+    identify_gadgets,
+)
 from gadgetminer.cli import main
-from gadgetminer.circuit import load_circuit, serialize_circuit
+from gadgetminer.circuit import (
+    Circuit,
+    load_circuit,
+    save_circuit,
+    serialize_circuit,
+)
+from gadgetminer.graph import circuit_to_graph
+from gadgetminer.mining import mine_circuit
 from gadgetminer.tableau import circuit_to_tableau
+
+from conftest import REF_3Q6_PAIRS, random_circuit
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HOSTS = FIXTURES / "hosts"
@@ -61,7 +78,7 @@ def test_mine_matches_golden(tmp_path, capsys):
     assert manifest["candidates"] == 3
     assert manifest["gadgets"] == 1
     assert not manifest["truncated"]
-    assert manifest["kernel_backend"] in ("compiled", "python")
+    assert manifest["kernel_backend"] == "python"
     assert len(manifest["inputs"]) == 3
     for item in manifest["inputs"]:
         assert len(item["sha256"]) == 64
@@ -95,6 +112,83 @@ def test_mine_truncation_exit_code(tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["truncated"]
     assert "max_candidates" in manifest["truncation_reasons"]
+
+
+def _mine_manifest(outdir: Path) -> dict:
+    """manifest.json without the fields that differ across --jobs values."""
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    del manifest["wall_time_s"]
+    del manifest["parameters"]["jobs"]
+    return manifest
+
+
+def test_mine_max_candidates_bounds_work(tmp_path):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    # 9 + 6 + 3 candidates at C_g = 2, in input (file name) order
+    for i, reps in enumerate((3, 2, 1)):
+        save_circuit(Circuit.from_pairs(3, REF_3Q6_PAIRS * reps),
+                     inputs / f"c{i}.txt")
+    circuits = [load_circuit(f) for f in sorted(inputs.iterdir())]
+    full = [cand for c in circuits
+            for cand in mine_circuit(circuit_to_graph(c), 2).candidates]
+    assert len(full) == 18
+    rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 2,
+                  "--output", tmp_path / "uncapped"])
+    assert rc == 0
+    uncapped = _mine_manifest(tmp_path / "uncapped")
+    for cap in (1, 5, 30):
+        outs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"cap{cap}_j{jobs}"
+            rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 2,
+                          "--max-candidates", cap, "--jobs", jobs,
+                          "--output", out])
+            assert rc == (2 if cap < len(full) else 0)
+            outs.append(out)
+        for name in ("report.json", "summary.csv"):
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes()
+        manifest = _mine_manifest(outs[0])
+        assert manifest == _mine_manifest(outs[1])
+        gadgets = identify_gadgets(group_candidates(full[:cap]), 1)
+        expected = json.dumps(classes_to_json_obj(gadgets), indent=2,
+                              sort_keys=True) + "\n"
+        assert (outs[0] / "report.json").read_text() == expected
+        assert (outs[0] / "summary.csv").read_text() == \
+            classes_to_csv(gadgets)
+        assert manifest["candidates"] == min(cap, len(full))
+        if cap < len(full):
+            assert manifest["truncation_reasons"] == ["max_candidates"]
+            assert manifest["subsets_examined"] < uncapped["subsets_examined"]
+        else:
+            assert manifest["truncation_reasons"] == []
+            assert manifest["subsets_examined"] == uncapped["subsets_examined"]
+
+
+def test_mine_time_budget_covers_whole_run(tmp_path):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    rng = random.Random(5)
+    # about a second each at C_g = 5, so the full run takes several
+    for i in range(6):
+        save_circuit(random_circuit(rng, 6, 24), inputs / f"c{i}.txt")
+    started = time.monotonic()
+    rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 5,
+                  "--time-budget", 0.5, "--output", tmp_path / "out"])
+    elapsed = time.monotonic() - started
+    assert rc == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["circuits_skipped"] > 0
+    assert manifest["truncation_reasons"] == ["time_budget"]
+    assert elapsed < 0.5 + 2.0
+
+
+def test_mine_rejects_negative_max_candidates(tmp_path, capsys):
+    rc = run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,
+                  "--max-candidates", -1, "--output", tmp_path / "out"])
+    assert rc == 1
+    assert "--max-candidates" in capsys.readouterr().err
 
 
 def test_mine_missing_input(tmp_path, capsys):
@@ -144,12 +238,19 @@ def test_gen_deterministic(tmp_path):
         (tmp_path / "b" / "manifest.json").read_bytes()
 
 
-def test_gen_manifest_matches_golden(tmp_path):
-    rc = run_cli(["gen", "--n", 6, "--k", 1, "--d", 2, "--seed", 7,
-                  "--attempts", 40, "--count", 8, "--output", tmp_path / "enc"])
+@pytest.mark.parametrize("argv, fixture", [
+    (["--n", 6, "--d", 2, "--attempts", 40, "--count", 8],
+     "golden_gen_manifest.json"),
+    # d = 3 makes the hill-climb score weight-2 Paulis too
+    (["--n", 7, "--d", 3, "--attempts", 24, "--count", 24],
+     "golden_gen_manifest_d3.json"),
+], ids=["d2", "d3"])
+def test_gen_manifest_matches_golden(tmp_path, argv, fixture):
+    rc = run_cli(["gen", "--k", 1, "--seed", 7, *argv,
+                  "--output", tmp_path / "enc"])
     assert rc == 0
     manifest = (tmp_path / "enc" / "manifest.json").read_bytes()
-    assert manifest == (FIXTURES / "golden_gen_manifest.json").read_bytes()
+    assert manifest == (FIXTURES / fixture).read_bytes()
 
 
 def test_gen_failure_exit_code(tmp_path, capsys):

@@ -1,24 +1,11 @@
-"""Kernel backends: reference semantics plus compiled/pure parity."""
+"""Kernels against brute-force references."""
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
+from itertools import combinations, product
 
-import pytest
-
-from gadgetminer import _kernels_py as pure
 from gadgetminer import kernels
-
-try:
-    from gadgetminer import _kernels as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled extension not built")
 
 
 def random_generators(rng: random.Random, n: int, m: int):
@@ -45,161 +32,115 @@ def five_qubit_masks():
     return gx, gz
 
 
+def in_span(v: int, vecs) -> bool:
+    """GF(2) span membership by elimination on leading bits."""
+    pivots: dict[int, int] = {}
+    for b in vecs:
+        while b and b.bit_length() in pivots:
+            b ^= pivots[b.bit_length()]
+        if b:
+            pivots[b.bit_length()] = b
+    while v and v.bit_length() in pivots:
+        v ^= pivots[v.bit_length()]
+    return v == 0
+
+
+def brute_force_profile(gx, gz, n: int, max_weight: int) -> list[int]:
+    """Reference for pauli_weight_profile: visit every weight-w Pauli, test
+    commutation with each generator, then span membership."""
+    vecs = [(x << n) | z for x, z in zip(gx, gz)]
+    counts = []
+    for w in range(1, max_weight + 1):
+        count = 0
+        for support in combinations(range(n), w):
+            for letters in product(((1, 0), (1, 1), (0, 1)), repeat=w):
+                px = pz = 0
+                for q, (xb, zb) in zip(support, letters):
+                    px |= xb << q
+                    pz |= zb << q
+                if any(((px & z).bit_count() + (pz & x).bit_count()) & 1
+                       for x, z in zip(gx, gz)):
+                    continue
+                if in_span((px << n) | pz, vecs):
+                    continue
+                count += 1
+        counts.append(count)
+    return counts
+
+
+def brute_force_min_weight(gx, gz, n: int, max_weight: int) -> int:
+    profile = brute_force_profile(gx, gz, n, max_weight)
+    return next((w for w, c in enumerate(profile, 1) if c), 0)
+
+
 def test_backend_identifier():
-    assert kernels.BACKEND in ("compiled", "python")
-
-
-def test_pure_env_forces_fallback():
-    code = "import gadgetminer.kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, GADGETMINER_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "python"
+    assert kernels.BACKEND == "python"
 
 
 def test_min_logical_weight_five_qubit():
     gx, gz = five_qubit_masks()
-    assert pure.min_logical_weight(gx, gz, 5, 5) == 3
-    assert pure.min_logical_weight(gx, gz, 5, 2) == 0  # bound too low
+    assert kernels.min_logical_weight(gx, gz, 5, 5) == 3
+    assert kernels.min_logical_weight(gx, gz, 5, 2) == 0  # bound too low
 
 
 def test_weight_profile_five_qubit():
     gx, gz = five_qubit_masks()
-    profile = pure.pauli_weight_profile(gx, gz, 5, 3)
+    profile = kernels.pauli_weight_profile(gx, gz, 5, 3)
     assert profile[0] == 0 and profile[1] == 0
     assert profile[2] == 30  # 2k * binom-type count for the perfect code
-
-    # recount weight-3 undetected Paulis directly
-    from itertools import combinations, product
-
-    span = set()
-    vecs = [(x << 5) | z for x, z in zip(gx, gz)]
-    for mask in range(16):
-        v = 0
-        for i in range(4):
-            if (mask >> i) & 1:
-                v ^= vecs[i]
-        span.add(v)
-    count = 0
-    for support in combinations(range(5), 3):
-        for letters in product(((1, 0), (1, 1), (0, 1)), repeat=3):
-            px = pz = 0
-            for q, (xb, zb) in zip(support, letters):
-                px |= xb << q
-                pz |= zb << q
-            if any(((px & z).bit_count() + (pz & x).bit_count()) & 1
-                   for x, z in zip(gx, gz)):
-                continue
-            if ((px << 5) | pz) in span:
-                continue
-            count += 1
-    assert profile[2] == count
+    assert profile == brute_force_profile(gx, gz, 5, 3)
 
 
 def test_empty_generator_set():
     # with nothing to commute with, any weight-1 Pauli is logical
-    assert pure.min_logical_weight([], [], 4, 3) == 1
-    assert pure.pauli_weight_profile([], [], 2, 2) == [6, 9]
+    assert kernels.min_logical_weight([], [], 4, 3) == 1
+    assert kernels.pauli_weight_profile([], [], 2, 2) == [6, 9]
 
 
 def test_canonical_encoding_hand_case():
     # two swappable nodes, one cnot edge 0 -> 1; the minimal row stores the
     # in-edge nibble (4), not the out-edge nibble (8)
-    enc = pure.canonical_encoding(
+    enc = kernels.canonical_encoding(
         2, [2], [0, 1], [2, 0], [0, 1], [0, 0], [0, 0])
     assert enc == bytes([4])
     # fixing the order with singleton classes keeps the out-edge form
-    enc2 = pure.canonical_encoding(
+    enc2 = kernels.canonical_encoding(
         2, [1, 1], [1, 0], [2, 0], [0, 1], [0, 0], [0, 0])
     assert enc2 == bytes([8])
 
 
 def test_canonical_encoding_sizes():
-    assert pure.canonical_encoding(0, [], [], [], [], [], []) == b""
-    assert pure.canonical_encoding(1, [1], [0], [0], [0], [0], [0]) == b""
+    assert kernels.canonical_encoding(0, [], [], [], [], [], []) == b""
+    assert kernels.canonical_encoding(1, [1], [0], [0], [0], [0], [0]) == b""
     n = 5
-    enc = pure.canonical_encoding(
+    enc = kernels.canonical_encoding(
         n, [n], list(range(n)), [0] * n, [0] * n, [0] * n, [0] * n)
     assert enc == bytes(n * (n - 1) // 2)
 
 
-@needs_compiled
 def test_scan_parity_random():
     rng = random.Random(1234)
     for _ in range(40):
         n = rng.randrange(1, 9)
         m = rng.randrange(0, n + 1)
         gx, gz = random_generators(rng, n, m)
+        if m >= 2 and rng.random() < 0.5:
+            # a dependent generator: the span test must still be exact
+            gx.append(gx[0] ^ gx[1])
+            gz.append(gz[0] ^ gz[1])
         w = rng.randrange(1, n + 1)
-        assert compiled.min_logical_weight(gx, gz, n, w) == \
-            pure.min_logical_weight(gx, gz, n, w)
-        assert list(compiled.pauli_weight_profile(gx, gz, n, w)) == \
-            list(pure.pauli_weight_profile(gx, gz, n, w))
+        assert kernels.min_logical_weight(gx, gz, n, w) == \
+            brute_force_min_weight(gx, gz, n, w)
+        assert kernels.pauli_weight_profile(gx, gz, n, w) == \
+            brute_force_profile(gx, gz, n, w)
 
 
-@needs_compiled
 def test_scan_parity_wide_inputs():
-    # past 32 qubits the extension hands off to the fallback; results agree
+    # masks wider than a machine word
     n = 36
     gz = [1 << q for q in range(32)]
     gx = [0] * 32
-    assert compiled.min_logical_weight(gx, gz, n, 1) == \
-        pure.min_logical_weight(gx, gz, n, 1) == 1
-    assert list(compiled.pauli_weight_profile(gx, gz, n, 1)) == \
-        list(pure.pauli_weight_profile(gx, gz, n, 1))
-
-
-@needs_compiled
-def test_encoding_parity_random():
-    rng = random.Random(4321)
-    for _ in range(60):
-        n = rng.randrange(1, 8)
-        ids = list(range(n))
-        rng.shuffle(ids)
-        sizes = []
-        left = n
-        while left:
-            s = rng.randrange(1, left + 1)
-            sizes.append(s)
-            left -= s
-        out_c = [0] * n
-        in_c = [0] * n
-        out_t = [0] * n
-        in_t = [0] * n
-        for _ in range(rng.randrange(0, 2 * n)):
-            a, b = rng.randrange(n), rng.randrange(n)
-            if a == b:
-                continue
-            if rng.random() < 0.5:
-                out_c[a] |= 1 << b
-                in_c[b] |= 1 << a
-            else:
-                out_t[a] |= 1 << b
-                in_t[b] |= 1 << a
-        args = (n, sizes, ids, out_c, in_c, out_t, in_t)
-        assert compiled.canonical_encoding(*args) == \
-            pure.canonical_encoding(*args)
-
-
-@needs_compiled
-def test_encoding_parity_wide_graph():
-    # past 64 nodes the extension hands off to the fallback
-    n = 66
-    out_t = [0] * n
-    in_t = [0] * n
-    for i in range(n - 1):
-        out_t[i] |= 1 << (i + 1)
-        in_t[i + 1] |= 1 << i
-    args = (n, [1] * n, list(range(n)), [0] * n, [0] * n, out_t, in_t)
-    assert compiled.canonical_encoding(*args) == \
-        pure.canonical_encoding(*args)
-
-
-def test_selected_backend_matches_pure():
-    """Whichever backend kernels.py picked must agree with the reference."""
-    rng = random.Random(777)
-    for _ in range(10):
-        n = rng.randrange(2, 7)
-        gx, gz = random_generators(rng, n, rng.randrange(1, n))
-        assert kernels.min_logical_weight(gx, gz, n, n) == \
-            pure.min_logical_weight(gx, gz, n, n)
+    assert kernels.min_logical_weight(gx, gz, n, 1) == \
+        brute_force_min_weight(gx, gz, n, 1) == 1
+    assert kernels.pauli_weight_profile(gx, gz, n, 1) == \
+        brute_force_profile(gx, gz, n, 1)
