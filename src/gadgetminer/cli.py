@@ -104,22 +104,24 @@ def _collect_circuits(paths) -> tuple[list[Circuit], list[Path]]:
 def _mine_one(payload):
     """Mine one circuit with the time left before the run's deadline, or
     return None when the deadline has already passed."""
-    circuit, c_g, deadline, max_candidates, early_reject = payload
+    circuit, c_g, deadline, max_candidates = payload
     budget = None
     if deadline is not None:
         budget = deadline - time.monotonic()
         if budget <= 0:
             return None
     limits = MiningLimits(max_candidates=max_candidates, time_budget=budget)
-    return mine_circuit(
-        circuit_to_graph(circuit), c_g, limits=limits,
-        early_reject=early_reject)
+    return mine_circuit(circuit_to_graph(circuit), c_g, limits=limits)
 
 
 def cmd_mine(args) -> int:
     started = time.monotonic()
     if args.max_candidates is not None and args.max_candidates < 0:
         raise ValueError("--max-candidates must be >= 0")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
+    if args.min_repeats < 1:
+        raise ValueError("--min-repeats must be >= 1")
     circuits, files = _collect_circuits(args.input)
     # one absolute deadline for the whole run; the monotonic clock is
     # system-wide, so pool workers compare against the same clock
@@ -132,8 +134,8 @@ def cmd_mine(args) -> int:
     per_circuit_cap = None
     if args.max_candidates is not None:
         per_circuit_cap = args.max_candidates + 1
-    payloads = [(c, args.gadget_cnots, deadline, per_circuit_cap,
-                 not args.no_early_reject) for c in circuits]
+    payloads = [(c, args.gadget_cnots, deadline, per_circuit_cap)
+                for c in circuits]
     if args.jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_mine_one, payloads))
@@ -170,7 +172,6 @@ def cmd_mine(args) -> int:
             "time_budget": args.time_budget,
             "jobs": args.jobs,
             "seed": args.seed,
-            "early_reject": not args.no_early_reject,
         },
         "kernel_backend": kernels.BACKEND,
         "circuits": len(circuits),
@@ -278,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the manifest; mining itself draws no "
                         "randomness")
-    p.add_argument("--no-early-reject", action="store_true",
-                   help="disable the qubit-sharing connectivity pre-filter "
-                        "(same output, slower)")
     p.add_argument("--output", default=_default_output(),
                    help=f"report directory (default ${OUTPUT_ENV} or "
                         "gadgetminer_out)")

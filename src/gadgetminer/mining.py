@@ -219,43 +219,57 @@ def contract_timelines(candidate: SubgraphCandidate) -> SubgraphCandidate:
     )
 
 
-def _supports_connected(supports) -> bool:
-    """Union-find over gates joined by shared qubits.  Equivalent to
-    connectivity of the extracted candidate graph, cheaper to test."""
-    m = len(supports)
-    parent = list(range(m))
+def _timeline_neighbours(graph: CircuitGraph, cnots) -> list[set[int]]:
+    """Gates i and j (indices into the layer-ordered cnots) are neighbours
+    when they are consecutive on some qubit, so each has at most four."""
+    adj: list[set[int]] = [set() for _ in cnots]
+    last: dict[int, int] = {}
+    for i, e in enumerate(cnots):
+        for nid in (e.src, e.dst):
+            q = graph.node(nid).qubit
+            if q in last:
+                adj[i].add(last[q])
+                adj[last[q]].add(i)
+            last[q] = i
+    return adj
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    owner: dict[int, int] = {}
-    for i, (cq, tq) in enumerate(supports):
-        for q in (cq, tq):
-            if q in owner:
-                ra, rb = find(i), find(owner[q])
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                owner[q] = i
-    root = find(0)
-    return all(find(i) == root for i in range(m))
+def _connected_sets(adj: list[set[int]], root: int,
+                    size: int) -> list[tuple[int, ...]]:
+    """Every connected set of size gates whose least gate is root, once
+    each, as ascending tuples in ascending order (ESU: Wernicke 2006,
+    "Efficient detection of network motifs")."""
+    found = []
+
+    def extend(chosen, frontier, seen):
+        if len(chosen) == size:
+            found.append(tuple(sorted(chosen)))
+            return
+        while frontier:
+            w = frontier.pop()
+            new = [u for u in adj[w] if u > root and u not in seen]
+            extend(chosen + [w], frontier + new, seen.union(new))
+
+    extend([root], [u for u in adj[root] if u > root], {root, *adj[root]})
+    found.sort()
+    return found
 
 
 def mine_circuit(
     graph: CircuitGraph,
     c_g: int,
     limits: MiningLimits | None = None,
-    early_reject: bool = True,
 ) -> MiningResult:
-    """Run the full pipeline over every size-c_g cnot subset of the graph.
+    """Run the full pipeline over the size-c_g cnot subsets of the graph
+    that can pass it.
 
-    Subsets are visited in deterministic combinations order.  early_reject
-    skips subsets whose gates do not hang together via shared qubits; such
-    candidates always fail the connectivity filter, so the flag never
-    changes the output, only the cost."""
+    An untainted, connected candidate is connected in the timeline graph,
+    where gates are neighbours when consecutive on some qubit, so only
+    those sets are visited, in combinations order: roots ascending, and
+    the sets whose least gate is the root sorted.  subsets_total is the
+    binomial search-space size; subsets_examined counts the sets visited.
+    The time budget is checked before each root; a candidate cap stops the
+    run only when a further set would be visited."""
     if c_g < 1:
         raise ValueError(f"subset size {c_g} must be >= 1")
     limits = limits or MiningLimits()
@@ -263,40 +277,26 @@ def mine_circuit(
     if c_g > len(cnots):
         return MiningResult()
     host = _HostIndex(graph)
-    supports = []
-    for e in cnots:
-        supports.append((graph.node(e.src).qubit, graph.node(e.dst).qubit))
-    total = math.comb(len(cnots), c_g)
+    adj = _timeline_neighbours(graph, cnots)
     deadline = None
     if limits.time_budget is not None:
         deadline = _time.monotonic() + limits.time_budget
-    result = MiningResult(subsets_total=total)
+    result = MiningResult(subsets_total=math.comb(len(cnots), c_g))
     kept = result.candidates
-    examined = 0
-    for idx_subset in combinations(range(len(cnots)), c_g):
-        examined += 1
-        if deadline is not None and (examined & 0xFF) == 0:
-            if _time.monotonic() > deadline:
-                examined -= 1  # current subset not processed
-                result.truncated = True
-                result.reason = "time_budget"
-                break
-        if early_reject and not _supports_connected(
-                [supports[i] for i in idx_subset]):
-            continue
-        cand = _extract(host, tuple(cnots[i] for i in idx_subset))
-        if cand.tainted:
-            continue
-        if not passes_closure_filter(cand):
-            continue
-        if not passes_stationarity_filter(cand):
-            continue
-        kept.append(contract_timelines(cand))
-        if (limits.max_candidates is not None
-                and len(kept) >= limits.max_candidates
-                and examined < total):
-            result.truncated = True
-            result.reason = "max_candidates"
+    for root in range(len(cnots) - c_g + 1):
+        if deadline is not None and _time.monotonic() >= deadline:
+            result.truncated, result.reason = True, "time_budget"
             break
-    result.subsets_examined = examined
+        for idx_subset in _connected_sets(adj, root, c_g):
+            if (limits.max_candidates is not None
+                    and len(kept) >= limits.max_candidates):
+                result.truncated, result.reason = True, "max_candidates"
+                break
+            result.subsets_examined += 1
+            cand = _extract(host, tuple(cnots[i] for i in idx_subset))
+            if (not cand.tainted and passes_closure_filter(cand)
+                    and passes_stationarity_filter(cand)):
+                kept.append(cand)
+        if result.truncated:
+            break
     return result

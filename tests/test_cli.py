@@ -18,6 +18,7 @@ from gadgetminer.canon import (
     group_candidates,
     identify_gadgets,
 )
+from gadgetminer import cli
 from gadgetminer.cli import main
 from gadgetminer.circuit import (
     Circuit,
@@ -170,11 +171,11 @@ def test_mine_time_budget_covers_whole_run(tmp_path):
     inputs = tmp_path / "in"
     inputs.mkdir()
     rng = random.Random(5)
-    # about a second each at C_g = 5, so the full run takes several
+    # close to a second each at C_g = 6, so the full run takes several
     for i in range(6):
-        save_circuit(random_circuit(rng, 6, 24), inputs / f"c{i}.txt")
+        save_circuit(random_circuit(rng, 6, 120), inputs / f"c{i}.txt")
     started = time.monotonic()
-    rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 5,
+    rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 6,
                   "--time-budget", 0.5, "--output", tmp_path / "out"])
     elapsed = time.monotonic() - started
     assert rc == 2
@@ -189,6 +190,21 @@ def test_mine_rejects_negative_max_candidates(tmp_path, capsys):
                   "--max-candidates", -1, "--output", tmp_path / "out"])
     assert rc == 1
     assert "--max-candidates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--jobs", 0), ("--jobs", -4), ("--min-repeats", 0)])
+def test_mine_rejects_bad_arguments_before_mining(tmp_path, capsys,
+                                                 monkeypatch, flag, value):
+    def no_mining(*args, **kwargs):
+        raise AssertionError("mined before the arguments were checked")
+
+    monkeypatch.setattr(cli, "mine_circuit", no_mining)
+    rc = run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,
+                  flag, value, "--output", tmp_path / "out"])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mine_missing_input(tmp_path, capsys):

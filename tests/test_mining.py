@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -154,7 +155,8 @@ def test_mine_reference_circuit(ref_circuit):
     g = circuit_to_graph(ref_circuit)
     res = mine_circuit(g, 2)
     assert res.subsets_total == 15
-    assert res.subsets_examined == 15
+    # the six pairs of gates consecutive on some qubit
+    assert res.subsets_examined == 6
     assert not res.truncated
     assert [c.layers for c in res.candidates] == [(0, 1), (2, 3), (4, 5)]
 
@@ -173,19 +175,58 @@ def test_mined_candidates_satisfy_all_filters():
                 assert len(cand.layers) == c_g
 
 
-def test_early_reject_changes_nothing():
+def _timeline_connected(circuit, subset) -> bool:
+    """Gates joined when consecutive in the circuit on some qubit."""
+    on_qubit: dict[int, list[int]] = {}
+    for i, g in enumerate(circuit.gates):
+        for q in (g.control, g.target):
+            on_qubit.setdefault(q, []).append(i)
+    pairs = {frozenset(p) for seq in on_qubit.values()
+             for p in zip(seq, seq[1:])}
+    reached, todo = {subset[0]}, [subset[0]]
+    while todo:
+        a = todo.pop()
+        for b in subset:
+            if b not in reached and frozenset((a, b)) in pairs:
+                reached.add(b)
+                todo.append(b)
+    return len(reached) == len(subset)
+
+
+def test_mine_matches_exhaustive_oracle():
     rng = random.Random(654)
-    for _ in range(10):
-        c = random_circuit(rng, rng.randrange(3, 6), rng.randrange(3, 9))
+    # gate 0 is the least gate of two kept sets at C_g = 4, so the order
+    # of the sets found from one root is checked
+    circuits = [Circuit.from_pairs(
+        3, [(1, 2), (2, 1), (1, 0), (0, 2), (2, 0)])]
+    circuits += [random_circuit(rng, rng.randrange(2, 6), rng.randrange(1, 13))
+                 for _ in range(30)]
+    for c in circuits:
         g = circuit_to_graph(c)
-        for c_g in (2, 3):
-            if c_g > c.cx_count:
-                continue
-            fast = mine_circuit(g, c_g, early_reject=True)
-            slow = mine_circuit(g, c_g, early_reject=False)
-            assert [x.graph for x in fast.candidates] == [
-                x.graph for x in slow.candidates]
-            assert fast.subsets_examined == slow.subsets_examined
+        for c_g in range(1, min(6, c.cx_count) + 1):
+            want = []
+            for subset in enumerate_cnot_subsets(g, c_g):
+                cand = extract_candidate(g, subset)
+                if (passes_empty_node_filter(cand)
+                        and passes_closure_filter(cand)
+                        and passes_stationarity_filter(cand)):
+                    want.append(cand)
+            res = mine_circuit(g, c_g)
+            assert [(x.graph, x.layers) for x in res.candidates] == [
+                (x.graph, x.layers) for x in want]
+            assert not res.truncated
+            # the count does not depend on how the gates are numbered
+            assert res.subsets_examined == sum(
+                _timeline_connected(c, s)
+                for s in combinations(range(c.cx_count), c_g))
+            for cap in range(len(want) + 1):
+                capped = mine_circuit(g, c_g,
+                                      MiningLimits(max_candidates=cap))
+                assert [x.graph for x in capped.candidates] == [
+                    x.graph for x in want[:cap]]
+                if cap < len(want):
+                    assert capped.truncated
+                    assert capped.reason == "max_candidates"
 
 
 def test_oversized_subset_returns_empty():
@@ -216,6 +257,5 @@ def test_time_budget_truncation():
     g = circuit_to_graph(c)
     res = mine_circuit(g, 4, MiningLimits(time_budget=0.0))
     assert res.truncated and res.reason == "time_budget"
-    assert res.subsets_examined < res.subsets_total
-    # budget checks are batched, so a full batch is always examined
-    assert res.subsets_examined >= 255
+    # the budget is checked before the first set is visited
+    assert res.subsets_examined == 0
