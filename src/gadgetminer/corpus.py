@@ -274,49 +274,70 @@ def _generator_masks(tableau, n: int, k: int) -> tuple[list[int], list[int]]:
     return tableau.x[n + k:], tableau.z[n + k:]
 
 
-def _violations(gx: list[int], gz: list[int], n: int,
-                target_d: int) -> tuple[int, ...]:
-    """Counts of undetected nontrivial Paulis at each weight below the
-    target distance; all-zero means the target is met."""
-    return tuple(kernels.pauli_weight_profile(gx, gz, n, target_d - 1))
+def _move_scores(gx: list[int], gz: list[int], n: int, target_d: int,
+                 directed) -> list[tuple[int, ...]]:
+    """Violation profile (counts of undetected nontrivial Paulis at each
+    weight below target_d) of the generators after each move in directed.
+
+    A CNOT move a -> b conjugates the code, so one walk listing the current
+    logicals up to target_d scores every move: on {a, b} a logical's weight
+    stays 1 or 2 and moves by one where it flips.  Bit i of sl[q] (Z on
+    qubit q, X at q + n) and of ws[w] says that listed logical i has that
+    letter or weight w."""
+    sl = [0] * (2 * n)
+    ws = [0] * (target_d + 1)
+    bit = 1
+    for w, found in enumerate(
+            kernels.logicals_by_weight(gx, gz, n, target_d), 1):
+        for v in found:
+            ws[w] |= bit
+            while v:
+                low = v & -v
+                sl[low.bit_length() - 1] |= bit
+                v ^= low
+            bit <<= 1
+    scores = []
+    for a, b in directed:
+        # X on a spreads to b, Z on b spreads to a
+        xa, za, xb, zb = sl[a + n], sl[a], sl[b + n], sl[b]
+        was = (xa | za) & (xb | zb)
+        now = (xa | za ^ zb) & (xb ^ xa | zb)
+        up, down = now & ~was, was & ~now
+        same = ~(up | down)
+        scores.append(tuple(
+            (ws[w] & same | ws[w - 1] & up | ws[w + 1] & down).bit_count()
+            for w in range(1, target_d)))
+    return scores
 
 
 def _propose_random(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
-    gates = [directed[sub.randrange(len(directed))]
-             for _ in range(cfg.max_gates)]
-    return gates
+    # one qubit has no pair: the empty circuit, as the hill climb proposes
+    return [directed[sub.randrange(len(directed))]
+            for _ in range(cfg.max_gates if directed else 0)]
 
 
 def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
     """Greedy gate appension scored by the violation profile, with a random
     kick on plateaus.  Stops as soon as the profile is clean."""
     t = encoder_tableau(Circuit.from_pairs(cfg.n, ()), x_set)
+    gx, gz = _generator_masks(t, cfg.n, cfg.k)
     gates: list[tuple[int, int]] = []
     target = (0,) * (cfg.target_d - 1)
-    gx, gz = _generator_masks(t, cfg.n, cfg.k)
-    cur = _violations(gx, gz, cfg.n, cfg.target_d)
+    cur = tuple(kernels.pauli_weight_profile(gx, gz, cfg.n, cfg.target_d - 1))
     while cur != target and len(gates) < cfg.max_gates:
-        best = None
-        best_moves: list[tuple[int, int]] = []
-        for mv in directed:
-            # CNOT a -> b on the generators (signs are not scored):
-            # X on a spreads to b, Z on b spreads to a
-            a, b = mv
-            s = _violations([x ^ (x >> a & 1) << b for x in gx],
-                            [z ^ (z >> b & 1) << a for z in gz],
-                            cfg.n, cfg.target_d)
-            if best is None or s < best:
-                best, best_moves = s, [mv]
-            elif s == best:
-                best_moves.append(mv)
-        if best is not None and best < cur:
-            mv = best_moves[sub.randrange(len(best_moves))]
+        scores = _move_scores(gx, gz, cfg.n, cfg.target_d, directed)
+        best = min(scores)
+        if best < cur:
+            ties = [i for i, s in enumerate(scores) if s == best]
+            i = ties[sub.randrange(len(ties))]
         else:
-            mv = directed[sub.randrange(len(directed))]
-        t.cnot(*mv)
-        gates.append(mv)
-        gx, gz = _generator_masks(t, cfg.n, cfg.k)
-        cur = _violations(gx, gz, cfg.n, cfg.target_d)
+            i = sub.randrange(len(directed))
+        a, b = directed[i]
+        # the move on the generators (signs are not scored)
+        gx = [x ^ (x >> a & 1) << b for x in gx]
+        gz = [z ^ (z >> b & 1) << a for z in gz]
+        gates.append((a, b))
+        cur = scores[i]
     return gates
 
 

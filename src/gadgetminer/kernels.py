@@ -1,5 +1,7 @@
-"""Hot inner loops: the Pauli weight scan and canonical graph encoding.
+"""Hot inner loops: the logical-operator walk and canonical graph encoding.
 
+The walk lists a code's logical operators weight by weight; the weight
+profile, the minimum weight and the hill-climb's move scores count it.
 Pauli operators are passed as X/Z bitmask integers (bit q = qubit q),
 graphs as per-node adjacency bitmasks.  BACKEND names the implementation
 and is recorded in mine manifests.
@@ -12,9 +14,10 @@ from .tableau import gf2_basis
 BACKEND = "python"
 
 
-def _weight_counts(gx: list[int], gz: list[int], n: int, max_weight: int):
-    """Yield, for w = 1..max_weight, the number of weight-w Paulis that
-    commute with every generator but lie outside the generators' GF(2) span.
+def logicals_by_weight(gx: list[int], gz: list[int], n: int, max_weight: int):
+    """Yield, for w = 1..max_weight, the list of weight-w Paulis that commute
+    with every generator but lie outside the generators' GF(2) span, as
+    vectors (x << n) | z.
 
     Parity-check form: a Pauli's syndrome has bit i set when it anticommutes
     with generator i, and is the XOR of its letters' syndromes.  Each
@@ -48,7 +51,7 @@ def _weight_counts(gx: list[int], gz: list[int], n: int, max_weight: int):
         for v, s in letters[q]:
             closers.setdefault(s, []).append((q, v))
     for w in range(1, max_weight + 1):
-        count = 0
+        found = []
         # depth-first over the weight-(w-1) prefixes, so memory stays
         # O(n * w).  Entries are (vector, syndrome, last qubit, letters still
         # to place); a letter goes only where the qubits above it leave room
@@ -65,19 +68,20 @@ def _weight_counts(gx: list[int], gz: list[int], n: int, max_weight: int):
                 if q <= last:
                     break
                 v |= pv
+                r = v
                 for b in basis:
-                    if v ^ b < v:
-                        v ^= b
-                if v:
-                    count += 1
-        yield count
+                    if r ^ b < r:
+                        r ^= b
+                if r:
+                    found.append(v)
+        yield found
 
 
 def min_logical_weight(gx: list[int], gz: list[int], n: int, max_weight: int) -> int:
     """Smallest weight in 1..max_weight of a Pauli commuting with all
     generators but outside their span; 0 if none exists up to the bound."""
-    for w, count in enumerate(_weight_counts(gx, gz, n, max_weight), 1):
-        if count:
+    for w, found in enumerate(logicals_by_weight(gx, gz, n, max_weight), 1):
+        if found:
             return w
     return 0
 
@@ -87,7 +91,7 @@ def pauli_weight_profile(
 ) -> list[int]:
     """counts[w-1] = number of weight-w Paulis commuting with all generators
     but outside their span, for w = 1..max_weight."""
-    return list(_weight_counts(gx, gz, n, max_weight))
+    return [len(found) for found in logicals_by_weight(gx, gz, n, max_weight)]
 
 
 def canonical_encoding(

@@ -255,18 +255,43 @@ def test_gen_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("argv, fixture", [
-    (["--n", 6, "--d", 2, "--attempts", 40, "--count", 8],
+    (["--n", 6, "--k", 1, "--d", 2, "--seed", 7, "--attempts", 40,
+      "--count", 8],
      "golden_gen_manifest.json"),
     # d = 3 makes the hill-climb score weight-2 Paulis too
-    (["--n", 7, "--d", 3, "--attempts", 24, "--count", 24],
+    (["--n", 7, "--k", 1, "--d", 3, "--seed", 7, "--attempts", 24,
+      "--count", 24],
      "golden_gen_manifest_d3.json"),
-], ids=["d2", "d3"])
+    # d = 4 scores weights 1-3 on 12 qubits
+    (["--n", 12, "--k", 1, "--d", 4, "--seed", 3, "--attempts", 12,
+      "--count", 2],
+     "golden_gen_manifest_d4.json"),
+    # two logical qubits on a line: 14 moves instead of 56
+    (["--n", 8, "--k", 2, "--d", 2, "--connectivity", "nn", "--seed", 5,
+      "--attempts", 30, "--count", 6],
+     "golden_gen_manifest_nn_k2.json"),
+], ids=["d2", "d3", "d4", "nn_k2"])
 def test_gen_manifest_matches_golden(tmp_path, argv, fixture):
-    rc = run_cli(["gen", "--k", 1, "--seed", 7, *argv,
-                  "--output", tmp_path / "enc"])
+    rc = run_cli(["gen", *argv, "--output", tmp_path / "enc"])
     assert rc == 0
     manifest = (tmp_path / "enc" / "manifest.json").read_bytes()
     assert manifest == (FIXTURES / fixture).read_bytes()
+
+
+def test_gen_single_qubit_both_methods(tmp_path):
+    # one qubit has no pair to draw a gate from: both methods propose the
+    # empty circuit, once per ancilla basis
+    argv = ["gen", "--n", 1, "--k", 0, "--attempts", 20, "--seed", 1]
+    entries = []
+    for method in ("hillclimb", "random"):
+        out = tmp_path / method
+        assert run_cli([*argv, "--method", method, "--output", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        entries.append(manifest["entries"])
+        for entry in manifest["entries"]:
+            assert load_circuit(out / entry["file"]).cx_count == 0
+    assert entries[0] == entries[1]
+    assert len(entries[0]) == 2
 
 
 def test_gen_failure_exit_code(tmp_path, capsys):

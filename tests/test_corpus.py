@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from gadgetminer import kernels
 from gadgetminer.circuit import Circuit, save_circuit
 from gadgetminer.corpus import (
     Corpus,
@@ -21,10 +22,13 @@ from gadgetminer.corpus import (
     ingest,
     load_corpus,
     save_corpus,
+    _move_scores,
+    _propose_hillclimb,
 )
 from gadgetminer.tableau import code_distance
 
 from conftest import STEANE_PAIRS, STEANE_X_ANCILLAS, pauli_group_distance_oracle
+from test_kernels import brute_force_profile, random_generators
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +197,63 @@ def test_generate_random_method():
     assert len(corpus) == 3
     for e in corpus.entries:
         assert e.distance >= 2
+
+
+def _moved(gx, gz, a, b):
+    return ([x ^ (x >> a & 1) << b for x in gx],
+            [z ^ (z >> b & 1) << a for z in gz])
+
+
+def test_move_scores_match_moved_profiles():
+    # every ordered pair on random generator sets, commuting or not, with
+    # dependent generators mixed in
+    rng = random.Random(99)
+    for _ in range(60):
+        n = rng.randrange(2, 9)
+        d = rng.randrange(1, 6)
+        m = rng.randrange(0, n + 1)
+        gx, gz = random_generators(rng, n, m)
+        if m >= 2 and rng.random() < 0.5:
+            gx.append(gx[0] ^ gx[1])
+            gz.append(gz[0] ^ gz[1])
+        directed = [(a, b) for a in range(n) for b in range(n) if a != b]
+        scores = _move_scores(gx, gz, n, d, directed)
+        assert len(scores) == len(directed)
+        for (a, b), score in zip(directed, scores):
+            assert list(score) == kernels.pauli_weight_profile(
+                *_moved(gx, gz, a, b), n, d - 1)
+        # the brute-force oracle on one move per set, where it is cheap
+        if n <= 6:
+            i = rng.randrange(len(directed))
+            assert list(scores[i]) == brute_force_profile(
+                *_moved(gx, gz, *directed[i]), n, d - 1)
+
+
+def test_hillclimb_lists_logicals_once_per_step(monkeypatch):
+    # a structural guard in place of a timing: scoring each move with a
+    # fresh scan would walk 42 times a step on [[7,1,3]]
+    calls = {"walk": 0, "profile": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "logicals_by_weight",
+                        counted("walk", kernels.logicals_by_weight))
+    monkeypatch.setattr(kernels, "pauli_weight_profile",
+                        counted("profile", kernels.pauli_weight_profile))
+    conn = connectivity_pairs("all", 7)
+    cfg = GeneratorConfig(n=7, k=1, target_d=3, connectivity=conn)
+    directed = sorted(conn + tuple((b, a) for a, b in conn))
+    for seed in range(4):
+        calls.update(walk=0, profile=0)
+        gates = _propose_hillclimb(random.Random(seed), cfg, directed,
+                                   frozenset(range(1, seed + 1)))
+        assert gates
+        assert calls["profile"] <= 1
+        assert calls["walk"] <= len(gates) + 1
 
 
 def test_generate_n_bound():

@@ -45,13 +45,14 @@ def in_span(v: int, vecs) -> bool:
     return v == 0
 
 
-def brute_force_profile(gx, gz, n: int, max_weight: int) -> list[int]:
-    """Reference for pauli_weight_profile: visit every weight-w Pauli, test
-    commutation with each generator, then span membership."""
+def brute_force_logicals(gx, gz, n: int, max_weight: int) -> list[list[int]]:
+    """Reference for logicals_by_weight: visit every weight-w Pauli, test
+    commutation with each generator, then span membership.  Vectors are
+    (x << n) | z, sorted per weight."""
     vecs = [(x << n) | z for x, z in zip(gx, gz)]
-    counts = []
+    lists = []
     for w in range(1, max_weight + 1):
-        count = 0
+        found = []
         for support in combinations(range(n), w):
             for letters in product(((1, 0), (1, 1), (0, 1)), repeat=w):
                 px = pz = 0
@@ -63,9 +64,14 @@ def brute_force_profile(gx, gz, n: int, max_weight: int) -> list[int]:
                     continue
                 if in_span((px << n) | pz, vecs):
                     continue
-                count += 1
-        counts.append(count)
-    return counts
+                found.append((px << n) | pz)
+        lists.append(sorted(found))
+    return lists
+
+
+def brute_force_profile(gx, gz, n: int, max_weight: int) -> list[int]:
+    """Reference for pauli_weight_profile."""
+    return [len(found) for found in brute_force_logicals(gx, gz, n, max_weight)]
 
 
 def brute_force_min_weight(gx, gz, n: int, max_weight: int) -> int:
@@ -129,10 +135,13 @@ def test_scan_parity_random():
             gx.append(gx[0] ^ gx[1])
             gz.append(gz[0] ^ gz[1])
         w = rng.randrange(1, n + 1)
-        assert kernels.min_logical_weight(gx, gz, n, w) == \
-            brute_force_min_weight(gx, gz, n, w)
+        ref = brute_force_logicals(gx, gz, n, w)
+        assert [sorted(found) for found in
+                kernels.logicals_by_weight(gx, gz, n, w)] == ref
         assert kernels.pauli_weight_profile(gx, gz, n, w) == \
-            brute_force_profile(gx, gz, n, w)
+            [len(found) for found in ref]
+        assert kernels.min_logical_weight(gx, gz, n, w) == \
+            next((i for i, found in enumerate(ref, 1) if found), 0)
 
 
 def test_scan_parity_wide_inputs():
