@@ -46,7 +46,6 @@ from .mining import (  # noqa: F401
     extract_candidate,
     mine_circuit,
     passes_closure_filter,
-    passes_empty_node_filter,
     passes_stationarity_filter,
 )
 from .canon import (  # noqa: F401
@@ -74,7 +73,6 @@ from .tableau import (  # noqa: F401
     Pauli,
     StabilizerCode,
     TableauError,
-    apply_cnot,
     canonical_rows,
     canonical_tableau,
     circuit_to_tableau,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -122,6 +123,11 @@ def cmd_mine(args) -> int:
         raise ValueError("--jobs must be >= 1")
     if args.min_repeats < 1:
         raise ValueError("--min-repeats must be >= 1")
+    if args.gadget_cnots < 1:
+        raise ValueError("--gadget-cnots must be >= 1")
+    # NaN fails every comparison, so it is rejected here too
+    if args.time_budget is not None and not 0 <= args.time_budget < math.inf:
+        raise ValueError("--time-budget must be a finite number >= 0")
     circuits, files = _collect_circuits(args.input)
     # one absolute deadline for the whole run; the monotonic clock is
     # system-wide, so pool workers compare against the same clock

@@ -13,13 +13,16 @@ Filter pipeline, in order:
   3. stationarity: adjacent chosen gates (sharing a qubit with no chosen
      gate between them on any shared qubit) must not commute, otherwise
      the block can be slid apart and is not a rigid unit.
+
+extract_candidate and the passes_* filters work on candidate graphs and
+are the reference; mine_circuit runs the same tests on gate indices and
+builds a graph only for a set that passes them (see its docstring).
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -74,27 +77,13 @@ def enumerate_cnot_subsets(graph: CircuitGraph, c_g: int):
     return combinations(cnots, c_g)
 
 
-class _HostIndex:
-    """Per-host lookup tables shared across extractions."""
-
-    __slots__ = ("graph", "qubit_layers")
-
-    def __init__(self, graph: CircuitGraph):
-        self.graph = graph
-        layers: dict[int, list[int]] = defaultdict(list)
-        for nd in graph.nodes:
-            layers[nd.qubit].append(nd.layer)
-        for seq in layers.values():
-            seq.sort()
-        self.qubit_layers = layers
-
-
-def _extract(host: _HostIndex, subset) -> SubgraphCandidate:
-    graph = host.graph
+def extract_candidate(graph: CircuitGraph, subset) -> SubgraphCandidate:
+    """Build the candidate for one cnot-edge subset of the host graph."""
+    edges = list(subset)
     nodes = []
     per_qubit: dict[int, list] = defaultdict(list)
     layers = []
-    for e in subset:
+    for e in edges:
         c = graph.node(e.src)
         t = graph.node(e.dst)
         nodes.append(c)
@@ -102,16 +91,15 @@ def _extract(host: _HostIndex, subset) -> SubgraphCandidate:
         per_qubit[c.qubit].append(c)
         per_qubit[t.qubit].append(t)
         layers.append(c.layer)
-    edges = list(subset)
     tainted = False
     for q, nds in per_qubit.items():
         nds.sort(key=lambda nd: nd.layer)
-        host_layers = host.qubit_layers[q]
         for a, b in zip(nds, nds[1:]):
             edges.append(GraphEdge(a.id, b.id, "time"))
             # any host endpoint strictly inside (a.layer, b.layer) on this
             # qubit belongs to an unchosen gate and would be orphaned
-            if bisect_left(host_layers, b.layer) > bisect_right(host_layers, a.layer):
+            if any(nd.qubit == q and a.layer < nd.layer < b.layer
+                   for nd in graph.nodes):
                 tainted = True
     return SubgraphCandidate(
         source_circuit=graph.source_circuit,
@@ -119,15 +107,6 @@ def _extract(host: _HostIndex, subset) -> SubgraphCandidate:
         graph=CircuitGraph(nodes, edges, source_circuit=graph.source_circuit),
         tainted=tainted,
     )
-
-
-def extract_candidate(graph: CircuitGraph, subset) -> SubgraphCandidate:
-    """Build the candidate for one cnot-edge subset of the host graph."""
-    return _extract(_HostIndex(graph), tuple(subset))
-
-
-def passes_empty_node_filter(candidate: SubgraphCandidate) -> bool:
-    return not candidate.tainted
 
 
 def passes_closure_filter(candidate: SubgraphCandidate) -> bool:
@@ -153,27 +132,21 @@ def passes_stationarity_filter(candidate: SubgraphCandidate) -> bool:
     chosen gate acts on any shared qubit strictly between them.  A
     commuting adjacent pair means the candidate is not held in place by
     its own gates and the same composite appears in a slid variant."""
-    gates = _candidate_gates(candidate)
-    m = len(gates)
-    for i in range(m):
-        li, ci, ti = gates[i]
-        for j in range(i + 1, m):
-            lj, cj, tj = gates[j]
-            shared = {ci, ti} & {cj, tj}
-            if not shared:
-                continue
-            blocked = False
-            for k in range(m):
-                if k == i or k == j:
-                    continue
-                lk, ck, tk = gates[k]
-                if li < lk < lj and ({ck, tk} & shared):
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            if ci != tj and ti != cj:  # adjacent pair commutes
-                return False
+    return _stationary(_candidate_gates(candidate))
+
+
+def _stationary(gates) -> bool:
+    """passes_stationarity_filter on (layer, control, target) tuples in
+    layer order."""
+    for (li, ci, ti), (lj, cj, tj) in combinations(gates, 2):
+        shared = {ci, ti} & {cj, tj}
+        # not adjacent: disjoint, or a chosen gate on a shared qubit lies
+        # strictly between them
+        if not shared or any(li < lk < lj and {ck, tk} & shared
+                             for lk, ck, tk in gates):
+            continue
+        if ci != tj and ti != cj:  # adjacent pair commutes
+            return False
     return True
 
 
@@ -219,19 +192,38 @@ def contract_timelines(candidate: SubgraphCandidate) -> SubgraphCandidate:
     )
 
 
-def _timeline_neighbours(graph: CircuitGraph, cnots) -> list[set[int]]:
-    """Gates i and j (indices into the layer-ordered cnots) are neighbours
-    when they are consecutive on some qubit, so each has at most four."""
+def _gate_tables(graph: CircuitGraph, cnots):
+    """Per gate (an index into the layer-ordered cnots): its timeline
+    neighbours, at most four; its (layer, control, target); and its two
+    endpoints' (qubit, position among the endpoints on that qubit)."""
     adj: list[set[int]] = [set() for _ in cnots]
-    last: dict[int, int] = {}
+    gates = []
+    ends: list[list[tuple[int, int]]] = [[] for _ in cnots]
+    on_qubit: dict[int, list[int]] = defaultdict(list)
     for i, e in enumerate(cnots):
-        for nid in (e.src, e.dst):
-            q = graph.node(nid).qubit
-            if q in last:
-                adj[i].add(last[q])
-                adj[last[q]].add(i)
-            last[q] = i
-    return adj
+        c, t = graph.node(e.src), graph.node(e.dst)
+        gates.append((c.layer, c.qubit, t.qubit))
+        for q in (c.qubit, t.qubit):
+            seq = on_qubit[q]
+            if seq:
+                adj[i].add(seq[-1])
+                adj[seq[-1]].add(i)
+            ends[i].append((q, len(seq)))
+            seq.append(i)
+    return adj, gates, ends
+
+
+def _passes(chosen, gates, ends) -> bool:
+    """The filters on a timeline-connected set: two or more chosen
+    endpoints per touched qubit, at consecutive positions; stationarity."""
+    on_qubit: dict[int, list[int]] = defaultdict(list)
+    for i in chosen:
+        for q, pos in ends[i]:
+            on_qubit[q].append(pos)
+    for ps in on_qubit.values():
+        if len(ps) < 2 or max(ps) - min(ps) >= len(ps):
+            return False
+    return _stationary([gates[i] for i in chosen])
 
 
 def _connected_sets(adj: list[set[int]], root: int,
@@ -263,12 +255,19 @@ def mine_circuit(
     """Run the full pipeline over the size-c_g cnot subsets of the graph
     that can pass it.
 
-    An untainted, connected candidate is connected in the timeline graph,
+    The graph is one made by circuit_to_graph: every node is a gate
+    endpoint, and each qubit's endpoints have distinct layers.  An
+    untainted, connected candidate is connected in the timeline graph,
     where gates are neighbours when consecutive on some qubit, so only
     those sets are visited, in combinations order: roots ascending, and
-    the sets whose least gate is the root sorted.  subsets_total is the
-    binomial search-space size; subsets_examined counts the sets visited.
-    The time budget is checked before each root; a candidate cap stops the
+    the sets whose least gate is the root sorted.  Their candidates are
+    connected, so each is filtered on gate indices and extracted only if
+    kept: closed when every touched qubit carries two or more chosen
+    endpoints (a lone one has degree 1), untainted when those are
+    consecutive among the qubit's endpoints, and stationary by its
+    (layer, control, target) tuples.  subsets_total is the binomial
+    search-space size; subsets_examined counts the sets visited.  The
+    time budget is checked before each root; a candidate cap stops the
     run only when a further set would be visited."""
     if c_g < 1:
         raise ValueError(f"subset size {c_g} must be >= 1")
@@ -276,8 +275,7 @@ def mine_circuit(
     cnots = ordered_cnot_edges(graph)
     if c_g > len(cnots):
         return MiningResult()
-    host = _HostIndex(graph)
-    adj = _timeline_neighbours(graph, cnots)
+    adj, gates, ends = _gate_tables(graph, cnots)
     deadline = None
     if limits.time_budget is not None:
         deadline = _time.monotonic() + limits.time_budget
@@ -287,16 +285,15 @@ def mine_circuit(
         if deadline is not None and _time.monotonic() >= deadline:
             result.truncated, result.reason = True, "time_budget"
             break
-        for idx_subset in _connected_sets(adj, root, c_g):
+        for chosen in _connected_sets(adj, root, c_g):
             if (limits.max_candidates is not None
                     and len(kept) >= limits.max_candidates):
                 result.truncated, result.reason = True, "max_candidates"
                 break
             result.subsets_examined += 1
-            cand = _extract(host, tuple(cnots[i] for i in idx_subset))
-            if (not cand.tainted and passes_closure_filter(cand)
-                    and passes_stationarity_filter(cand)):
-                kept.append(cand)
+            if _passes(chosen, gates, ends):
+                kept.append(
+                    extract_candidate(graph, [cnots[i] for i in chosen]))
         if result.truncated:
             break
     return result

@@ -190,9 +190,6 @@ class CliffordTableau:
     def stabilizer_rows(self) -> list[Pauli]:
         return [self.row_pauli(self.n + i) for i in range(self.n)]
 
-    def destabilizer_rows(self) -> list[Pauli]:
-        return [self.row_pauli(i) for i in range(self.n)]
-
     def to_bytes(self) -> bytes:
         """Faithful fixed-convention serialization; equal bytes <=> equal
         tableau <=> equal Clifford unitary.
@@ -228,11 +225,6 @@ class CliffordTableau:
         for m, e in zip(self.x + self.z, ident.x + ident.z):
             diff |= m ^ e
         return {q for q in range(self.n) if diff >> q & 1}
-
-
-def apply_cnot(t: CliffordTableau, control: int, target: int) -> CliffordTableau:
-    """Functional CNOT conjugation; returns a new tableau."""
-    return t.copy().cnot(control, target)
 
 
 def circuit_to_tableau(c: Circuit) -> CliffordTableau:

@@ -171,9 +171,10 @@ def test_mine_time_budget_covers_whole_run(tmp_path):
     inputs = tmp_path / "in"
     inputs.mkdir()
     rng = random.Random(5)
-    # close to a second each at C_g = 6, so the full run takes several
+    # about a third of a second each at C_g = 6, so the full run takes
+    # about two seconds and outlasts the budget
     for i in range(6):
-        save_circuit(random_circuit(rng, 6, 120), inputs / f"c{i}.txt")
+        save_circuit(random_circuit(rng, 6, 600), inputs / f"c{i}.txt")
     started = time.monotonic()
     rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 6,
                   "--time-budget", 0.5, "--output", tmp_path / "out"])
@@ -193,7 +194,10 @@ def test_mine_rejects_negative_max_candidates(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--jobs", 0), ("--jobs", -4), ("--min-repeats", 0)])
+    ("--jobs", 0), ("--jobs", -4), ("--min-repeats", 0),
+    ("--gadget-cnots", 0), ("--gadget-cnots", -3),
+    ("--time-budget", "nan"), ("--time-budget", "inf"),
+    ("--time-budget", -5)])
 def test_mine_rejects_bad_arguments_before_mining(tmp_path, capsys,
                                                  monkeypatch, flag, value):
     def no_mining(*args, **kwargs):

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from gadgetminer import mining
 from gadgetminer.circuit import Circuit
 from gadgetminer.graph import CircuitGraph, GraphEdge, GraphNode, circuit_to_graph
 from gadgetminer.mining import (
@@ -18,7 +19,6 @@ from gadgetminer.mining import (
     mine_circuit,
     ordered_cnot_edges,
     passes_closure_filter,
-    passes_empty_node_filter,
     passes_stationarity_filter,
 )
 
@@ -64,7 +64,6 @@ def test_taint_from_interleaved_gate():
     edges = ordered_cnot_edges(g)
     cand = extract_candidate(g, (edges[0], edges[2]))
     assert cand.tainted
-    assert not passes_empty_node_filter(cand)
 
 
 def test_no_taint_from_disjoint_gate():
@@ -74,7 +73,6 @@ def test_no_taint_from_disjoint_gate():
     edges = ordered_cnot_edges(g)
     cand = extract_candidate(g, (edges[0], edges[2]))
     assert not cand.tainted
-    assert passes_empty_node_filter(cand)
 
 
 def test_closure_filter():
@@ -207,7 +205,7 @@ def test_mine_matches_exhaustive_oracle():
             want = []
             for subset in enumerate_cnot_subsets(g, c_g):
                 cand = extract_candidate(g, subset)
-                if (passes_empty_node_filter(cand)
+                if (not cand.tainted
                         and passes_closure_filter(cand)
                         and passes_stationarity_filter(cand)):
                     want.append(cand)
@@ -227,6 +225,29 @@ def test_mine_matches_exhaustive_oracle():
                 if cap < len(want):
                     assert capped.truncated
                     assert capped.reason == "max_candidates"
+
+
+def test_mine_builds_a_graph_only_per_kept_candidate(monkeypatch,
+                                                     ref_circuit):
+    builds = []
+
+    class CountingGraph(CircuitGraph):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    rng = random.Random(77)
+    hosts = [circuit_to_graph(ref_circuit)] + [
+        circuit_to_graph(random_circuit(rng, 4, 30)) for _ in range(3)]
+    monkeypatch.setattr(mining, "CircuitGraph", CountingGraph)
+    kept = 0
+    for g in hosts:
+        for c_g in range(2, 6):
+            builds.clear()
+            res = mine_circuit(g, c_g)
+            assert len(builds) == len(res.candidates)
+            kept += len(res.candidates)
+    assert kept > 0
 
 
 def test_oversized_subset_returns_empty():
