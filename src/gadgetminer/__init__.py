@@ -75,7 +75,6 @@ from .tableau import (  # noqa: F401
     TableauError,
     canonical_rows,
     canonical_tableau,
-    circuit_to_tableau,
     code_distance,
     encoder_code,
     encoder_tableau,

@@ -84,18 +84,11 @@ def certificate(graph: CircuitGraph, max_nodes: int = MAX_CERT_NODES) -> bytes:
     by_color: dict[int, list[int]] = {}
     for i, c in enumerate(colors):
         by_color.setdefault(c, []).append(i)
-    class_sizes = []
-    class_nodes = []
-    for c in sorted(by_color):
-        members = by_color[c]
-        class_sizes.append(len(members))
-        class_nodes.extend(members)
-    body = kernels.canonical_encoding(
-        n, class_sizes, class_nodes, out_c, in_c, out_t, in_t)
+    members = [by_color[c] for c in sorted(by_color)]
+    body = kernels.canonical_encoding(members, out_c, in_c, out_t, in_t)
     header = bytearray(CERT_VERSION)
     header.append(n)
-    for p in range(n):
-        header.append(_LABEL_CODE[nodes[class_nodes[p]].label])
+    header.extend(_LABEL_CODE[nodes[u].label] for cls in members for u in cls)
     return bytes(header) + body
 
 

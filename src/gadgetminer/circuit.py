@@ -205,7 +205,7 @@ def load_circuit(path: str | Path) -> Circuit:
             return parse_circuit_json(data, name=name)
         return parse_circuit(data, name=name)
     except CircuitParseError as exc:
-        raise CircuitParseError(f"{path}: {exc}", exc.line if hasattr(exc, "line") else None) from None
+        raise CircuitParseError(f"{path}: {exc}", exc.line) from None
 
 
 def save_circuit(c: Circuit, path: str | Path) -> None:

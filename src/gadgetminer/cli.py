@@ -33,6 +33,7 @@ from .canon import (
 from .catalog import FAMILIES, CatalogError, all_gadgets, build_gadget
 from .circuit import Circuit, load_circuit, serialize_circuit
 from .corpus import (
+    CIRCUIT_SUFFIXES,
     MANIFEST_NAME,
     CorpusError,
     GenerationError,
@@ -46,7 +47,7 @@ from .corpus import (
 )
 from .graph import circuit_to_graph
 from .mining import MiningLimits, mine_circuit
-from .tableau import canonical_tableau, circuit_to_tableau
+from .tableau import canonical_tableau, encoder_tableau
 
 OUTPUT_ENV = "GADGETMINER_OUTPUT"
 FORMAT_VERSION = 1
@@ -60,10 +61,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _collect_circuits(paths) -> tuple[list[Circuit], list[Path]]:
+def _collect_circuits(paths) -> tuple[list[Circuit], list[dict]]:
     """Circuits from files, corpus directories, or plain directories of
-    circuit files, in input order, with unique names.  Plain files and
-    directories are read literally (no dedup: mining counts repeats)."""
+    circuit files, in input order, with unique names, and the path and
+    sha256 of every file read, hashed before any output is written.
+    Plain files and directories are read literally (no dedup: mining
+    counts repeats)."""
     circuits: list[Circuit] = []
     files: list[Path] = []
     for raw in paths:
@@ -71,14 +74,12 @@ def _collect_circuits(paths) -> tuple[list[Circuit], list[Path]]:
         if p.is_dir():
             if (p / MANIFEST_NAME).is_file():
                 corp = load_corpus(p)
-                files.append(p / MANIFEST_NAME)
-                files.extend(p / obj for obj in sorted(
-                    f"{e.name}.txt" for e in corp.entries))
+                files.extend(corp.files)
                 circuits.extend(corp.circuits())
             else:
                 members = sorted(
                     f for f in p.iterdir()
-                    if f.is_file() and f.suffix in (".txt", ".json"))
+                    if f.is_file() and f.suffix in CIRCUIT_SUFFIXES)
                 if not members:
                     raise CorpusError(f"{p}: no circuit files")
                 for f in members:
@@ -89,6 +90,7 @@ def _collect_circuits(paths) -> tuple[list[Circuit], list[Path]]:
             files.append(p)
         else:
             raise CorpusError(f"{p}: no such file or directory")
+    inputs = [{"path": str(f), "sha256": _sha256(f)} for f in files]
     named = []
     names: set[str] = set()
     for i, c in enumerate(circuits):
@@ -99,7 +101,7 @@ def _collect_circuits(paths) -> tuple[list[Circuit], list[Path]]:
             j += 1
         names.add(name)
         named.append(Circuit(c.n_qubits, c.gates, name=name))
-    return named, files
+    return named, inputs
 
 
 def _mine_one(payload):
@@ -128,7 +130,7 @@ def cmd_mine(args) -> int:
     # NaN fails every comparison, so it is rejected here too
     if args.time_budget is not None and not 0 <= args.time_budget < math.inf:
         raise ValueError("--time-budget must be a finite number >= 0")
-    circuits, files = _collect_circuits(args.input)
+    circuits, inputs = _collect_circuits(args.input)
     # one absolute deadline for the whole run; the monotonic clock is
     # system-wide, so pool workers compare against the same clock
     deadline = None
@@ -170,7 +172,7 @@ def cmd_mine(args) -> int:
     manifest = {
         "format_version": FORMAT_VERSION,
         "command": "mine",
-        "inputs": [{"path": str(f), "sha256": _sha256(f)} for f in files],
+        "inputs": inputs,
         "parameters": {
             "gadget_cnots": args.gadget_cnots,
             "min_repeats": args.min_repeats,
@@ -253,7 +255,7 @@ def cmd_stats(args) -> int:
 
 def cmd_canon(args) -> int:
     circuit = load_circuit(args.circuit)
-    t = circuit_to_tableau(circuit)
+    t = encoder_tableau(circuit)
     print(t.digest())
     if args.rows:
         print(canonical_tableau(t))

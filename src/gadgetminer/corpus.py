@@ -27,7 +27,6 @@ from . import kernels
 from .circuit import Circuit, load_circuit, serialize_circuit
 from .tableau import (
     CanonicalForm,
-    code_distance,
     encoder_code,
     encoder_tableau,
     generator_weights,
@@ -191,9 +190,13 @@ class CorpusEntry:
 
 @dataclass
 class Corpus:
+    """Entries in order; files lists what load_corpus read: the manifest,
+    then the file each entry names."""
+
     entries: list[CorpusEntry] = field(default_factory=list)
     config: GeneratorConfig | None = None
     warnings: list[str] = field(default_factory=list)
+    files: list[Path] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -347,8 +350,9 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
 
     Each attempt draws its own |+>-ancilla subset and gate randomness from
     a per-attempt stream split off the seed, then keeps the circuit iff no
-    logical operator of weight < target_d exists.  Kept entries carry the
-    exact distance and are deduplicated by tableau digest."""
+    logical operator of weight < target_d exists.  One encoder tableau per
+    attempt gives the generators, whose single logical walk finds the
+    exact distance, and the dedup digest."""
     if cfg.n > 15:
         raise CorpusError(
             f"generation needs brute-force distance checks, n={cfg.n} > 15")
@@ -371,18 +375,17 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
         x_set = frozenset(q for q in ancillas if sub.random() < 0.5)
         gates = propose(sub, cfg, directed, x_set)
         circuit = Circuit.from_pairs(cfg.n, gates)
-        code = encoder_code(circuit, cfg.k, x_set)
-        gx = [g.x for g in code.generators]
-        gz = [g.z for g in code.generators]
-        low = kernels.min_logical_weight(gx, gz, cfg.n, cfg.target_d - 1)
-        if low:
-            # rejected: low is this proposal's exact distance
-            best_distance = max(best_distance, low)
-            continue
-        distance = code_distance(code) if cfg.k > 0 else None
+        t = encoder_tableau(circuit, x_set)
+        gx, gz = _generator_masks(t, cfg.n, cfg.k)
+        # with logicals the walk stops at the exact distance; with none
+        # (k = 0) a bound of n would list all 4^n Paulis
+        bound = cfg.n if cfg.k else cfg.target_d - 1
+        distance = kernels.min_logical_weight(gx, gz, cfg.n, bound) or None
         if distance is not None:
             best_distance = max(best_distance, distance)
-        digest = entry_digest(circuit, x_set)
+            if distance < cfg.target_d:
+                continue
+        digest = t.digest()
         if digest in seen:
             continue
         seen.add(digest)
@@ -492,11 +495,12 @@ def load_corpus(directory: str | Path) -> Corpus:
     config = None
     if manifest.get("config"):
         config = GeneratorConfig.from_json_dict(manifest["config"])
-    corpus = Corpus(config=config)
+    corpus = Corpus(config=config, files=[manifest_path])
     for obj in manifest.get("entries", ()):
         try:
             name = obj["name"]
-            circuit = load_circuit(directory / obj["file"])
+            path = directory / obj["file"]
+            circuit = load_circuit(path)
             circuit = Circuit(circuit.n_qubits, circuit.gates, name=name)
             x_anc = tuple(obj.get("x_ancillas", ()))
             entry = CorpusEntry(
@@ -515,5 +519,6 @@ def load_corpus(directory: str | Path) -> Corpus:
             raise CorpusError(
                 f"{directory}: digest mismatch for entry {name!r}")
         corpus.entries.append(entry)
+        corpus.files.append(path)
     return corpus
 

@@ -90,9 +90,6 @@ class CircuitGraph:
     def node(self, node_id: int) -> GraphNode:
         return self._by_id[node_id]
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._by_id
-
     def __len__(self) -> int:
         return len(self.nodes)
 

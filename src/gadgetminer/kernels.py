@@ -95,9 +95,7 @@ def pauli_weight_profile(
 
 
 def canonical_encoding(
-    n: int,
-    class_sizes: list[int],
-    class_nodes: list[int],
+    members: list[list[int]],
     out_c: list[int],
     in_c: list[int],
     out_t: list[int],
@@ -106,20 +104,14 @@ def canonical_encoding(
     """Lexicographically minimal adjacency encoding over node orderings that
     place each refinement class in its own contiguous position block.
 
-    class_nodes lists node indices grouped per class (sizes in class_sizes);
+    members lists each class's node indices, classes in position order;
     adjacency masks are indexed by original node index.  The encoding is one
     nibble per unordered position pair (i, j), i > j, in row-major order:
     bit3 = cnot i->j, bit2 = cnot j->i, bit1 = time i->j, bit0 = time j->i.
     """
-    if n == 0:
-        return b""
-    pos_class: list[int] = []
-    members: list[list[int]] = []
-    start = 0
-    for ci, size in enumerate(class_sizes):
-        members.append(class_nodes[start : start + size])
-        pos_class.extend([ci] * size)
-        start += size
+    # the class that fills each position
+    slots = [cls for cls in members for _ in cls]
+    n = len(slots)
     total = n * (n - 1) // 2
     cur = [0] * total
     best: list[int] | None = None
@@ -135,7 +127,7 @@ def canonical_encoding(
             return False
         improved = False
         off = i * (i - 1) // 2
-        for u in members[pos_class[i]]:
+        for u in slots[i]:
             if used[u]:
                 continue
             for j in range(i):

@@ -227,18 +227,12 @@ class CliffordTableau:
         return {q for q in range(self.n) if diff >> q & 1}
 
 
-def circuit_to_tableau(c: Circuit) -> CliffordTableau:
-    t = CliffordTableau(c.n_qubits)
-    for g in c.gates:
-        t.cnot(g.control, g.target)
-    return t
-
-
 def encoder_tableau(c: Circuit, x_ancillas: Iterable[int] = ()) -> CliffordTableau:
     """Tableau of the circuit preceded by H on every |+>-initialized wire.
 
     The H prefix folds the per-entry input-basis pattern into the tableau so
-    that corpus deduplication keys see it.
+    that corpus deduplication keys see it, and makes stabilizer row n+j the
+    image of wire j's initial stabilizer in either basis.
     """
     t = CliffordTableau(c.n_qubits)
     for q in sorted(set(x_ancillas)):
@@ -375,8 +369,8 @@ def encoder_code(c: Circuit, k: int, x_ancillas: Iterable[int] = ()) -> Stabiliz
 
     Qubits 0..k-1 carry logical information; qubit j >= k starts in |0>
     (initial stabilizer Z_j) or, if listed in x_ancillas, in |+> (initial
-    stabilizer X_j).  The image of Z_j is tableau stabilizer row j, the image
-    of X_j is destabilizer row j.
+    stabilizer X_j = H Z_j H).  Either way the image is stabilizer row n+j
+    of encoder_tableau, whose H prefix folds the |+> preparations in.
     """
     if not (0 <= k < c.n_qubits):
         raise TableauError(f"need 0 <= k < n, got k={k}, n={c.n_qubits}")
@@ -384,11 +378,8 @@ def encoder_code(c: Circuit, k: int, x_ancillas: Iterable[int] = ()) -> Stabiliz
     bad = [q for q in xset if not (k <= q < c.n_qubits)]
     if bad:
         raise TableauError(f"x_ancillas outside ancilla range: {sorted(bad)}")
-    t = circuit_to_tableau(c)
-    gens = tuple(
-        t.row_pauli(j) if j in xset else t.row_pauli(c.n_qubits + j)
-        for j in range(k, c.n_qubits)
-    )
+    t = encoder_tableau(c, xset)
+    gens = tuple(t.row_pauli(t.n + j) for j in range(k, t.n))
     return StabilizerCode(n=c.n_qubits, k=k, generators=gens)
 
 

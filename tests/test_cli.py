@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -28,7 +29,7 @@ from gadgetminer.circuit import (
 )
 from gadgetminer.graph import circuit_to_graph
 from gadgetminer.mining import mine_circuit
-from gadgetminer.tableau import circuit_to_tableau
+from gadgetminer.tableau import encoder_tableau
 
 from conftest import REF_3Q6_PAIRS, random_circuit
 
@@ -249,6 +250,34 @@ def test_gen_stats_mine_pipeline(tmp_path, capsys):
     assert (tmp_path / "mined" / "report.json").is_file()
 
 
+def test_mine_corpus_hashes_the_files_its_manifest_names(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    assert run_cli(["gen", "--n", 4, "--k", 1, "--d", 2, "--count", 2,
+                    "--attempts", 300, "--seed", 9,
+                    "--output", corpus_dir]) == 0
+    manifest_path = corpus_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    entry = manifest["entries"][0]
+    stale = corpus_dir / entry["file"]
+    renamed = corpus_dir / "renamed.txt"
+    stale.rename(renamed)
+    entry["file"] = renamed.name
+    manifest_path.write_text(json.dumps(manifest))
+    # a file left under the entry's old name is not what the corpus reads
+    stale.write_text("qubits 4\n")
+    out = tmp_path / "mined"
+    assert run_cli(["mine", "--input", corpus_dir, "--gadget-cnots", 2,
+                    "--output", out]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    read = [manifest_path] + [corpus_dir / e["file"]
+                              for e in manifest["entries"]]
+    assert inputs == [
+        {"path": str(f), "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
+        for f in read]
+    assert str(renamed) in {item["path"] for item in inputs}
+    assert str(stale) not in {item["path"] for item in inputs}
+
+
 def test_gen_deterministic(tmp_path):
     args = ["gen", "--n", 4, "--k", 1, "--d", 2, "--count", 3,
             "--attempts", 300, "--seed", 21]
@@ -333,7 +362,7 @@ def test_canon_digest(capsys):
     path = HOSTS / "host_a.txt"
     assert run_cli(["canon", path]) == 0
     printed = capsys.readouterr().out.strip()
-    assert printed == circuit_to_tableau(load_circuit(path)).digest()
+    assert printed == encoder_tableau(load_circuit(path)).digest()
     assert run_cli(["canon", path, "--rows"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0] == printed

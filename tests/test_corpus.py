@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from gadgetminer import corpus as corpus_module
 from gadgetminer import kernels
 from gadgetminer.circuit import Circuit, save_circuit
 from gadgetminer.corpus import (
@@ -254,6 +255,52 @@ def test_hillclimb_lists_logicals_once_per_step(monkeypatch):
         assert gates
         assert calls["profile"] <= 1
         assert calls["walk"] <= len(gates) + 1
+
+
+def _recording(monkeypatch, module, attr, log):
+    fn = getattr(module, attr)
+
+    def wrapper(*args):
+        log.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, attr, wrapper)
+
+
+@pytest.mark.parametrize("method, n, d", [("hillclimb", 7, 3),
+                                          ("random", 4, 2)])
+def test_generate_walks_once_per_proposal(monkeypatch, method, n, d):
+    # one walk bounded by n gives both the rejection and the exact
+    # distance of a kept encoder
+    proposals, walks = [], []
+    _recording(monkeypatch, corpus_module, f"_propose_{method}", proposals)
+    _recording(monkeypatch, kernels, "min_logical_weight", walks)
+    cfg = GeneratorConfig(n=n, k=1, target_d=d,
+                          connectivity=connectivity_pairs("all", n),
+                          attempts=60, count=3, seed=4, method=method)
+    corpus = generate_encoders(cfg)
+    assert corpus.entries
+    # some proposals were rejected or duplicates
+    assert len(proposals) > len(corpus)
+    assert len(walks) == len(proposals)
+    assert all(args[3] == cfg.n for args in walks)
+    for e in corpus.entries:
+        assert e.distance == pauli_group_distance_oracle(e.code())
+
+
+def test_generate_k0_walk_stays_below_target(monkeypatch):
+    # a code with no logicals has no distance to stop the walk at, so a
+    # bound of n would list all 4^n Paulis
+    walks = []
+    _recording(monkeypatch, kernels, "min_logical_weight", walks)
+    cfg = GeneratorConfig(n=6, k=0, target_d=4,
+                          connectivity=connectivity_pairs("nn", 6),
+                          attempts=20, count=3, seed=2)
+    corpus = generate_encoders(cfg)
+    assert len(corpus) == 3
+    assert all(e.distance is None for e in corpus.entries)
+    assert walks
+    assert all(args[3] < cfg.target_d for args in walks)
 
 
 def test_generate_n_bound():

@@ -107,20 +107,20 @@ def test_canonical_encoding_hand_case():
     # two swappable nodes, one cnot edge 0 -> 1; the minimal row stores the
     # in-edge nibble (4), not the out-edge nibble (8)
     enc = kernels.canonical_encoding(
-        2, [2], [0, 1], [2, 0], [0, 1], [0, 0], [0, 0])
+        [[0, 1]], [2, 0], [0, 1], [0, 0], [0, 0])
     assert enc == bytes([4])
     # fixing the order with singleton classes keeps the out-edge form
     enc2 = kernels.canonical_encoding(
-        2, [1, 1], [1, 0], [2, 0], [0, 1], [0, 0], [0, 0])
+        [[1], [0]], [2, 0], [0, 1], [0, 0], [0, 0])
     assert enc2 == bytes([8])
 
 
 def test_canonical_encoding_sizes():
-    assert kernels.canonical_encoding(0, [], [], [], [], [], []) == b""
-    assert kernels.canonical_encoding(1, [1], [0], [0], [0], [0], [0]) == b""
+    assert kernels.canonical_encoding([], [], [], [], []) == b""
+    assert kernels.canonical_encoding([[0]], [0], [0], [0], [0]) == b""
     n = 5
     enc = kernels.canonical_encoding(
-        n, [n], list(range(n)), [0] * n, [0] * n, [0] * n, [0] * n)
+        [list(range(n))], [0] * n, [0] * n, [0] * n, [0] * n)
     assert enc == bytes(n * (n - 1) // 2)
 
 

@@ -19,7 +19,6 @@ from gadgetminer.tableau import (
     TableauError,
     canonical_rows,
     canonical_tableau,
-    circuit_to_tableau,
     code_distance,
     encoder_code,
     encoder_tableau,
@@ -202,7 +201,7 @@ def test_symplectic_invariant_random_walk():
 
 def test_nontrivial_qubits():
     c = Circuit.from_pairs(5, [(1, 3)])
-    assert circuit_to_tableau(c).nontrivial_qubits() == {1, 3}
+    assert encoder_tableau(c).nontrivial_qubits() == {1, 3}
     assert CliffordTableau(4).nontrivial_qubits() == set()
 
 
@@ -210,7 +209,6 @@ def test_encoder_tableau_prefix():
     c = Circuit.from_pairs(3, [(0, 1)])
     manual = CliffordTableau(3).h(2).cnot(0, 1)
     assert encoder_tableau(c, x_ancillas=(2,)) == manual
-    assert encoder_tableau(c) == circuit_to_tableau(c)
     # duplicate listings fold to one H
     assert encoder_tableau(c, x_ancillas=(2, 2)) == manual
 
@@ -239,7 +237,7 @@ def test_canonical_rows_random_generating_sets():
     for trial in range(30):
         n = rng.randrange(2, 6)
         c = random_circuit(rng, n, rng.randrange(1, 12))
-        rows = circuit_to_tableau(c).stabilizer_rows()
+        rows = encoder_tableau(c).stabilizer_rows()
         ref = canonical_rows(rows)
         mixed = list(rows)
         for _ in range(10):
@@ -327,6 +325,24 @@ def test_zero_ancilla_encoders_have_distance_one():
         c = random_circuit(rng, n, rng.randrange(1, 15))
         code = encoder_code(c, k=1)
         assert code_distance(code) == 1
+
+
+def test_encoder_code_images_of_initial_stabilizers():
+    """Generator j is the circuit image of Z_j for a |0> ancilla and of X_j
+    for a |+> ancilla, signs included: the bare circuit's stabilizer and
+    destabilizer rows."""
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randrange(2, 7)
+        k = rng.randrange(0, n)
+        c = random_circuit(rng, n, rng.randrange(1, 15))
+        xa = {q for q in range(k, n) if rng.random() < 0.5}
+        bare = CliffordTableau(n)
+        for g in c.gates:
+            bare.cnot(g.control, g.target)
+        images = tuple(bare.row_pauli(j if j in xa else n + j)
+                       for j in range(k, n))
+        assert encoder_code(c, k, xa).generators == images
 
 
 def test_encoder_code_argument_checks(steane_circuit):
