@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cache
 
 from . import kernels
 from .graph import CircuitGraph, graph_to_json_dict
@@ -31,13 +32,15 @@ class CertificateSizeError(ValueError):
 def _refine_colors(n: int, init: list[int], rels) -> list[int]:
     """Iterated partition refinement: a node's new color ranks the tuple of
     its old color and the sorted neighbor-color multiset under each
-    relation.  Stops at the fixpoint; ranks are stable across isomorphic
-    graphs because they depend only on structure."""
+    relation (rel[v] has bit u set when u is a neighbor of v).  Stops at
+    the fixpoint; ranks are stable across isomorphic graphs because they
+    depend only on structure."""
     colors = init
     while True:
         sigs = [
             (colors[v],)
-            + tuple(tuple(sorted(colors[u] for u in rel[v])) for rel in rels)
+            + tuple(tuple(sorted(colors[u] for u in range(n)
+                                 if rel[v] >> u & 1)) for rel in rels)
             for v in range(n)
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -57,30 +60,29 @@ def certificate(graph: CircuitGraph, max_nodes: int = MAX_CERT_NODES) -> bytes:
     nodes = graph.nodes
     index = {nd.id: i for i, nd in enumerate(nodes)}
     out_c = [0] * n
-    in_c = [0] * n
     out_t = [0] * n
-    in_t = [0] * n
-    rel_out_c: list[list[int]] = [[] for _ in range(n)]
-    rel_in_c: list[list[int]] = [[] for _ in range(n)]
-    rel_out_t: list[list[int]] = [[] for _ in range(n)]
-    rel_in_t: list[list[int]] = [[] for _ in range(n)]
     for e in graph.cnot_edges:
-        a, b = index[e.src], index[e.dst]
-        out_c[a] |= 1 << b
-        in_c[b] |= 1 << a
-        rel_out_c[a].append(b)
-        rel_in_c[b].append(a)
+        out_c[index[e.src]] |= 1 << index[e.dst]
     for e in graph.time_edges:
-        a, b = index[e.src], index[e.dst]
-        out_t[a] |= 1 << b
-        in_t[b] |= 1 << a
-        rel_out_t[a].append(b)
-        rel_in_t[b].append(a)
-    label_rank = {lab: i for i, lab in
-                  enumerate(sorted({nd.label for nd in nodes}))}
-    init = [label_rank[nd.label] for nd in nodes]
-    colors = _refine_colors(
-        n, init, (rel_out_c, rel_in_c, rel_out_t, rel_in_t))
+        out_t[index[e.src]] |= 1 << index[e.dst]
+    return _certificate(tuple(nd.label for nd in nodes), tuple(out_c),
+                        tuple(out_t))
+
+
+@cache
+def _certificate(labels: tuple[str, ...], out_c: tuple[int, ...],
+                 out_t: tuple[int, ...]) -> bytes:
+    """The certificate of the graph whose node i has labels[i] and whose
+    cnot/time edges out of node i are the bits of out_c[i]/out_t[i].
+    Graphs have no duplicate edges, so these three tuples are the whole
+    ordered labelled graph and the cache is exact; mined candidates
+    mostly repeat a few shapes, so most calls are cache hits."""
+    n = len(labels)
+    in_c = [sum((out_c[a] >> b & 1) << a for a in range(n)) for b in range(n)]
+    in_t = [sum((out_t[a] >> b & 1) << a for a in range(n)) for b in range(n)]
+    label_rank = {lab: i for i, lab in enumerate(sorted(set(labels)))}
+    init = [label_rank[lab] for lab in labels]
+    colors = _refine_colors(n, init, (out_c, in_c, out_t, in_t))
     by_color: dict[int, list[int]] = {}
     for i, c in enumerate(colors):
         by_color.setdefault(c, []).append(i)
@@ -88,7 +90,7 @@ def certificate(graph: CircuitGraph, max_nodes: int = MAX_CERT_NODES) -> bytes:
     body = kernels.canonical_encoding(members, out_c, in_c, out_t, in_t)
     header = bytearray(CERT_VERSION)
     header.append(n)
-    header.extend(_LABEL_CODE[nodes[u].label] for cls in members for u in cls)
+    header.extend(_LABEL_CODE[labels[u]] for cls in members for u in cls)
     return bytes(header) + body
 
 

@@ -145,8 +145,11 @@ def cmd_mine(args) -> int:
     payloads = [(c, args.gadget_cnots, deadline, per_circuit_cap)
                 for c in circuits]
     if args.jobs > 1 and len(payloads) > 1:
+        # chunks of payloads per round trip, as multiprocessing.Pool.map
+        # sizes them; map keeps input order
+        chunksize = max(1, len(payloads) // (4 * args.jobs))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_mine_one, payloads))
+            results = list(pool.map(_mine_one, payloads, chunksize=chunksize))
     else:
         results = [_mine_one(p) for p in payloads]
     skipped = sum(res is None for res in results)

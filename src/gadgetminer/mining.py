@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time as _time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .graph import (
@@ -79,6 +79,21 @@ def enumerate_cnot_subsets(graph: CircuitGraph, c_g: int):
 
 def extract_candidate(graph: CircuitGraph, subset) -> SubgraphCandidate:
     """Build the candidate for one cnot-edge subset of the host graph."""
+    cand = _build_candidate(graph, subset)
+    # any host endpoint strictly inside a time edge's layer span on its
+    # qubit belongs to an unchosen gate and would be orphaned
+    for e in cand.graph.time_edges:
+        a, b = graph.node(e.src), graph.node(e.dst)
+        if any(nd.qubit == a.qubit and a.layer < nd.layer < b.layer
+               for nd in graph.nodes):
+            return replace(cand, tainted=True)
+    return cand
+
+
+def _build_candidate(graph: CircuitGraph, subset) -> SubgraphCandidate:
+    """The untainted candidate of the subset: the chosen endpoints, their
+    cnot edges, and time edges chaining them per qubit in layer order.
+    Taint is the caller's to prove or to scan for."""
     edges = list(subset)
     nodes = []
     per_qubit: dict[int, list] = defaultdict(list)
@@ -91,21 +106,15 @@ def extract_candidate(graph: CircuitGraph, subset) -> SubgraphCandidate:
         per_qubit[c.qubit].append(c)
         per_qubit[t.qubit].append(t)
         layers.append(c.layer)
-    tainted = False
-    for q, nds in per_qubit.items():
+    for nds in per_qubit.values():
         nds.sort(key=lambda nd: nd.layer)
         for a, b in zip(nds, nds[1:]):
             edges.append(GraphEdge(a.id, b.id, "time"))
-            # any host endpoint strictly inside (a.layer, b.layer) on this
-            # qubit belongs to an unchosen gate and would be orphaned
-            if any(nd.qubit == q and a.layer < nd.layer < b.layer
-                   for nd in graph.nodes):
-                tainted = True
     return SubgraphCandidate(
         source_circuit=graph.source_circuit,
         layers=tuple(sorted(layers)),
         graph=CircuitGraph(nodes, edges, source_circuit=graph.source_circuit),
-        tainted=tainted,
+        tainted=False,
     )
 
 
@@ -293,7 +302,7 @@ def mine_circuit(
             result.subsets_examined += 1
             if _passes(chosen, gates, ends):
                 kept.append(
-                    extract_candidate(graph, [cnots[i] for i in chosen]))
+                    _build_candidate(graph, [cnots[i] for i in chosen]))
         if result.truncated:
             break
     return result

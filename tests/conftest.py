@@ -102,6 +102,20 @@ def graph_isomorphic_oracle(a, b) -> bool:
     return rec(0)
 
 
+def ordered_graph_key(graph) -> tuple:
+    """(labels, cnot out-masks, time out-masks) in node order, the
+    argument tuple of canon._certificate: equal keys mean identical
+    ordered labelled graphs."""
+    idx = {nd.id: i for i, nd in enumerate(graph.nodes)}
+
+    def out_masks(edges):
+        return tuple(sum(1 << idx[e.dst] for e in edges if e.src == nd.id)
+                     for nd in graph.nodes)
+
+    return (tuple(nd.label for nd in graph.nodes),
+            out_masks(graph.cnot_edges), out_masks(graph.time_edges))
+
+
 def pauli_group_distance_oracle(code: StabilizerCode) -> int:
     """Exhaustive scan of the full Pauli group in weight order."""
     n = code.n

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from gadgetminer import canon
 from gadgetminer.canon import (
     CERT_VERSION,
     CSV_HEADER,
@@ -18,6 +19,7 @@ from gadgetminer.canon import (
     group_candidates,
     identify_gadgets,
 )
+from gadgetminer.catalog import all_gadgets
 from gadgetminer.circuit import Circuit
 from gadgetminer.graph import (
     CircuitGraph,
@@ -27,7 +29,11 @@ from gadgetminer.graph import (
 )
 from gadgetminer.mining import mine_circuit
 
-from conftest import graph_isomorphic_oracle, random_circuit
+from conftest import (
+    graph_isomorphic_oracle,
+    ordered_graph_key,
+    random_circuit,
+)
 
 
 def relabeled(graph: CircuitGraph, rng: random.Random) -> CircuitGraph:
@@ -116,6 +122,34 @@ def test_certificate_size_bound():
     with pytest.raises(CertificateSizeError):
         certificate(small, max_nodes=3)
     assert certificate(small, max_nodes=4)
+    # the bound is checked before the cache: a shape cached under a
+    # larger bound still raises under a smaller one (a ring as above, at a
+    # size the canonical search finishes quickly)
+    ring = CircuitGraph(nodes[:8], [GraphEdge(i, (i + 1) % 8, "time")
+                                    for i in range(8)])
+    assert certificate(ring, max_nodes=8)
+    for graph, bound in ((ring, 7), (small, 3)):
+        with pytest.raises(CertificateSizeError):
+            certificate(graph, max_nodes=bound)
+
+
+def test_certificate_cache_is_exact():
+    """The cached certificate equals the uncached computation on a key
+    built here, cold and warm, for catalog gadgets, random graphs and
+    their relabelings."""
+    rng = random.Random(4242)
+    graphs = [circuit_to_graph(spec.as_circuit()) for spec in all_gadgets()]
+    for _ in range(150):
+        g = random_labeled_graph(rng, rng.randrange(1, 7))
+        graphs += [g, relabeled(g, rng), relabeled(g, rng)]
+    uncached = [canon._certificate.__wrapped__(*ordered_graph_key(g))
+                for g in graphs]
+    canon._certificate.cache_clear()
+    cold = [certificate(g) for g in graphs]
+    assert canon._certificate.cache_info().hits > 0
+    warm = [certificate(g) for g in graphs]
+    assert cold == uncached
+    assert warm == uncached
 
 
 def test_certificate_digest_prefixes_differ():

@@ -98,6 +98,7 @@ def test_mine_jobs_byte_identical(tmp_path):
     for name in ("report.json", "summary.csv"):
         assert (tmp_path / "j1" / name).read_bytes() == \
             (tmp_path / "j4" / name).read_bytes()
+    assert _mine_manifest(tmp_path / "j1") == _mine_manifest(tmp_path / "j4")
 
 
 def test_mine_single_file_and_oversize(tmp_path):
@@ -185,6 +186,52 @@ def test_mine_time_budget_covers_whole_run(tmp_path):
     assert manifest["circuits_skipped"] > 0
     assert manifest["truncation_reasons"] == ["time_budget"]
     assert elapsed < 0.5 + 2.0
+
+
+def test_mine_chunked_pool_matches_one_job(tmp_path):
+    """24 circuits go to the pool in chunks of 3 at --jobs 2 and of 2 at
+    --jobs 3; every output equals the --jobs 1 run's."""
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    rng = random.Random(24)
+    for i in range(24):
+        pairs = list(random_circuit(rng, 4, 6).pairs())
+        pairs[i % 7:i % 7] = REF_3Q6_PAIRS[:2] * (1 + i % 3)
+        save_circuit(Circuit.from_pairs(4, pairs), inputs / f"c{i:02d}.txt")
+    for jobs in (1, 2, 3):
+        rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 2,
+                      "--jobs", jobs, "--output", tmp_path / f"j{jobs}"])
+        assert rc == 0
+    assert json.loads((tmp_path / "j1" / "report.json").read_text())
+    for jobs in (2, 3):
+        for name in ("report.json", "summary.csv"):
+            assert (tmp_path / "j1" / name).read_bytes() == \
+                (tmp_path / f"j{jobs}" / name).read_bytes()
+        assert _mine_manifest(tmp_path / "j1") == \
+            _mine_manifest(tmp_path / f"j{jobs}")
+
+
+def test_mine_time_budget_with_chunked_pool(tmp_path):
+    """Each circuit in a chunk still checks the deadline: 16 circuits go
+    to 2 workers in chunks of 2, and the ones starting after the budget
+    are skipped."""
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    rng = random.Random(6)
+    # about a third of a second each at C_g = 6, so the full run takes
+    # about two and a half seconds on 2 workers and outlasts the budget
+    for i in range(16):
+        save_circuit(random_circuit(rng, 6, 600), inputs / f"c{i:02d}.txt")
+    started = time.monotonic()
+    rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 6,
+                  "--time-budget", 0.3, "--jobs", 2,
+                  "--output", tmp_path / "out"])
+    elapsed = time.monotonic() - started
+    assert rc == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["circuits_skipped"] > 0
+    assert manifest["truncation_reasons"] == ["time_budget"]
+    assert elapsed < 0.3 + 2.0
 
 
 def test_mine_rejects_negative_max_candidates(tmp_path, capsys):
