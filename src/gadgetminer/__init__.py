@@ -35,7 +35,6 @@ from .graph import (  # noqa: F401
     graph_to_json_dict,
     is_closed,
     is_connected,
-    prune_open_parts,
 )
 from .mining import (  # noqa: F401
     MiningLimits,

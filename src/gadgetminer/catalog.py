@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .graph import circuit_to_graph
 from .mining import mine_circuit
 
 FAMILIES = ("DCX", "PL", "O")
@@ -91,7 +90,7 @@ def build_gadget(family: str, generation: int) -> GadgetSpec:
         qubits_touched=2 * generation,
         gates=gates,
     )
-    result = mine_circuit(circuit_to_graph(spec.as_circuit()), len(gates))
+    result = mine_circuit(spec.as_circuit(), len(gates))
     if len(result.candidates) != 1:
         raise CatalogError(
             f"catalog gadget {spec.name} failed its mining self-check")

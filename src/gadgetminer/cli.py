@@ -33,17 +33,18 @@ from .canon import (
 from .catalog import FAMILIES, CatalogError, all_gadgets, build_gadget
 from .circuit import Circuit, load_circuit, serialize_circuit
 from .corpus import (
-    CIRCUIT_SUFFIXES,
     MANIFEST_NAME,
     CorpusError,
     GenerationError,
     GeneratorConfig,
+    circuit_files,
     connectivity_pairs,
     corpus_stats,
     generate_encoders,
     ingest,
     load_corpus,
     save_corpus,
+    unique_name,
 )
 from .graph import circuit_to_graph
 from .mining import MiningLimits, mine_circuit
@@ -71,50 +72,33 @@ def _collect_circuits(paths) -> tuple[list[Circuit], list[dict]]:
     files: list[Path] = []
     for raw in paths:
         p = Path(raw)
-        if p.is_dir():
-            if (p / MANIFEST_NAME).is_file():
-                corp = load_corpus(p)
-                files.extend(corp.files)
-                circuits.extend(corp.circuits())
-            else:
-                members = sorted(
-                    f for f in p.iterdir()
-                    if f.is_file() and f.suffix in CIRCUIT_SUFFIXES)
-                if not members:
-                    raise CorpusError(f"{p}: no circuit files")
-                for f in members:
-                    circuits.append(load_circuit(f))
-                    files.append(f)
-        elif p.is_file():
-            circuits.append(load_circuit(p))
-            files.append(p)
+        if (p / MANIFEST_NAME).is_file():
+            corp = load_corpus(p)
+            files.extend(corp.files)
+            circuits.extend(corp.circuits())
+        elif p.exists():
+            members = circuit_files(p)
+            if not members:
+                raise CorpusError(f"{p}: no circuit files")
+            files.extend(members)
+            circuits.extend(load_circuit(f) for f in members)
         else:
             raise CorpusError(f"{p}: no such file or directory")
     inputs = [{"path": str(f), "sha256": _sha256(f)} for f in files]
-    named = []
     names: set[str] = set()
-    for i, c in enumerate(circuits):
-        name = c.name or f"circuit_{i:04d}"
-        base, j = name, 1
-        while name in names:
-            name = f"{base}_{j}"
-            j += 1
-        names.add(name)
-        named.append(Circuit(c.n_qubits, c.gates, name=name))
+    named = [Circuit(c.n_qubits, c.gates,
+                     name=unique_name(c.name or f"circuit_{i:04d}", names))
+             for i, c in enumerate(circuits)]
     return named, inputs
 
 
 def _mine_one(payload):
-    """Mine one circuit with the time left before the run's deadline, or
-    return None when the deadline has already passed."""
-    circuit, c_g, deadline, max_candidates = payload
-    budget = None
-    if deadline is not None:
-        budget = deadline - time.monotonic()
-        if budget <= 0:
-            return None
-    limits = MiningLimits(max_candidates=max_candidates, time_budget=budget)
-    return mine_circuit(circuit_to_graph(circuit), c_g, limits=limits)
+    """Mine one circuit against the run's deadline, or return None when
+    the deadline has already passed."""
+    circuit, c_g, limits = payload
+    if limits.deadline is not None and time.monotonic() >= limits.deadline:
+        return None
+    return mine_circuit(circuit, c_g, limits)
 
 
 def cmd_mine(args) -> int:
@@ -131,19 +115,17 @@ def cmd_mine(args) -> int:
     if args.time_budget is not None and not 0 <= args.time_budget < math.inf:
         raise ValueError("--time-budget must be a finite number >= 0")
     circuits, inputs = _collect_circuits(args.input)
-    # one absolute deadline for the whole run; the monotonic clock is
-    # system-wide, so pool workers compare against the same clock
-    deadline = None
-    if args.time_budget is not None:
-        deadline = started + args.time_budget
+    limits = MiningLimits()
     # each circuit keeps at most cap + 1 candidates: that many prove the
     # run is over the cap, and the cut below keeps the first cap in input
     # order, which every circuit's own prefix of cap + 1 still contains
-    per_circuit_cap = None
     if args.max_candidates is not None:
-        per_circuit_cap = args.max_candidates + 1
-    payloads = [(c, args.gadget_cnots, deadline, per_circuit_cap)
-                for c in circuits]
+        limits.max_candidates = args.max_candidates + 1
+    # one absolute deadline for the whole run; the monotonic clock is
+    # system-wide, so pool workers compare against the same clock
+    if args.time_budget is not None:
+        limits.deadline = started + args.time_budget
+    payloads = [(c, args.gadget_cnots, limits) for c in circuits]
     if args.jobs > 1 and len(payloads) > 1:
         # chunks of payloads per round trip, as multiprocessing.Pool.map
         # sizes them; map keeps input order

@@ -218,17 +218,24 @@ def entry_digest(circuit: Circuit, x_ancillas=()) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _circuit_files(paths) -> list[Path]:
-    files: list[Path] = []
-    for raw in paths:
-        p = Path(raw)
-        if p.is_dir():
-            files.extend(sorted(
-                f for f in p.iterdir()
-                if f.is_file() and f.suffix in CIRCUIT_SUFFIXES))
-        else:
-            files.append(p)
-    return files
+def circuit_files(path) -> list[Path]:
+    """The circuit files of a directory in name order, or the path itself."""
+    p = Path(path)
+    if p.is_dir():
+        return sorted(f for f in p.iterdir()
+                      if f.is_file() and f.suffix in CIRCUIT_SUFFIXES)
+    return [p]
+
+
+def unique_name(name: str, taken: set[str]) -> str:
+    """name, or the first of name_1, name_2, ... not in taken; the result
+    is added to taken."""
+    base, i = name, 1
+    while name in taken:
+        name = f"{base}_{i}"
+        i += 1
+    taken.add(name)
+    return name
 
 
 def ingest(paths) -> Corpus:
@@ -237,7 +244,7 @@ def ingest(paths) -> Corpus:
     corpus = Corpus()
     seen: dict[str, str] = {}
     names: set[str] = set()
-    for path in _circuit_files(paths):
+    for path in [f for raw in paths for f in circuit_files(raw)]:
         try:
             circuit = load_circuit(path)
         except (OSError, ValueError) as exc:
@@ -247,12 +254,7 @@ def ingest(paths) -> Corpus:
             corpus.warnings.append(
                 f"duplicate circuit {path} matches entry {seen[digest]!r}")
             continue
-        name = circuit.name or path.stem
-        base, i = name, 1
-        while name in names:
-            name = f"{base}_{i}"
-            i += 1
-        names.add(name)
+        name = unique_name(circuit.name or path.stem, names)
         seen[digest] = name
         corpus.entries.append(CorpusEntry(
             name=name,
@@ -479,6 +481,40 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
     return directory
 
 
+def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
+    """One manifest entry with its field types checked and its digest
+    re-verified, and the circuit file it names."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{obj!r} is not an object")
+    name, file, digest = obj["name"], obj["file"], obj["digest"]
+    origin = obj.get("origin", "ingested")
+    k = obj.get("k", 0)
+    x_anc = obj.get("x_ancillas", [])
+    distance = obj.get("distance")
+    if not all(isinstance(v, str) for v in (name, file, digest, origin)):
+        raise ValueError("name, file, digest and origin must be strings")
+    # type() rather than isinstance(): JSON true and false are not counts
+    if not (type(k) is int and isinstance(x_anc, list)
+            and all(type(q) is int for q in x_anc)
+            and (distance is None or type(distance) is int)):
+        raise ValueError(f"{name!r}: k, x_ancillas and distance "
+                         "must be integers")
+    path = directory / file
+    circuit = load_circuit(path)
+    entry = CorpusEntry(
+        name=name,
+        circuit=Circuit(circuit.n_qubits, circuit.gates, name=name),
+        digest=digest,
+        origin=origin,
+        k=k,
+        x_ancillas=tuple(x_anc),
+        distance=distance,
+    )
+    if entry_digest(entry.circuit, entry.x_ancillas) != digest:
+        raise ValueError(f"digest mismatch for entry {name!r}")
+    return entry, path
+
+
 def load_corpus(directory: str | Path) -> Corpus:
     """Read a corpus directory, re-verifying every entry's digest."""
     directory = Path(directory)
@@ -489,36 +525,26 @@ def load_corpus(directory: str | Path) -> Corpus:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CorpusError(f"{manifest_path}: not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CorpusError(
             f"unsupported corpus format {manifest.get('format_version')!r}")
     config = None
     if manifest.get("config"):
-        config = GeneratorConfig.from_json_dict(manifest["config"])
-    corpus = Corpus(config=config, files=[manifest_path])
-    for obj in manifest.get("entries", ()):
         try:
-            name = obj["name"]
-            path = directory / obj["file"]
-            circuit = load_circuit(path)
-            circuit = Circuit(circuit.n_qubits, circuit.gates, name=name)
-            x_anc = tuple(obj.get("x_ancillas", ()))
-            entry = CorpusEntry(
-                name=name,
-                circuit=circuit,
-                digest=obj["digest"],
-                origin=obj.get("origin", "ingested"),
-                k=obj.get("k", 0),
-                x_ancillas=x_anc,
-                distance=obj.get("distance"),
-            )
+            config = GeneratorConfig.from_json_dict(manifest["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{directory}: bad config: {exc}") from exc
+    entries = manifest.get("entries", [])
+    if not isinstance(entries, list):
+        raise CorpusError(f"{manifest_path}: entries is not a list")
+    corpus = Corpus(config=config, files=[manifest_path])
+    for obj in entries:
+        try:
+            entry, path = _load_entry(directory, obj)
         except (KeyError, OSError, ValueError) as exc:
             raise CorpusError(f"{directory}: bad entry: {exc}") from exc
-        actual = entry_digest(entry.circuit, entry.x_ancillas)
-        if actual != entry.digest:
-            raise CorpusError(
-                f"{directory}: digest mismatch for entry {name!r}")
         corpus.entries.append(entry)
         corpus.files.append(path)
     return corpus
-

@@ -43,7 +43,7 @@ class CircuitGraph:
     Construction validates ids, endpoint existence, labels and edge kinds;
     structural invariants tied to circuit conversion (one cnot edge per
     c/t node, time edges along single qubits) hold for converted graphs
-    but are not enforced here, since pruning can legitimately break them.
+    but are not enforced here, since hand-built graphs may break them.
     """
 
     __slots__ = ("nodes", "cnot_edges", "time_edges", "source_circuit",
@@ -148,49 +148,10 @@ def circuit_to_graph(circuit: Circuit) -> CircuitGraph:
     return CircuitGraph(nodes, edges, source_circuit=circuit.name)
 
 
-def prune_open_parts(graph: CircuitGraph) -> CircuitGraph:
-    """Iteratively delete nodes of undirected degree <= 1 (with incident
-    edges) until the remainder has minimum degree >= 2 or is empty.  This
-    removes path- and star-like appendages while preserving every cycle."""
-    all_edges = graph.edges
-    deg = {nd.id: 0 for nd in graph.nodes}
-    incident: dict[int, list[int]] = {nd.id: [] for nd in graph.nodes}
-    for idx, e in enumerate(all_edges):
-        deg[e.src] += 1
-        deg[e.dst] += 1
-        incident[e.src].append(idx)
-        incident[e.dst].append(idx)
-    dead_nodes: set[int] = set()
-    dead_edges: set[int] = set()
-    stack = [nid for nid, d in deg.items() if d <= 1]
-    while stack:
-        v = stack.pop()
-        if v in dead_nodes or deg[v] > 1:
-            continue
-        dead_nodes.add(v)
-        for idx in incident[v]:
-            if idx in dead_edges:
-                continue
-            dead_edges.add(idx)
-            e = all_edges[idx]
-            other = e.dst if e.src == v else e.src
-            if other not in dead_nodes:
-                deg[other] -= 1
-                if deg[other] <= 1:
-                    stack.append(other)
-    if not dead_nodes:
-        return graph
-    nodes = [nd for nd in graph.nodes if nd.id not in dead_nodes]
-    edges = [e for idx, e in enumerate(all_edges) if idx not in dead_edges]
-    return CircuitGraph(nodes, edges, source_circuit=graph.source_circuit)
-
-
 def is_closed(graph: CircuitGraph) -> bool:
-    """True when the graph is non-empty and already fixed under
-    prune_open_parts, i.e. every node sits on a cycle-supporting core."""
-    if graph.is_empty:
-        return False
-    return len(prune_open_parts(graph)) == len(graph)
+    """True when the graph is non-empty with minimum undirected degree 2,
+    i.e. peeling nodes of degree <= 1 would remove nothing."""
+    return not graph.is_empty and min(graph.degrees().values()) >= 2
 
 
 def is_connected(graph: CircuitGraph) -> bool:

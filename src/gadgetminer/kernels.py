@@ -9,9 +9,20 @@ and is recorded in mine manifests.
 
 from __future__ import annotations
 
-from .tableau import gf2_basis
-
 BACKEND = "python"
+
+
+def gf2_basis(vectors: list[int]) -> list[int]:
+    """XOR basis, kept sorted descending so reduction is a single pass."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            if v ^ b < v:
+                v ^= b
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
 
 
 def logicals_by_weight(gx: list[int], gz: list[int], n: int, max_weight: int):

@@ -15,8 +15,9 @@ Filter pipeline, in order:
      the block can be slid apart and is not a rigid unit.
 
 extract_candidate and the passes_* filters work on candidate graphs and
-are the reference; mine_circuit runs the same tests on gate indices and
-builds a graph only for a set that passes them (see its docstring).
+are the reference; mine_circuit runs the same tests on a circuit's gate
+indices and builds a graph only for a set that passes them (see its
+docstring).
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
+from .circuit import Circuit
 from .graph import (
     CircuitGraph,
     GraphEdge,
+    circuit_to_graph,
     is_closed,
     is_connected,
 )
@@ -48,7 +51,7 @@ class SubgraphCandidate:
 @dataclass
 class MiningLimits:
     max_candidates: int | None = None
-    time_budget: float | None = None
+    deadline: float | None = None  # a time.monotonic() value
 
 
 @dataclass
@@ -201,18 +204,17 @@ def contract_timelines(candidate: SubgraphCandidate) -> SubgraphCandidate:
     )
 
 
-def _gate_tables(graph: CircuitGraph, cnots):
-    """Per gate (an index into the layer-ordered cnots): its timeline
-    neighbours, at most four; its (layer, control, target); and its two
-    endpoints' (qubit, position among the endpoints on that qubit)."""
-    adj: list[set[int]] = [set() for _ in cnots]
+def _gate_tables(circuit: Circuit):
+    """Per gate (an index into circuit.gates): its timeline neighbours, at
+    most four; its (layer, control, target); and its two endpoints'
+    (qubit, position among the endpoints on that qubit)."""
+    adj: list[set[int]] = [set() for _ in circuit.gates]
     gates = []
-    ends: list[list[tuple[int, int]]] = [[] for _ in cnots]
+    ends: list[list[tuple[int, int]]] = [[] for _ in circuit.gates]
     on_qubit: dict[int, list[int]] = defaultdict(list)
-    for i, e in enumerate(cnots):
-        c, t = graph.node(e.src), graph.node(e.dst)
-        gates.append((c.layer, c.qubit, t.qubit))
-        for q in (c.qubit, t.qubit):
+    for i, g in enumerate(circuit.gates):
+        gates.append((g.layer, g.control, g.target))
+        for q in (g.control, g.target):
             seq = on_qubit[q]
             if seq:
                 adj[i].add(seq[-1])
@@ -257,41 +259,39 @@ def _connected_sets(adj: list[set[int]], root: int,
 
 
 def mine_circuit(
-    graph: CircuitGraph,
+    circuit: Circuit,
     c_g: int,
     limits: MiningLimits | None = None,
 ) -> MiningResult:
-    """Run the full pipeline over the size-c_g cnot subsets of the graph
+    """Run the full pipeline over the size-c_g gate subsets of the circuit
     that can pass it.
 
-    The graph is one made by circuit_to_graph: every node is a gate
-    endpoint, and each qubit's endpoints have distinct layers.  An
-    untainted, connected candidate is connected in the timeline graph,
+    An untainted, connected candidate is connected in the timeline graph,
     where gates are neighbours when consecutive on some qubit, so only
     those sets are visited, in combinations order: roots ascending, and
     the sets whose least gate is the root sorted.  Their candidates are
-    connected, so each is filtered on gate indices and extracted only if
-    kept: closed when every touched qubit carries two or more chosen
-    endpoints (a lone one has degree 1), untainted when those are
-    consecutive among the qubit's endpoints, and stationary by its
-    (layer, control, target) tuples.  subsets_total is the binomial
+    connected, so each is filtered on gate indices and extracted from the
+    circuit's graph only if kept: closed when every touched qubit carries
+    two or more chosen endpoints (a lone one has degree 1), untainted when
+    those are consecutive among the qubit's endpoints, and stationary by
+    its (layer, control, target) tuples.  subsets_total is the binomial
     search-space size; subsets_examined counts the sets visited.  The
-    time budget is checked before each root; a candidate cap stops the
-    run only when a further set would be visited."""
+    deadline is checked before each root; a candidate cap stops the run
+    only when a further set would be visited."""
     if c_g < 1:
         raise ValueError(f"subset size {c_g} must be >= 1")
     limits = limits or MiningLimits()
-    cnots = ordered_cnot_edges(graph)
-    if c_g > len(cnots):
+    if c_g > circuit.cx_count:
         return MiningResult()
-    adj, gates, ends = _gate_tables(graph, cnots)
-    deadline = None
-    if limits.time_budget is not None:
-        deadline = _time.monotonic() + limits.time_budget
+    graph = circuit_to_graph(circuit)
+    # gate i's edge runs from node 2i to node 2i+1: already in gate order
+    cnots = graph.cnot_edges
+    adj, gates, ends = _gate_tables(circuit)
     result = MiningResult(subsets_total=math.comb(len(cnots), c_g))
     kept = result.candidates
     for root in range(len(cnots) - c_g + 1):
-        if deadline is not None and _time.monotonic() >= deadline:
+        if (limits.deadline is not None
+                and _time.monotonic() >= limits.deadline):
             result.truncated, result.reason = True, "time_budget"
             break
         for chosen in _connected_sets(adj, root, c_g):

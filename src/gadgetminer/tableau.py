@@ -18,6 +18,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import kernels
 from .circuit import Circuit
 
 
@@ -334,7 +335,7 @@ class StabilizerCode:
             for h in self.generators[i + 1 :]:
                 if not g.commutes(h):
                     raise TableauError(f"generators do not commute: {g}, {h}")
-        if len(gf2_basis([(g.x << self.n) | g.z for g in self.generators])) != len(
+        if len(kernels.gf2_basis([(g.x << self.n) | g.z for g in self.generators])) != len(
             self.generators
         ):
             raise TableauError("generators are not independent over GF(2)")
@@ -349,19 +350,6 @@ class StabilizerCode:
     def from_json_dict(cls, obj: dict) -> StabilizerCode:
         gens = tuple(Pauli.from_str(s) for s in obj["generators"])
         return cls(n=int(obj["n"]), k=int(obj["k"]), generators=gens)
-
-
-def gf2_basis(vectors: Iterable[int]) -> list[int]:
-    """XOR basis, kept sorted descending so reduction is a single pass."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            if v ^ b < v:
-                v ^= b
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
 
 
 def encoder_code(c: Circuit, k: int, x_ancillas: Iterable[int] = ()) -> StabilizerCode:
@@ -393,8 +381,6 @@ def code_distance(
     DistanceSearchError beyond the qubit bound or if the weight search is
     exhausted.
     """
-    from . import kernels
-
     if code.n > n_limit:
         raise DistanceSearchError(
             f"brute-force distance limited to n <= {n_limit}, code has n={code.n}"

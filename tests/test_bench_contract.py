@@ -1,8 +1,10 @@
-"""The benchmark tracer wraps program functions by name; every name it
-lists must exist, or each traced benchmark run fails at start-up."""
+"""The benchmark harness imports program names and its tracer wraps
+program functions by name; every such name must exist, or each benchmark
+run fails at start-up."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import random
@@ -14,12 +16,12 @@ from gadgetminer import canon, kernels
 from gadgetminer.canon import group_candidates
 from gadgetminer.catalog import FAMILIES, build_gadget, plant
 from gadgetminer.circuit import Circuit
-from gadgetminer.graph import circuit_to_graph
 from gadgetminer.mining import mine_circuit
 
 from conftest import ordered_graph_key
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _targets():
@@ -37,6 +39,35 @@ def test_tracer_target_exists(modname, attr):
     assert callable(obj)
 
 
+def _harness_imports():
+    """(file, module, name) of every ``from gadgetminer... import name``
+    in the harness, and (file, module, None) of every ``import
+    gadgetminer...``."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "gadgetminer"):
+                found += [(path.name, node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, a.name, None) for a in node.names
+                          if a.name.split(".")[0] == "gadgetminer"]
+    return found
+
+
+def test_harness_imports_resolve():
+    imports = _harness_imports()
+    assert any(name == "certificate" for _, _, name in imports)
+    for file, module, name in imports:
+        mod = importlib.import_module(module)
+        if name is None or hasattr(mod, name):
+            continue
+        try:  # a submodule, as in ``from gadgetminer import kernels``
+            importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            pytest.fail(f"{file}: from {module} import {name}")
+
+
 def test_one_canonical_search_per_distinct_graph(monkeypatch):
     """Grouping mined candidates calls canon.certificate once per
     candidate, which the benchmark's traced check reads as
@@ -50,7 +81,7 @@ def test_one_canonical_search_per_distinct_graph(monkeypatch):
             spec = build_gadget(rng.choice(FAMILIES), rng.choice((1, 2)))
             qubits = rng.sample(range(8), spec.qubits_touched)
             host = plant(host, spec, qubits, host.cx_count)
-        candidates += mine_circuit(circuit_to_graph(host), 4).candidates
+        candidates += mine_circuit(host, 4).candidates
     searched, certified = [], []
     search, cert = kernels.canonical_encoding, canon.certificate
     monkeypatch.setattr(kernels, "canonical_encoding",

@@ -162,8 +162,7 @@ def test_certificate_digest_prefixes_differ():
 
 
 def test_group_candidates_reference(ref_circuit):
-    g = circuit_to_graph(ref_circuit)
-    res = mine_circuit(g, 2)
+    res = mine_circuit(ref_circuit, 2)
     classes = group_candidates(res.candidates)
     assert len(classes) == 1
     cls = classes[0]
@@ -179,7 +178,7 @@ def test_group_candidates_sorting_and_cutoff():
     pairs = [(0, 1), (1, 0), (0, 1), (1, 0), (0, 1), (1, 0),
              (2, 3), (3, 4), (4, 2), (2, 3), (3, 4), (4, 2)]
     c = Circuit.from_pairs(5, pairs, name="mix")
-    res = mine_circuit(circuit_to_graph(c), 2)
+    res = mine_circuit(c, 2)
     classes = group_candidates(res.candidates)
     assert classes[0].n_r >= classes[-1].n_r
     kept = identify_gadgets(classes, n_c=1)
@@ -205,8 +204,7 @@ def test_group_candidates_size_error_carries_provenance():
 
 
 def test_json_and_csv_output(ref_circuit):
-    g = circuit_to_graph(ref_circuit)
-    classes = group_candidates(mine_circuit(g, 2).candidates)
+    classes = group_candidates(mine_circuit(ref_circuit, 2).candidates)
     obj = classes_to_json_obj(classes)
     text = json.dumps(obj)  # must be JSON-serializable
     back = json.loads(text)

@@ -63,7 +63,7 @@ def test_get_gadget_parsing():
 
 def test_self_check_keeps_exactly_one():
     for spec in all_gadgets():
-        res = mine_circuit(circuit_to_graph(spec.as_circuit()), spec.cx_count)
+        res = mine_circuit(spec.as_circuit(), spec.cx_count)
         assert len(res.candidates) == 1, spec.name
 
 
@@ -119,7 +119,7 @@ def test_planted_gadget_is_recovered():
         qubit_map = tuple(range(3, 3 + m))
         offset = rng.randrange(wide.cx_count + 1)
         planted = plant(wide, spec, qubit_map, offset)
-        res = mine_circuit(circuit_to_graph(planted), spec.cx_count)
+        res = mine_circuit(planted, spec.cx_count)
         want = certificate(circuit_to_graph(spec.as_circuit()))
         hits = [cand for cand in res.candidates
                 if certificate(cand.graph) == want]

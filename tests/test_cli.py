@@ -27,7 +27,6 @@ from gadgetminer.circuit import (
     save_circuit,
     serialize_circuit,
 )
-from gadgetminer.graph import circuit_to_graph
 from gadgetminer.mining import mine_circuit
 from gadgetminer.tableau import encoder_tableau
 
@@ -134,7 +133,7 @@ def test_mine_max_candidates_bounds_work(tmp_path):
                      inputs / f"c{i}.txt")
     circuits = [load_circuit(f) for f in sorted(inputs.iterdir())]
     full = [cand for c in circuits
-            for cand in mine_circuit(circuit_to_graph(c), 2).candidates]
+            for cand in mine_circuit(c, 2).candidates]
     assert len(full) == 18
     rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 2,
                   "--output", tmp_path / "uncapped"])
@@ -264,6 +263,25 @@ def test_mine_missing_input(tmp_path, capsys):
                   "--gadget-cnots", 2, "--output", tmp_path / "out"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    (tmp_path / "empty").mkdir()
+    rc = run_cli(["mine", "--input", tmp_path / "empty",
+                  "--gadget-cnots", 2, "--output", tmp_path / "out"])
+    assert rc == 1
+    assert "no circuit files" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mine_names_repeated_circuits_apart(tmp_path):
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        save_circuit(Circuit.from_pairs(3, REF_3Q6_PAIRS, name="h"),
+                     tmp_path / d / "h.txt")
+    rc = run_cli(["mine", "--input", tmp_path / "a", tmp_path / "b",
+                  "--gadget-cnots", 2, "--output", tmp_path / "out"])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    (cls,) = report
+    assert [o["circuit"] for o in cls["occurrences"]] == ["h"] * 3 + ["h_1"] * 3
 
 
 def test_output_env_default(tmp_path, monkeypatch, capsys):

@@ -390,13 +390,34 @@ def test_load_rejects_tampering(tmp_path):
     assert "digest mismatch" in str(exc_info.value)
 
 
+def _config_without(key):
+    cfg = GeneratorConfig(n=7, k=1, target_d=3,
+                          connectivity=connectivity_pairs("all", 7))
+    obj = cfg.to_json_dict()
+    del obj[key]
+    return obj
+
+
 def test_load_rejects_bad_format(tmp_path):
-    out = save_corpus(steane_corpus(), tmp_path / "d")
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["format_version"] = 99
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CorpusError):
-        load_corpus(out)
+    """Each damaged manifest is a CorpusError, so mine and stats print an
+    error instead of a traceback or reading a wrong corpus."""
+    damages = [
+        lambda m: m.update(format_version=99),
+        lambda m: [m],
+        lambda m: m.update(config=_config_without("seed")),
+        lambda m: m.update(config=dict(_config_without("seed"), seed="7")),
+        lambda m: m.update(entries=[["steane"]]),
+        lambda m: m["entries"][0].update(file=5),
+        lambda m: m["entries"][0].update(x_ancillas="456"),
+        lambda m: m["entries"][0].update(k="1"),
+    ]
+    for i, damage in enumerate(damages):
+        out = save_corpus(steane_corpus(), tmp_path / str(i))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = damage(manifest) or manifest
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorpusError):
+            load_corpus(out)
     with pytest.raises(CorpusError):
         load_corpus(tmp_path / "nowhere")
 

@@ -1,4 +1,4 @@
-"""Circuit-to-graph conversion, pruning, closedness, connectivity, formats."""
+"""Circuit-to-graph conversion, closedness, connectivity, formats."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from gadgetminer.graph import (
     graph_to_json_dict,
     is_closed,
     is_connected,
-    prune_open_parts,
 )
 
 from conftest import random_circuit
@@ -85,12 +84,10 @@ def test_construction_validation():
 
 
 def test_prune_removes_chain():
-    # path of 4 nodes prunes to nothing
+    # a path of 4 nodes peels to nothing
     nodes = [GraphNode(i, 0, i, "n") for i in range(4)]
     edges = [GraphEdge(i, i + 1, "time") for i in range(3)]
-    g = CircuitGraph(nodes, edges)
-    assert prune_open_parts(g).is_empty
-    assert not is_closed(g)
+    assert not is_closed(CircuitGraph(nodes, edges))
 
 
 def test_prune_keeps_cycle_drops_tail():
@@ -98,15 +95,9 @@ def test_prune_keeps_cycle_drops_tail():
     tail_nodes = list(g.nodes) + [GraphNode(10, 9, 9, "n"), GraphNode(11, 9, 10, "n")]
     tail_edges = list(g.edges) + [GraphEdge(0, 10, "time"), GraphEdge(10, 11, "time")]
     dressed = CircuitGraph(tail_nodes, tail_edges)
-    pruned = prune_open_parts(dressed)
-    assert pruned == g
     assert is_closed(g)
     assert not is_closed(dressed)
-
-
-def test_prune_fixed_point_identity():
-    g = ring_graph(5)
-    assert prune_open_parts(g) is g  # untouched input returned as-is
+    assert not is_closed(CircuitGraph([], []))
 
 
 def test_closedness_of_gate_pair():
@@ -127,9 +118,10 @@ def test_connectivity():
     assert is_connected(circuit_to_graph(c2))
 
 
-def test_prune_confluence_random_order():
-    """The peeling fixpoint must not depend on deletion order: compare
-    against a slow recompute-from-scratch reference on random graphs."""
+def test_is_closed_matches_peeling_oracle():
+    """A graph is closed exactly when it is non-empty and peeling nodes of
+    degree <= 1 until none is left removes nothing: compare against a slow
+    recompute-from-scratch peel on random graphs."""
 
     def reference_prune(g: CircuitGraph) -> CircuitGraph:
         keep = {nd.id for nd in g.nodes}
@@ -148,6 +140,7 @@ def test_prune_confluence_random_order():
         return CircuitGraph(nodes, edges)
 
     rng = random.Random(424242)
+    outcomes = set()
     for _ in range(40):
         n = rng.randrange(1, 14)
         nodes = [GraphNode(i, i, i, "n") for i in range(n)]
@@ -160,7 +153,9 @@ def test_prune_confluence_random_order():
                 seen.add((a, b, kind))
                 edges.append(GraphEdge(a, b, kind))
         g = CircuitGraph(nodes, edges)
-        assert prune_open_parts(g) == reference_prune(g)
+        assert is_closed(g) == (reference_prune(g) == g)
+        outcomes.add(is_closed(g))
+    assert outcomes == {False, True}
 
 
 def test_json_round_trip(ref_circuit):

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from gadgetminer import mining
-from gadgetminer.circuit import Circuit
+from gadgetminer import graph, mining
+from gadgetminer.circuit import Circuit, CnotGate
 from gadgetminer.graph import CircuitGraph, GraphEdge, GraphNode, circuit_to_graph
 from gadgetminer.mining import (
     MiningLimits,
@@ -150,8 +151,7 @@ def test_contract_timelines_identity_on_extracted(ref_circuit):
 
 
 def test_mine_reference_circuit(ref_circuit):
-    g = circuit_to_graph(ref_circuit)
-    res = mine_circuit(g, 2)
+    res = mine_circuit(ref_circuit, 2)
     assert res.subsets_total == 15
     # the six pairs of gates consecutive on some qubit
     assert res.subsets_examined == 6
@@ -163,9 +163,8 @@ def test_mined_candidates_satisfy_all_filters():
     rng = random.Random(321)
     for _ in range(15):
         c = random_circuit(rng, rng.randrange(2, 5), rng.randrange(2, 9))
-        g = circuit_to_graph(c)
         for c_g in range(2, min(5, c.cx_count) + 1):
-            for cand in mine_circuit(g, c_g).candidates:
+            for cand in mine_circuit(c, c_g).candidates:
                 assert not cand.tainted
                 assert passes_closure_filter(cand)
                 assert passes_stationarity_filter(cand)
@@ -191,6 +190,16 @@ def _timeline_connected(circuit, subset) -> bool:
     return len(reached) == len(subset)
 
 
+def _relayered(circuit: Circuit, rng: random.Random) -> Circuit:
+    """The circuit with its gates at increasing layers from 3 up, with
+    gaps, so that no layer is its gate's index."""
+    gates, layer = [], 2
+    for g in circuit.gates:
+        layer += rng.randrange(1, 5)
+        gates.append(CnotGate(g.control, g.target, layer))
+    return Circuit(circuit.n_qubits, tuple(gates), name=circuit.name)
+
+
 def test_mine_matches_exhaustive_oracle():
     rng = random.Random(654)
     # gate 0 is the least gate of two kept sets at C_g = 4, so the order
@@ -199,6 +208,7 @@ def test_mine_matches_exhaustive_oracle():
         3, [(1, 2), (2, 1), (1, 0), (0, 2), (2, 0)])]
     circuits += [random_circuit(rng, rng.randrange(2, 6), rng.randrange(1, 13))
                  for _ in range(30)]
+    circuits += [_relayered(c, rng) for c in circuits[:4]]
     for c in circuits:
         g = circuit_to_graph(c)
         for c_g in range(1, min(6, c.cx_count) + 1):
@@ -209,7 +219,7 @@ def test_mine_matches_exhaustive_oracle():
                         and passes_closure_filter(cand)
                         and passes_stationarity_filter(cand)):
                     want.append(cand)
-            res = mine_circuit(g, c_g)
+            res = mine_circuit(c, c_g)
             assert [(x.graph, x.layers) for x in res.candidates] == [
                 (x.graph, x.layers) for x in want]
             assert not res.truncated
@@ -218,7 +228,7 @@ def test_mine_matches_exhaustive_oracle():
                 _timeline_connected(c, s)
                 for s in combinations(range(c.cx_count), c_g))
             for cap in range(len(want) + 1):
-                capped = mine_circuit(g, c_g,
+                capped = mine_circuit(c, c_g,
                                       MiningLimits(max_candidates=cap))
                 assert [x.graph for x in capped.candidates] == [
                     x.graph for x in want[:cap]]
@@ -237,46 +247,45 @@ def test_mine_builds_a_graph_only_per_kept_candidate(monkeypatch,
             super().__init__(*args, **kwargs)
 
     rng = random.Random(77)
-    hosts = [circuit_to_graph(ref_circuit)] + [
-        circuit_to_graph(random_circuit(rng, 4, 30)) for _ in range(3)]
+    hosts = [ref_circuit] + [random_circuit(rng, 4, 30) for _ in range(3)]
+    # the host's graph is built in graph, the candidates' in mining
+    monkeypatch.setattr(graph, "CircuitGraph", CountingGraph)
     monkeypatch.setattr(mining, "CircuitGraph", CountingGraph)
     kept = 0
-    for g in hosts:
+    for c in hosts:
         for c_g in range(2, 6):
             builds.clear()
-            res = mine_circuit(g, c_g)
-            assert len(builds) == len(res.candidates)
+            res = mine_circuit(c, c_g)
+            assert len(builds) == 1 + len(res.candidates)
             kept += len(res.candidates)
     assert kept > 0
 
 
 def test_oversized_subset_returns_empty():
-    g = circuit_to_graph(Circuit.from_pairs(2, [(0, 1)]))
-    res = mine_circuit(g, 5)
+    c = Circuit.from_pairs(2, [(0, 1)])
+    res = mine_circuit(c, 5)
     assert res.candidates == [] and not res.truncated
     assert res.subsets_total == 0
     with pytest.raises(ValueError):
-        mine_circuit(g, 0)
+        mine_circuit(c, 0)
 
 
 def test_max_candidates_truncation(ref_circuit):
-    g = circuit_to_graph(ref_circuit)
-    res = mine_circuit(g, 2, MiningLimits(max_candidates=1))
+    res = mine_circuit(ref_circuit, 2, MiningLimits(max_candidates=1))
     assert res.truncated and res.reason == "max_candidates"
     assert len(res.candidates) == 1
     assert res.subsets_examined < res.subsets_total
     # the second keep arrives mid-scan, the third only on the last subset
-    two = mine_circuit(g, 2, MiningLimits(max_candidates=2))
+    two = mine_circuit(ref_circuit, 2, MiningLimits(max_candidates=2))
     assert two.truncated and len(two.candidates) == 2
-    exact = mine_circuit(g, 2, MiningLimits(max_candidates=3))
+    exact = mine_circuit(ref_circuit, 2, MiningLimits(max_candidates=3))
     assert not exact.truncated and len(exact.candidates) == 3
 
 
 def test_time_budget_truncation():
     rng = random.Random(8)
     c = random_circuit(rng, 6, 24)
-    g = circuit_to_graph(c)
-    res = mine_circuit(g, 4, MiningLimits(time_budget=0.0))
+    res = mine_circuit(c, 4, MiningLimits(deadline=time.monotonic()))
     assert res.truncated and res.reason == "time_budget"
-    # the budget is checked before the first set is visited
+    # the deadline is checked before the first set is visited
     assert res.subsets_examined == 0

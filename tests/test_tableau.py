@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gadgetminer.circuit import Circuit, cnots_commute
+from gadgetminer.kernels import gf2_basis
 from gadgetminer.tableau import (
     CanonicalForm,
     CliffordTableau,
@@ -23,7 +24,6 @@ from gadgetminer.tableau import (
     encoder_code,
     encoder_tableau,
     generator_weights,
-    gf2_basis,
 )
 
 from conftest import (
