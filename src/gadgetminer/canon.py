@@ -1,12 +1,13 @@
 """Canonical certificates and isomorphism-class grouping.
 
 Two candidate graphs are the same gadget exactly when their certificates
-are equal.  The certificate is built in two stages: iterated color
-refinement over the four directed relations (cnot out/in, time out/in)
-partitions the nodes into order-invariant classes, then a backtracking
-search over within-class orderings picks the lexicographically minimal
-adjacency encoding.  The header pins the node count and per-position
-labels, so equal certificates reconstruct identical ordered graphs.
+are equal.  The certificate's domain is graphs with at most one edge per
+(kind, direction) at each node, which every circuit conversion and mined
+candidate satisfies: each node then has four slots (cnot out/in, time
+out/in) holding at most one neighbour each, and kernels.canonical_encoding
+walks them from every start node.  A certificate is CERT_VERSION, the
+node count and that encoding, which determines the labelled graph up to
+isomorphism.
 """
 
 from __future__ import annotations
@@ -19,40 +20,26 @@ from . import kernels
 from .graph import CircuitGraph, graph_to_json_dict
 from .mining import SubgraphCandidate
 
-CERT_VERSION = b"GM1"
+CERT_VERSION = b"GM2"
+# the node count and walk positions are stored one byte each
 MAX_CERT_NODES = 64
 CSV_HEADER = "certificate_prefix,C_g,N_r,n_qubits_touched"
 _LABEL_CODE = {"c": 0, "t": 1, "n": 2}
+_SLOT_NAMES = ("cnot-out", "cnot-in", "time-out", "time-in")
 
 
 class CertificateSizeError(ValueError):
     """Raised when a graph exceeds the certificate node bound."""
 
 
-def _refine_colors(n: int, init: list[int], rels) -> list[int]:
-    """Iterated partition refinement: a node's new color ranks the tuple of
-    its old color and the sorted neighbor-color multiset under each
-    relation (rel[v] has bit u set when u is a neighbor of v).  Stops at
-    the fixpoint; ranks are stable across isomorphic graphs because they
-    depend only on structure."""
-    colors = init
-    while True:
-        sigs = [
-            (colors[v],)
-            + tuple(tuple(sorted(colors[u] for u in range(n)
-                                 if rel[v] >> u & 1)) for rel in rels)
-            for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+class CertificateShapeError(ValueError):
+    """Raised when a node has two edges of one kind and direction."""
 
 
 def certificate(graph: CircuitGraph, max_nodes: int = MAX_CERT_NODES) -> bytes:
     """Canonical byte string; equal certificates iff isomorphic graphs
-    (matching labels and all edge kinds/directions)."""
+    (matching labels and all edge kinds/directions).  A node with two
+    edges of one kind and direction raises CertificateShapeError."""
     n = len(graph)
     if n > max_nodes:
         raise CertificateSizeError(
@@ -78,20 +65,20 @@ def _certificate(labels: tuple[str, ...], out_c: tuple[int, ...],
     ordered labelled graph and the cache is exact; mined candidates
     mostly repeat a few shapes, so most calls are cache hits."""
     n = len(labels)
-    in_c = [sum((out_c[a] >> b & 1) << a for a in range(n)) for b in range(n)]
-    in_t = [sum((out_t[a] >> b & 1) << a for a in range(n)) for b in range(n)]
-    label_rank = {lab: i for i, lab in enumerate(sorted(set(labels)))}
-    init = [label_rank[lab] for lab in labels]
-    colors = _refine_colors(n, init, (out_c, in_c, out_t, in_t))
-    by_color: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        by_color.setdefault(c, []).append(i)
-    members = [by_color[c] for c in sorted(by_color)]
-    body = kernels.canonical_encoding(members, out_c, in_c, out_t, in_t)
-    header = bytearray(CERT_VERSION)
-    header.append(n)
-    header.extend(_LABEL_CODE[labels[u]] for cls in members for u in cls)
-    return bytes(header) + body
+    slots = [-1] * (4 * n)
+    for kind, out in ((0, out_c), (2, out_t)):
+        for u in range(n):
+            for v in range(n):
+                if out[u] >> v & 1:
+                    for i, w in ((4 * u + kind, v), (4 * v + kind + 1, u)):
+                        if slots[i] >= 0:
+                            raise CertificateShapeError(
+                                f"node at position {i // 4} has two "
+                                f"{_SLOT_NAMES[i % 4]} edges")
+                        slots[i] = w
+    body = kernels.canonical_encoding([_LABEL_CODE[lab] for lab in labels],
+                                      slots)
+    return CERT_VERSION + bytes([n]) + body
 
 
 def certificate_digest(cert: bytes) -> str:

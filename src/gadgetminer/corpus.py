@@ -119,6 +119,11 @@ class GeneratorConfig:
     connectivity_name: str = ""
 
     def __post_init__(self):
+        for name in ("n", "k", "target_d", "max_gates", "attempts", "seed",
+                     "count"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise CorpusError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.k < self.n:
             raise CorpusError(f"need 0 <= k < n, got k={self.k} n={self.n}")
         if self.target_d < 1:
@@ -130,7 +135,8 @@ class GeneratorConfig:
         if not 0 <= self.seed < 2**64:
             raise CorpusError("seed must fit in 64 bits")
         for a, b in self.connectivity:
-            if a == b or not (0 <= a < self.n and 0 <= b < self.n):
+            if (type(a) is not int or type(b) is not int or a == b
+                    or not (0 <= a < self.n and 0 <= b < self.n)):
                 raise CorpusError(f"bad connectivity pair ({a}, {b})")
         if self.n > 1 and not _pairs_connected(self.connectivity, self.n):
             raise CorpusError("connectivity does not connect all qubits")
@@ -534,7 +540,10 @@ def load_corpus(directory: str | Path) -> Corpus:
     if manifest.get("config"):
         try:
             config = GeneratorConfig.from_json_dict(manifest["config"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise CorpusError(
+                f"{directory}: bad config: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise CorpusError(f"{directory}: bad config: {exc}") from exc
     entries = manifest.get("entries", [])
     if not isinstance(entries, list):

@@ -3,8 +3,9 @@
 The walk lists a code's logical operators weight by weight; the weight
 profile, the minimum weight and the hill-climb's move scores count it.
 Pauli operators are passed as X/Z bitmask integers (bit q = qubit q),
-graphs as per-node adjacency bitmasks.  BACKEND names the implementation
-and is recorded in mine manifests.
+graphs as per-node slots of at most one neighbour per edge kind and
+direction.  BACKEND names the implementation and is recorded in mine
+manifests.
 """
 
 from __future__ import annotations
@@ -105,65 +106,43 @@ def pauli_weight_profile(
     return [len(found) for found in logicals_by_weight(gx, gz, n, max_weight)]
 
 
-def canonical_encoding(
-    members: list[list[int]],
-    out_c: list[int],
-    in_c: list[int],
-    out_t: list[int],
-    in_t: list[int],
-) -> bytes:
-    """Lexicographically minimal adjacency encoding over node orderings that
-    place each refinement class in its own contiguous position block.
+def canonical_encoding(labels: list[int], slots: list[int]) -> bytes:
+    """Canonical encoding of a graph whose nodes each have at most one
+    neighbour per slot: slots[4*u + k] is node u's neighbour in slot k
+    (cnot out, cnot in, time out, time in), or -1.
 
-    members lists each class's node indices, classes in position order;
-    adjacency masks are indexed by original node index.  The encoding is one
-    nibble per unordered position pair (i, j), i > j, in row-major order:
-    bit3 = cnot i->j, bit2 = cnot j->i, bit1 = time i->j, bit0 = time j->i.
-    """
-    # the class that fills each position
-    slots = [cls for cls in members for _ in cls]
-    n = len(slots)
-    total = n * (n - 1) // 2
-    cur = [0] * total
-    best: list[int] | None = None
-    placed = [0] * n
-    used = [False] * n
+    A breadth-first walk from a start node, taking each node's slots in
+    that fixed order, numbers the start's whole component; its encoding is
+    the component size, then per node in walk order the label code and the
+    four slot neighbours' walk numbers + 1 (0 for none).  An isomorphism
+    maps walks onto walks, so the least encoding over a component's start
+    nodes is canonical.  The components' encodings are sorted and joined;
+    each opens with its size, so the join can be read back."""
+    seen = [False] * len(labels)
+    parts = []
+    for root in range(len(labels)):
+        if not seen[root]:
+            comp = _slot_walk(root, labels, slots)[1]
+            for u in comp:
+                seen[u] = True
+            parts.append(min(_slot_walk(s, labels, slots)[0] for s in comp))
+    return b"".join(sorted(parts))
 
-    def rec(i: int, tight: bool) -> bool:
-        nonlocal best
-        if i == n:
-            if best is None or not tight:
-                best = cur.copy()
-                return True
-            return False
-        improved = False
-        off = i * (i - 1) // 2
-        for u in slots[i]:
-            if used[u]:
+
+def _slot_walk(start: int, labels: list[int], slots: list[int]):
+    """(encoding, nodes in walk order) of the walk from start."""
+    pos = {start: 0}
+    order = [start]
+    enc = bytearray([0])
+    for u in order:  # order grows while it is read
+        enc.append(labels[u])
+        for v in slots[4 * u:4 * u + 4]:
+            if v < 0:
+                enc.append(0)
                 continue
-            for j in range(i):
-                v = placed[j]
-                cur[off + j] = (
-                    (((out_c[u] >> v) & 1) << 3)
-                    | (((in_c[u] >> v) & 1) << 2)
-                    | (((out_t[u] >> v) & 1) << 1)
-                    | ((in_t[u] >> v) & 1)
-                )
-            child_tight = tight
-            if best is not None and tight:
-                seg = cur[off : off + i]
-                ref = best[off : off + i]
-                if seg > ref:
-                    continue
-                child_tight = seg == ref
-            used[u] = True
-            placed[i] = u
-            if rec(i + 1, child_tight):
-                improved = True
-                tight = True
-            used[u] = False
-        return improved
-
-    rec(0, True)
-    assert best is not None
-    return bytes(best)
+            if v not in pos:
+                pos[v] = len(order)
+                order.append(v)
+            enc.append(pos[v] + 1)
+    enc[0] = len(order)
+    return bytes(enc), order

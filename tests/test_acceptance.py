@@ -234,12 +234,14 @@ def random_labeled_graph(rng: random.Random, n: int) -> CircuitGraph:
     nodes = [GraphNode(i, rng.randrange(6), i, rng.choice("ctn"))
              for i in range(n)]
     edges = []
-    seen = set()
+    # certificates take at most one edge per (kind, direction) at a node
+    has_out, has_in = set(), set()
     for _ in range(rng.randrange(0, 2 * n + 1)):
         x, y = rng.randrange(n), rng.randrange(n)
         kind = rng.choice(("cnot", "time"))
-        if x != y and (x, y, kind) not in seen:
-            seen.add((x, y, kind))
+        if x != y and (x, kind) not in has_out and (y, kind) not in has_in:
+            has_out.add((x, kind))
+            has_in.add((y, kind))
             edges.append(GraphEdge(x, y, kind))
     return CircuitGraph(nodes, edges)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from gadgetminer import canon
 from gadgetminer.canon import (
     CERT_VERSION,
     CSV_HEADER,
+    CertificateShapeError,
     CertificateSizeError,
     certificate,
     certificate_digest,
@@ -19,7 +21,7 @@ from gadgetminer.canon import (
     group_candidates,
     identify_gadgets,
 )
-from gadgetminer.catalog import all_gadgets
+from gadgetminer.catalog import FAMILIES, all_gadgets, build_gadget, plant
 from gadgetminer.circuit import Circuit
 from gadgetminer.graph import (
     CircuitGraph,
@@ -54,12 +56,14 @@ def random_labeled_graph(rng: random.Random, n: int) -> CircuitGraph:
     nodes = [GraphNode(i, rng.randrange(8), i, rng.choice("ctn"))
              for i in range(n)]
     edges = []
-    seen = set()
+    # certificates take at most one edge per (kind, direction) at a node
+    has_out, has_in = set(), set()
     for _ in range(rng.randrange(0, 2 * n + 1)):
         a, b = rng.randrange(n), rng.randrange(n)
         kind = rng.choice(("cnot", "time"))
-        if a != b and (a, b, kind) not in seen:
-            seen.add((a, b, kind))
+        if a != b and (a, kind) not in has_out and (b, kind) not in has_in:
+            has_out.add((a, kind))
+            has_in.add((b, kind))
             edges.append(GraphEdge(a, b, kind))
     return CircuitGraph(nodes, edges)
 
@@ -123,14 +127,59 @@ def test_certificate_size_bound():
         certificate(small, max_nodes=3)
     assert certificate(small, max_nodes=4)
     # the bound is checked before the cache: a shape cached under a
-    # larger bound still raises under a smaller one (a ring as above, at a
-    # size the canonical search finishes quickly)
-    ring = CircuitGraph(nodes[:8], [GraphEdge(i, (i + 1) % 8, "time")
-                                    for i in range(8)])
-    assert certificate(ring, max_nodes=8)
-    for graph, bound in ((ring, 7), (small, 3)):
+    # larger bound still raises under a smaller one (a ring as above, at
+    # the largest size the bound allows)
+    ring = CircuitGraph(nodes[:64], [GraphEdge(i, (i + 1) % 64, "time")
+                                     for i in range(64)])
+    assert certificate(ring, max_nodes=64)
+    for graph, bound in ((ring, 63), (small, 3)):
         with pytest.raises(CertificateSizeError):
             certificate(graph, max_nodes=bound)
+
+
+def test_certificate_rejects_two_edges_in_one_slot():
+    nodes = [GraphNode(i, i, 0, "n") for i in range(3)]
+    for edges in ([GraphEdge(0, 1, "cnot"), GraphEdge(0, 2, "cnot")],
+                  [GraphEdge(0, 2, "time"), GraphEdge(1, 2, "time")]):
+        with pytest.raises(CertificateShapeError):
+            certificate(CircuitGraph(nodes, edges))
+
+
+def test_certificate_of_symmetric_ring_is_fast():
+    """Two rounds of a 16-qubit brickwork ring (even bonds, then odd
+    bonds) have 64 nodes and many automorphisms; the certificate and that
+    of a scrambled copy agree and take well under a second."""
+    bonds = [(q, (q + 1) % 16) for q in range(16)]
+    ring = circuit_to_graph(
+        Circuit.from_pairs(16, (bonds[0::2] + bonds[1::2]) * 2))
+    assert len(ring) == 64
+    scrambled = relabeled(ring, random.Random(16))
+    canon._certificate.cache_clear()
+    started = time.monotonic()
+    assert certificate(ring) == certificate(scrambled)
+    assert time.monotonic() - started < 1.0
+
+
+def test_certificate_matches_oracle_on_mined_candidates():
+    """Certificate equality agrees with the oracle on every pair of
+    candidates mined from planted hosts at C_g 3 and 4."""
+    rng = random.Random(34)
+    hosts = []
+    for i in range(3):
+        host = Circuit(5, (), name=f"host{i}")
+        for _ in range(6):
+            spec = build_gadget(rng.choice(FAMILIES), rng.choice((1, 2)))
+            qubits = rng.sample(range(5), spec.qubits_touched)
+            host = plant(host, spec, qubits, host.cx_count)
+        hosts.append(host)
+    graphs = [cand.graph for c_g in (3, 4) for host in hosts
+              for cand in mine_circuit(host, c_g).candidates]
+    certs = [certificate(g) for g in graphs]
+    assert len(graphs) == 28 and len(set(certs)) == 9
+    for i, a in enumerate(graphs):
+        for j in range(i):
+            assert (certs[i] == certs[j]) == graph_isomorphic_oracle(
+                a, graphs[j])
 
 
 def test_certificate_cache_is_exact():

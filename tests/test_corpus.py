@@ -401,22 +401,33 @@ def _config_without(key):
 def test_load_rejects_bad_format(tmp_path):
     """Each damaged manifest is a CorpusError, so mine and stats print an
     error instead of a traceback or reading a wrong corpus."""
+    def config_with(**fields):
+        return lambda m: m.update(
+            config={**_config_without("seed"), "seed": 7, **fields})
+
+    # (damage, pattern the error message must match, or None)
     damages = [
-        lambda m: m.update(format_version=99),
-        lambda m: [m],
-        lambda m: m.update(config=_config_without("seed")),
-        lambda m: m.update(config=dict(_config_without("seed"), seed="7")),
-        lambda m: m.update(entries=[["steane"]]),
-        lambda m: m["entries"][0].update(file=5),
-        lambda m: m["entries"][0].update(x_ancillas="456"),
-        lambda m: m["entries"][0].update(k="1"),
+        (lambda m: m.update(format_version=99), None),
+        (lambda m: [m], None),
+        (lambda m: m.update(config=_config_without("seed")),
+         "bad config: missing key 'seed'"),
+        (config_with(seed="7"), None),
+        (config_with(seed=7.5), "seed must be an integer"),
+        (config_with(count=True), "count must be an integer"),
+        (config_with(connectivity=[[0, 1.0], [1, 2], [2, 3], [3, 4], [4, 5],
+                                   [5, 6]]),
+         r"bad connectivity pair \(0, 1\.0\)"),
+        (lambda m: m.update(entries=[["steane"]]), None),
+        (lambda m: m["entries"][0].update(file=5), None),
+        (lambda m: m["entries"][0].update(x_ancillas="456"), None),
+        (lambda m: m["entries"][0].update(k="1"), None),
     ]
-    for i, damage in enumerate(damages):
+    for i, (damage, pattern) in enumerate(damages):
         out = save_corpus(steane_corpus(), tmp_path / str(i))
         manifest = json.loads((out / "manifest.json").read_text())
         manifest = damage(manifest) or manifest
         (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CorpusError):
+        with pytest.raises(CorpusError, match=pattern):
             load_corpus(out)
     with pytest.raises(CorpusError):
         load_corpus(tmp_path / "nowhere")

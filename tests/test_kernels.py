@@ -104,24 +104,25 @@ def test_empty_generator_set():
 
 
 def test_canonical_encoding_hand_case():
-    # two swappable nodes, one cnot edge 0 -> 1; the minimal row stores the
-    # in-edge nibble (4), not the out-edge nibble (8)
-    enc = kernels.canonical_encoding(
-        [[0, 1]], [2, 0], [0, 1], [0, 0], [0, 0])
-    assert enc == bytes([4])
-    # fixing the order with singleton classes keeps the out-edge form
-    enc2 = kernels.canonical_encoding(
-        [[1], [0]], [2, 0], [0, 1], [0, 0], [0, 0])
-    assert enc2 == bytes([8])
+    # one cnot 0 -> 1; slots per node are cnot out/in, time out/in.  With
+    # labels n, n the walk from node 1 gives the smaller encoding
+    slots = [1, -1, -1, -1, -1, 0, -1, -1]
+    assert kernels.canonical_encoding([2, 2], slots) == bytes(
+        [2, 2, 0, 2, 0, 0, 2, 1, 0, 0, 0])
+    # with labels c, t the walk from the control (label code 0) wins
+    assert kernels.canonical_encoding([0, 1], slots) == bytes(
+        [2, 0, 2, 0, 0, 0, 1, 0, 1, 0, 0])
 
 
 def test_canonical_encoding_sizes():
-    assert kernels.canonical_encoding([], [], [], [], []) == b""
-    assert kernels.canonical_encoding([[0]], [0], [0], [0], [0]) == b""
-    n = 5
-    enc = kernels.canonical_encoding(
-        [list(range(n))], [0] * n, [0] * n, [0] * n, [0] * n)
-    assert enc == bytes(n * (n - 1) // 2)
+    assert kernels.canonical_encoding([], []) == b""
+    single = kernels.canonical_encoding([1], [-1] * 4)
+    assert single == bytes([1, 1, 0, 0, 0, 0])
+    # a time edge 0 -> 1 and a lone node 2: the components' encodings come
+    # out sorted (size 1 first), not in node order
+    slots = [-1, -1, 1, -1, -1, -1, -1, 0, -1, -1, -1, -1]
+    assert kernels.canonical_encoding([0, 0, 1], slots) == bytes(
+        [1, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0])
 
 
 def test_scan_parity_random():
