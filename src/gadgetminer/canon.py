@@ -36,49 +36,38 @@ class CertificateShapeError(ValueError):
     """Raised when a node has two edges of one kind and direction."""
 
 
-def certificate(graph: CircuitGraph, max_nodes: int = MAX_CERT_NODES) -> bytes:
+def certificate(graph: CircuitGraph) -> bytes:
     """Canonical byte string; equal certificates iff isomorphic graphs
     (matching labels and all edge kinds/directions).  A node with two
     edges of one kind and direction raises CertificateShapeError."""
     n = len(graph)
-    if n > max_nodes:
+    if n > MAX_CERT_NODES:
         raise CertificateSizeError(
-            f"graph has {n} nodes, certificate bound is {max_nodes}")
-    nodes = graph.nodes
-    index = {nd.id: i for i, nd in enumerate(nodes)}
-    out_c = [0] * n
-    out_t = [0] * n
-    for e in graph.cnot_edges:
-        out_c[index[e.src]] |= 1 << index[e.dst]
-    for e in graph.time_edges:
-        out_t[index[e.src]] |= 1 << index[e.dst]
-    return _certificate(tuple(nd.label for nd in nodes), tuple(out_c),
-                        tuple(out_t))
+            f"graph has {n} nodes, certificate bound is {MAX_CERT_NODES}")
+    # slots[4*i + k]: node i's neighbour in slot k (_SLOT_NAMES), or -1
+    slots = [-1] * (4 * n)
+    first = {nd.id: 4 * i for i, nd in enumerate(graph.nodes)}
+    for k, edges in ((0, graph.cnot_edges), (2, graph.time_edges)):
+        for e in edges:
+            out, into = first[e.src] + k, first[e.dst] + k + 1
+            if slots[out] >= 0 or slots[into] >= 0:
+                i = out if slots[out] >= 0 else into
+                raise CertificateShapeError(
+                    f"node at position {i // 4} has two "
+                    f"{_SLOT_NAMES[i % 4]} edges")
+            slots[out], slots[into] = into // 4, out // 4
+    return _certificate(tuple(nd.label for nd in graph.nodes), tuple(slots))
 
 
 @cache
-def _certificate(labels: tuple[str, ...], out_c: tuple[int, ...],
-                 out_t: tuple[int, ...]) -> bytes:
-    """The certificate of the graph whose node i has labels[i] and whose
-    cnot/time edges out of node i are the bits of out_c[i]/out_t[i].
-    Graphs have no duplicate edges, so these three tuples are the whole
-    ordered labelled graph and the cache is exact; mined candidates
-    mostly repeat a few shapes, so most calls are cache hits."""
-    n = len(labels)
-    slots = [-1] * (4 * n)
-    for kind, out in ((0, out_c), (2, out_t)):
-        for u in range(n):
-            for v in range(n):
-                if out[u] >> v & 1:
-                    for i, w in ((4 * u + kind, v), (4 * v + kind + 1, u)):
-                        if slots[i] >= 0:
-                            raise CertificateShapeError(
-                                f"node at position {i // 4} has two "
-                                f"{_SLOT_NAMES[i % 4]} edges")
-                        slots[i] = w
+def _certificate(labels: tuple[str, ...], slots: tuple[int, ...]) -> bytes:
+    """The certificate of the graph whose node i has labels[i] and the
+    slots slots[4*i:4*i + 4].  Labels and slots are the whole ordered
+    labelled graph, so the cache is exact; mined candidates mostly repeat
+    a few shapes, so most calls are cache hits."""
     body = kernels.canonical_encoding([_LABEL_CODE[lab] for lab in labels],
                                       slots)
-    return CERT_VERSION + bytes([n]) + body
+    return CERT_VERSION + bytes([len(labels)]) + body
 
 
 def certificate_digest(cert: bytes) -> str:
@@ -109,9 +98,7 @@ class GadgetClass:
         return len(self.representative.graph.qubits_touched)
 
 
-def group_candidates(
-    candidates, max_nodes: int = MAX_CERT_NODES
-) -> list[GadgetClass]:
+def group_candidates(candidates) -> list[GadgetClass]:
     """Group candidates by certificate.  The representative is the first
     occurrence in input order; classes are sorted by descending N_r with
     certificate bytes breaking ties, so the output is deterministic for a
@@ -120,7 +107,7 @@ def group_candidates(
     order: list[bytes] = []
     for cand in candidates:
         try:
-            cert = certificate(cand.graph, max_nodes=max_nodes)
+            cert = certificate(cand.graph)
         except CertificateSizeError as exc:
             raise CertificateSizeError(
                 f"{exc} (candidate from {cand.source_circuit!r} "

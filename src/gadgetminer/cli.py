@@ -126,11 +126,12 @@ def cmd_mine(args) -> int:
     if args.time_budget is not None:
         limits.deadline = started + args.time_budget
     payloads = [(c, args.gadget_cnots, limits) for c in circuits]
-    if args.jobs > 1 and len(payloads) > 1:
-        # chunks of payloads per round trip, as multiprocessing.Pool.map
-        # sizes them; map keeps input order
-        chunksize = max(1, len(payloads) // (4 * args.jobs))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        # the pool forks all its workers at once; chunks of payloads per
+        # round trip, as multiprocessing.Pool.map sizes them, in order
+        chunksize = max(1, len(payloads) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mine_one, payloads, chunksize=chunksize))
     else:
         results = [_mine_one(p) for p in payloads]
@@ -164,7 +165,6 @@ def cmd_mine(args) -> int:
             "max_candidates": args.max_candidates,
             "time_budget": args.time_budget,
             "jobs": args.jobs,
-            "seed": args.seed,
         },
         "kernel_backend": kernels.BACKEND,
         "circuits": len(circuits),
@@ -247,8 +247,17 @@ def cmd_canon(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other error: 2 means a
+    truncated mining run.  Subparsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gadgetminer",
         description="Mine repeated composite CNOT blocks from circuit corpora.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -269,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers over circuits (same output for "
                         "any value)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded in the manifest; mining itself draws no "
-                        "randomness")
     p.add_argument("--output", default=_default_output(),
                    help=f"report directory (default ${OUTPUT_ENV} or "
                         "gadgetminer_out)")

@@ -9,7 +9,6 @@ qubits idling through a region.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .circuit import Circuit
@@ -129,23 +128,35 @@ class CircuitGraph:
                 f"cnot={len(self.cnot_edges)}, time={len(self.time_edges)})")
 
 
+def gate_parts(circuit: Circuit):
+    """Per gate i: its control node 2i, its target node 2i+1 and its cnot
+    edge.  Graphs built from one call's parts share these objects."""
+    return [(GraphNode(2 * i, g.control, g.layer, "c"),
+             GraphNode(2 * i + 1, g.target, g.layer, "t"),
+             GraphEdge(2 * i, 2 * i + 1, "cnot"))
+            for i, g in enumerate(circuit.gates)]
+
+
+def gates_graph(source: str, parts, chosen) -> CircuitGraph:
+    """The graph of the gates chosen by ascending index into parts: their
+    endpoints and cnot edges, and time edges chaining the chosen
+    endpoints on each qubit in layer order."""
+    nodes, edges, last = [], [], {}  # last: qubit -> its latest node id
+    for i in chosen:
+        c, t, cnot = parts[i]
+        nodes += (c, t)
+        edges.append(cnot)
+        for nd in (c, t):
+            if nd.qubit in last:
+                edges.append(GraphEdge(last[nd.qubit], nd.id, "time"))
+            last[nd.qubit] = nd.id
+    return CircuitGraph(nodes, edges, source_circuit=source)
+
+
 def circuit_to_graph(circuit: Circuit) -> CircuitGraph:
-    """Gate i yields control node 2i and target node 2i+1; per-qubit time
-    edges chain consecutive endpoints in layer order."""
-    nodes: list[GraphNode] = []
-    edges: list[GraphEdge] = []
-    per_qubit: dict[int, list[int]] = defaultdict(list)
-    for i, g in enumerate(circuit.gates):
-        cid, tid = 2 * i, 2 * i + 1
-        nodes.append(GraphNode(cid, g.control, g.layer, "c"))
-        nodes.append(GraphNode(tid, g.target, g.layer, "t"))
-        edges.append(GraphEdge(cid, tid, "cnot"))
-        per_qubit[g.control].append(cid)
-        per_qubit[g.target].append(tid)
-    for ids in per_qubit.values():
-        for a, b in zip(ids, ids[1:]):
-            edges.append(GraphEdge(a, b, "time"))
-    return CircuitGraph(nodes, edges, source_circuit=circuit.name)
+    """The graph of all the circuit's gates (see gate_parts)."""
+    return gates_graph(circuit.name, gate_parts(circuit),
+                       range(circuit.cx_count))
 
 
 def is_closed(graph: CircuitGraph) -> bool:

@@ -14,10 +14,10 @@ Filter pipeline, in order:
      gate between them on any shared qubit) must not commute, otherwise
      the block can be slid apart and is not a rigid unit.
 
-extract_candidate and the passes_* filters work on candidate graphs and
-are the reference; mine_circuit runs the same tests on a circuit's gate
-indices and builds a graph only for a set that passes them (see its
-docstring).
+extract_candidate and the passes_* filters work on a host graph and its
+candidate graphs and are the reference; mine_circuit runs the same tests
+on a circuit's gate indices and builds a graph only for a set that passes
+them (see its docstring).
 """
 
 from __future__ import annotations
@@ -25,14 +25,15 @@ from __future__ import annotations
 import math
 import time as _time
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .circuit import Circuit
 from .graph import (
     CircuitGraph,
     GraphEdge,
-    circuit_to_graph,
+    gate_parts,
+    gates_graph,
     is_closed,
     is_connected,
 )
@@ -81,22 +82,9 @@ def enumerate_cnot_subsets(graph: CircuitGraph, c_g: int):
 
 
 def extract_candidate(graph: CircuitGraph, subset) -> SubgraphCandidate:
-    """Build the candidate for one cnot-edge subset of the host graph."""
-    cand = _build_candidate(graph, subset)
-    # any host endpoint strictly inside a time edge's layer span on its
-    # qubit belongs to an unchosen gate and would be orphaned
-    for e in cand.graph.time_edges:
-        a, b = graph.node(e.src), graph.node(e.dst)
-        if any(nd.qubit == a.qubit and a.layer < nd.layer < b.layer
-               for nd in graph.nodes):
-            return replace(cand, tainted=True)
-    return cand
-
-
-def _build_candidate(graph: CircuitGraph, subset) -> SubgraphCandidate:
-    """The untainted candidate of the subset: the chosen endpoints, their
-    cnot edges, and time edges chaining them per qubit in layer order.
-    Taint is the caller's to prove or to scan for."""
+    """Build the candidate for one cnot-edge subset of the host graph: the
+    chosen endpoints, their cnot edges, and time edges chaining them per
+    qubit in layer order."""
     edges = list(subset)
     nodes = []
     per_qubit: dict[int, list] = defaultdict(list)
@@ -104,20 +92,24 @@ def _build_candidate(graph: CircuitGraph, subset) -> SubgraphCandidate:
     for e in edges:
         c = graph.node(e.src)
         t = graph.node(e.dst)
-        nodes.append(c)
-        nodes.append(t)
+        nodes += (c, t)
         per_qubit[c.qubit].append(c)
         per_qubit[t.qubit].append(t)
         layers.append(c.layer)
+    tainted = False
     for nds in per_qubit.values():
         nds.sort(key=lambda nd: nd.layer)
         for a, b in zip(nds, nds[1:]):
             edges.append(GraphEdge(a.id, b.id, "time"))
+            # a host endpoint strictly between them is an unchosen gate's
+            tainted = tainted or any(
+                nd.qubit == a.qubit and a.layer < nd.layer < b.layer
+                for nd in graph.nodes)
     return SubgraphCandidate(
         source_circuit=graph.source_circuit,
         layers=tuple(sorted(layers)),
         graph=CircuitGraph(nodes, edges, source_circuit=graph.source_circuit),
-        tainted=False,
+        tainted=tainted,
     )
 
 
@@ -270,8 +262,8 @@ def mine_circuit(
     where gates are neighbours when consecutive on some qubit, so only
     those sets are visited, in combinations order: roots ascending, and
     the sets whose least gate is the root sorted.  Their candidates are
-    connected, so each is filtered on gate indices and extracted from the
-    circuit's graph only if kept: closed when every touched qubit carries
+    connected, so each is filtered on gate indices and gets a graph
+    (gates_graph) only if kept: closed when every touched qubit carries
     two or more chosen endpoints (a lone one has degree 1), untainted when
     those are consecutive among the qubit's endpoints, and stationary by
     its (layer, control, target) tuples.  subsets_total is the binomial
@@ -283,13 +275,11 @@ def mine_circuit(
     limits = limits or MiningLimits()
     if c_g > circuit.cx_count:
         return MiningResult()
-    graph = circuit_to_graph(circuit)
-    # gate i's edge runs from node 2i to node 2i+1: already in gate order
-    cnots = graph.cnot_edges
+    parts = gate_parts(circuit)
     adj, gates, ends = _gate_tables(circuit)
-    result = MiningResult(subsets_total=math.comb(len(cnots), c_g))
+    result = MiningResult(subsets_total=math.comb(len(parts), c_g))
     kept = result.candidates
-    for root in range(len(cnots) - c_g + 1):
+    for root in range(len(parts) - c_g + 1):
         if (limits.deadline is not None
                 and _time.monotonic() >= limits.deadline):
             result.truncated, result.reason = True, "time_budget"
@@ -301,8 +291,9 @@ def mine_circuit(
                 break
             result.subsets_examined += 1
             if _passes(chosen, gates, ends):
-                kept.append(
-                    _build_candidate(graph, [cnots[i] for i in chosen]))
+                kept.append(SubgraphCandidate(
+                    circuit.name, tuple(gates[i][0] for i in chosen),
+                    gates_graph(circuit.name, parts, chosen), False))
         if result.truncated:
             break
     return result

@@ -103,17 +103,17 @@ def graph_isomorphic_oracle(a, b) -> bool:
 
 
 def ordered_graph_key(graph) -> tuple:
-    """(labels, cnot out-masks, time out-masks) in node order, the
-    argument tuple of canon._certificate: equal keys mean identical
-    ordered labelled graphs."""
+    """(labels, slots) in node order, the argument tuple of
+    canon._certificate: slots[4*i + k] is node i's neighbour along its
+    cnot out, cnot in, time out or time in edge (k = 0..3), or -1.  Equal
+    keys mean identical ordered labelled graphs."""
     idx = {nd.id: i for i, nd in enumerate(graph.nodes)}
-
-    def out_masks(edges):
-        return tuple(sum(1 << idx[e.dst] for e in edges if e.src == nd.id)
-                     for nd in graph.nodes)
-
-    return (tuple(nd.label for nd in graph.nodes),
-            out_masks(graph.cnot_edges), out_masks(graph.time_edges))
+    slots = [-1] * (4 * len(graph.nodes))
+    for e in graph.edges:
+        k = 0 if e.kind == "cnot" else 2
+        slots[4 * idx[e.src] + k] = idx[e.dst]
+        slots[4 * idx[e.dst] + k + 1] = idx[e.src]
+    return tuple(nd.label for nd in graph.nodes), tuple(slots)
 
 
 def pauli_group_distance_oracle(code: StabilizerCode) -> int:

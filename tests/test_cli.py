@@ -258,6 +258,42 @@ def test_mine_rejects_bad_arguments_before_mining(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mine", "--gadget-cnots", 3],
+    ["mine", "--input", HOSTS, "--gadget-cnots", "three"],
+    ["mines", "--input", HOSTS]])
+def test_usage_errors_exit_1(capsys, argv):
+    """A usage error exits 1 like any other error; 2 means a truncated
+    mining run."""
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(argv)
+    assert exc_info.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_mine_pool_has_no_more_workers_than_circuits(tmp_path, monkeypatch):
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    rc = run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,
+                  "--jobs", 8, "--output", tmp_path / "out"])
+    assert rc == 0
+    assert workers == [3]
+
+
 def test_mine_missing_input(tmp_path, capsys):
     rc = run_cli(["mine", "--input", tmp_path / "nope",
                   "--gadget-cnots", 2, "--output", tmp_path / "out"])

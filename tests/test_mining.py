@@ -248,7 +248,7 @@ def test_mine_builds_a_graph_only_per_kept_candidate(monkeypatch,
 
     rng = random.Random(77)
     hosts = [ref_circuit] + [random_circuit(rng, 4, 30) for _ in range(3)]
-    # the host's graph is built in graph, the candidates' in mining
+    # no host graph: a kept set's graph is built in graph
     monkeypatch.setattr(graph, "CircuitGraph", CountingGraph)
     monkeypatch.setattr(mining, "CircuitGraph", CountingGraph)
     kept = 0
@@ -256,9 +256,26 @@ def test_mine_builds_a_graph_only_per_kept_candidate(monkeypatch,
         for c_g in range(2, 6):
             builds.clear()
             res = mine_circuit(c, c_g)
-            assert len(builds) == 1 + len(res.candidates)
+            assert len(builds) == len(res.candidates)
             kept += len(res.candidates)
     assert kept > 0
+
+
+def test_mined_candidates_share_gate_objects():
+    """The candidates of one circuit share each gate's node and cnot-edge
+    objects, so a pickled result (what a --jobs worker returns) holds
+    each once."""
+    # a host whose kept sets at C_g = 4 overlap
+    c = random_circuit(random.Random(3), 3, 20)
+    seen = {}
+    repeats = 0
+    for cand in mine_circuit(c, 4).candidates:
+        for obj in cand.graph.nodes + cand.graph.cnot_edges:
+            if obj in seen:
+                assert seen[obj] is obj
+                repeats += 1
+            seen[obj] = obj
+    assert repeats > 0
 
 
 def test_oversized_subset_returns_empty():
