@@ -16,7 +16,6 @@ from .circuit import (  # noqa: F401
     CircuitParseError,
     CnotGate,
     Circuit,
-    cnots_commute,
     load_circuit,
     parse_circuit,
     parse_circuit_json,
@@ -31,21 +30,13 @@ from .graph import (  # noqa: F401
     GraphNode,
     circuit_to_graph,
     graph_from_json_dict,
-    graph_to_dot,
     graph_to_json_dict,
-    is_closed,
-    is_connected,
 )
 from .mining import (  # noqa: F401
     MiningLimits,
     MiningResult,
     SubgraphCandidate,
-    contract_timelines,
-    enumerate_cnot_subsets,
-    extract_candidate,
     mine_circuit,
-    passes_closure_filter,
-    passes_stationarity_filter,
 )
 from .canon import (  # noqa: F401
     CertificateSizeError,

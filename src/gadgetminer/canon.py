@@ -24,7 +24,7 @@ CERT_VERSION = b"GM2"
 # the node count and walk positions are stored one byte each
 MAX_CERT_NODES = 64
 CSV_HEADER = "certificate_prefix,C_g,N_r,n_qubits_touched"
-_LABEL_CODE = {"c": 0, "t": 1, "n": 2}
+_LABEL_CODE = {"c": 0, "t": 1}
 _SLOT_NAMES = ("cnot-out", "cnot-in", "time-out", "time-in")
 
 

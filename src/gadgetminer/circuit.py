@@ -52,10 +52,6 @@ class CnotGate:
         if self.control < 0 or self.target < 0 or self.layer < 0:
             raise CircuitError("negative qubit or layer index")
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset((self.control, self.target))
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -96,15 +92,6 @@ class Circuit:
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(g.control, g.target) for g in self.gates]
-
-
-def cnots_commute(g1: CnotGate, g2: CnotGate) -> bool:
-    """True iff the two CNOTs commute as operators.
-
-    Shared-control, shared-target and disjoint pairs commute; the pair fails
-    to commute exactly when one gate's control sits on the other's target.
-    """
-    return not (g1.control == g2.target or g1.target == g2.control)
 
 
 def parse_circuit(text: str | bytes, name: str = "") -> Circuit:

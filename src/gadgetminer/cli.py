@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__, kernels
 from .canon import (
+    MAX_CERT_NODES,
     CertificateSizeError,
     certificate,
     certificate_digest,
@@ -111,6 +112,10 @@ def cmd_mine(args) -> int:
         raise ValueError("--min-repeats must be >= 1")
     if args.gadget_cnots < 1:
         raise ValueError("--gadget-cnots must be >= 1")
+    # a candidate has two nodes per gate, and certificates are bounded
+    if args.gadget_cnots > MAX_CERT_NODES // 2:
+        raise ValueError(
+            f"--gadget-cnots must be <= {MAX_CERT_NODES // 2}")
     # NaN fails every comparison, so it is rejected here too
     if args.time_budget is not None and not 0 <= args.time_budget < math.inf:
         raise ValueError("--time-budget must be a finite number >= 0")
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="circuit files, corpus directories, or directories "
                         "of circuit files")
     p.add_argument("--gadget-cnots", type=int, required=True, metavar="C_G",
-                   help="number of CNOTs per candidate block")
+                   help="number of CNOTs per candidate block (at most 32)")
     p.add_argument("--min-repeats", type=int, default=1, metavar="N_C",
                    help="report classes repeated more than N_C times "
                         "(default 1)")

@@ -54,7 +54,10 @@ def connectivity_pairs(kind: str, n: int,
                        path: str | Path | None = None) -> tuple[tuple[int, int], ...]:
     """Undirected qubit pairs for a named pattern: all-to-all, nearest
     neighbor on a line, next-to-nearest neighbor, or one "a b" pair per
-    line from a file."""
+    line from a file (the path is given for that kind only)."""
+    if path is not None and kind != "file":
+        raise CorpusError(
+            f"a connectivity file needs connectivity kind 'file', not {kind!r}")
     if kind == "all":
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     elif kind == "nn":

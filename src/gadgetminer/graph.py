@@ -3,8 +3,7 @@
 Every CNOT endpoint becomes a node labeled "c" (control) or "t" (target);
 a "cnot" edge runs control -> target within a gate, and "time" edges chain
 consecutive endpoints on each qubit in layer order.  Spectator qubits never
-produce nodes.  The label "n" is reserved for hand-built graphs that model
-qubits idling through a region.
+produce nodes.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit
 
-NODE_LABELS = ("c", "t", "n")
+NODE_LABELS = ("c", "t")
 EDGE_KINDS = ("cnot", "time")
 
 
@@ -211,16 +210,3 @@ def graph_from_json_dict(data: dict, source_circuit: str = "") -> CircuitGraph:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
     return CircuitGraph(nodes, edges, source_circuit=source_circuit)
 
-
-def graph_to_dot(graph: CircuitGraph) -> str:
-    """GraphViz rendering; cnot edges solid, time edges dashed."""
-    lines = ["digraph gadget {"]
-    for nd in graph.nodes:
-        lines.append(
-            f'  n{nd.id} [label="{nd.label} q{nd.qubit} l{nd.layer}"];')
-    for e in graph.cnot_edges:
-        lines.append(f"  n{e.src} -> n{e.dst};")
-    for e in graph.time_edges:
-        lines.append(f"  n{e.src} -> n{e.dst} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -71,16 +71,6 @@ def ordered_cnot_edges(graph: CircuitGraph) -> tuple[GraphEdge, ...]:
                         key=lambda e: (graph.node(e.src).layer, e.src)))
 
 
-def enumerate_cnot_subsets(graph: CircuitGraph, c_g: int):
-    """Yield all size-c_g subsets of the graph's cnot edges in layer order,
-    binomial(C_T, c_g) in total."""
-    cnots = ordered_cnot_edges(graph)
-    if not 1 <= c_g <= len(cnots):
-        raise ValueError(
-            f"subset size {c_g} out of range for {len(cnots)} cnot edges")
-    return combinations(cnots, c_g)
-
-
 def extract_candidate(graph: CircuitGraph, subset) -> SubgraphCandidate:
     """Build the candidate for one cnot-edge subset of the host graph: the
     chosen endpoints, their cnot edges, and time edges chaining them per
@@ -155,45 +145,9 @@ def _stationary(gates) -> bool:
 
 
 def contract_timelines(candidate: SubgraphCandidate) -> SubgraphCandidate:
-    """Contract pass-through idle nodes: an n-labeled node whose only edges
-    are one incoming and one outgoing time edge is dropped and its chain
-    reconnected.  Extracted candidates carry no such nodes, so this is an
-    identity for them."""
-    g = candidate.graph
-    time_in: dict[int, list[GraphEdge]] = defaultdict(list)
-    time_out: dict[int, list[GraphEdge]] = defaultdict(list)
-    for e in g.time_edges:
-        time_out[e.src].append(e)
-        time_in[e.dst].append(e)
-    deg = g.degrees()
-    removable = {
-        nd.id
-        for nd in g.nodes
-        if nd.label == "n" and deg[nd.id] == 2
-        and len(time_in[nd.id]) == 1 and len(time_out[nd.id]) == 1
-    }
-    if not removable:
-        return candidate
-    # follow each chain of removable nodes to its surviving endpoint
-    edges: list[GraphEdge] = list(g.cnot_edges)
-    seen: set[tuple[int, int]] = set()
-    for e in g.time_edges:
-        if e.src in removable:
-            continue
-        dst = e.dst
-        while dst in removable:
-            dst = time_out[dst][0].dst
-        if (e.src, dst) not in seen:
-            seen.add((e.src, dst))
-            edges.append(GraphEdge(e.src, dst, "time") if dst != e.dst else e)
-    nodes = [nd for nd in g.nodes if nd.id not in removable]
-    contracted = CircuitGraph(nodes, edges, source_circuit=g.source_circuit)
-    return SubgraphCandidate(
-        source_circuit=candidate.source_circuit,
-        layers=candidate.layers,
-        graph=contracted,
-        tainted=candidate.tainted,
-    )
+    """Identity: graphs have no idle nodes to contract.  Kept only because
+    perfbench/checks.py still calls it; ROADMAP item 1 deletes both."""
+    return candidate
 
 
 def _gate_tables(circuit: Circuit):

@@ -207,26 +207,6 @@ class CliffordTableau:
     def digest(self) -> str:
         return hashlib.sha256(self.to_bytes()).hexdigest()
 
-    def symplectic_ok(self) -> bool:
-        """Rows must form a symplectic basis: row i anticommutes with row
-        i±n and commutes with everything else."""
-        n = self.n
-        rows = [self.row_pauli(i) for i in range(2 * n)]
-        return all(
-            rows[i].commutes(rows[j]) != (j == i + n)
-            for i in range(2 * n)
-            for j in range(i + 1, 2 * n)
-        )
-
-    def nontrivial_qubits(self) -> set[int]:
-        """Qubits on which the unitary acts nontrivially (columns differ from
-        the identity tableau)."""
-        ident = CliffordTableau(self.n)
-        diff = 0
-        for m, e in zip(self.x + self.z, ident.x + ident.z):
-            diff |= m ^ e
-        return {q for q in range(self.n) if diff >> q & 1}
-
 
 def encoder_tableau(c: Circuit, x_ancillas: Iterable[int] = ()) -> CliffordTableau:
     """Tableau of the circuit preceded by H on every |+>-initialized wire.

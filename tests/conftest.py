@@ -7,8 +7,9 @@ from itertools import combinations
 
 import pytest
 
-from gadgetminer.circuit import Circuit
-from gadgetminer.tableau import Pauli, StabilizerCode
+from gadgetminer.circuit import Circuit, CnotGate
+from gadgetminer.graph import CircuitGraph, GraphEdge, GraphNode
+from gadgetminer.tableau import CliffordTableau, Pauli, StabilizerCode
 
 # three qubits, six CNOTs: every consecutive pair forms a back-to-back block
 REF_3Q6_PAIRS = ((0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2))
@@ -51,6 +52,43 @@ def random_circuit(rng: random.Random, n_qubits: int, n_gates: int,
 # ---------------------------------------------------------------------------
 # Brute-force oracles (intentionally independent of the library internals)
 # ---------------------------------------------------------------------------
+
+
+def cnots_commute(g1: CnotGate, g2: CnotGate) -> bool:
+    """True iff the two CNOTs commute as operators.
+
+    Shared-control, shared-target and disjoint pairs commute; the pair fails
+    to commute exactly when one gate's control sits on the other's target.
+    """
+    return not (g1.control == g2.target or g1.target == g2.control)
+
+
+def symplectic_ok(t: CliffordTableau) -> bool:
+    """The tableau's rows form a symplectic basis: row i anticommutes with
+    row i + n and commutes with every other row."""
+    n = t.n
+    rows = [t.row_pauli(i) for i in range(2 * n)]
+    return all(rows[i].commutes(rows[j]) != (j == i + n)
+               for i in range(2 * n) for j in range(i + 1, 2 * n))
+
+
+def random_labeled_graph(rng: random.Random, n: int,
+                         n_qubits: int) -> CircuitGraph:
+    """n nodes labelled c or t on random qubits below n_qubits, and random
+    cnot and time edges, at most one per (kind, direction) at a node, the
+    domain certificates take."""
+    nodes = [GraphNode(i, rng.randrange(n_qubits), i, rng.choice("ct"))
+             for i in range(n)]
+    edges = []
+    has_out, has_in = set(), set()
+    for _ in range(rng.randrange(0, 2 * n + 1)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        kind = rng.choice(("cnot", "time"))
+        if a != b and (a, kind) not in has_out and (b, kind) not in has_in:
+            has_out.add((a, kind))
+            has_in.add((b, kind))
+            edges.append(GraphEdge(a, b, kind))
+    return CircuitGraph(nodes, edges)
 
 
 def graph_isomorphic_oracle(a, b) -> bool:

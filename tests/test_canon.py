@@ -35,6 +35,7 @@ from conftest import (
     graph_isomorphic_oracle,
     ordered_graph_key,
     random_circuit,
+    random_labeled_graph,
 )
 
 
@@ -49,22 +50,6 @@ def relabeled(graph: CircuitGraph, rng: random.Random) -> CircuitGraph:
                        nd.label) for nd in graph.nodes]
     edges = [GraphEdge(remap[e.src], remap[e.dst], e.kind)
              for e in graph.edges]
-    return CircuitGraph(nodes, edges)
-
-
-def random_labeled_graph(rng: random.Random, n: int) -> CircuitGraph:
-    nodes = [GraphNode(i, rng.randrange(8), i, rng.choice("ctn"))
-             for i in range(n)]
-    edges = []
-    # certificates take at most one edge per (kind, direction) at a node
-    has_out, has_in = set(), set()
-    for _ in range(rng.randrange(0, 2 * n + 1)):
-        a, b = rng.randrange(n), rng.randrange(n)
-        kind = rng.choice(("cnot", "time"))
-        if a != b and (a, kind) not in has_out and (b, kind) not in has_in:
-            has_out.add((a, kind))
-            has_in.add((b, kind))
-            edges.append(GraphEdge(a, b, kind))
     return CircuitGraph(nodes, edges)
 
 
@@ -103,11 +88,11 @@ def test_certificate_matches_oracle_on_random_pairs():
     agree = 0
     for trial in range(300):
         n = rng.randrange(1, 7)
-        a = random_labeled_graph(rng, n)
+        a = random_labeled_graph(rng, n, 8)
         if trial % 2 == 0:
             b = relabeled(a, rng)  # forced isomorphic
         else:
-            b = random_labeled_graph(rng, n)
+            b = random_labeled_graph(rng, n, 8)
         same_cert = certificate(a) == certificate(b)
         assert same_cert == graph_isomorphic_oracle(a, b)
         agree += 1
@@ -116,7 +101,7 @@ def test_certificate_matches_oracle_on_random_pairs():
 
 def test_certificate_size_bound():
     n = 70
-    nodes = [GraphNode(i, 0, i, "n") for i in range(n)]
+    nodes = [GraphNode(i, 0, i, "c") for i in range(n)]
     edges = [GraphEdge(i, (i + 1) % n, "time") for i in range(n)]
     g = CircuitGraph(nodes, edges)
     with pytest.raises(CertificateSizeError):
@@ -128,7 +113,7 @@ def test_certificate_size_bound():
 
 
 def test_certificate_rejects_two_edges_in_one_slot():
-    nodes = [GraphNode(i, i, 0, "n") for i in range(3)]
+    nodes = [GraphNode(i, i, 0, "c") for i in range(3)]
     for edges in ([GraphEdge(0, 1, "cnot"), GraphEdge(0, 2, "cnot")],
                   [GraphEdge(0, 2, "time"), GraphEdge(1, 2, "time")]):
         with pytest.raises(CertificateShapeError):
@@ -179,7 +164,7 @@ def test_certificate_cache_is_exact():
     rng = random.Random(4242)
     graphs = [circuit_to_graph(spec.as_circuit()) for spec in all_gadgets()]
     for _ in range(150):
-        g = random_labeled_graph(rng, rng.randrange(1, 7))
+        g = random_labeled_graph(rng, rng.randrange(1, 7), 8)
         graphs += [g, relabeled(g, rng), relabeled(g, rng)]
     uncached = [canon._certificate.__wrapped__(*ordered_graph_key(g))
                 for g in graphs]
@@ -230,7 +215,7 @@ def test_group_candidates_sorting_and_cutoff():
 
 def test_group_candidates_size_error_carries_provenance():
     n = 66
-    nodes = [GraphNode(i, 0, i, "n") for i in range(n)]
+    nodes = [GraphNode(i, 0, i, "c") for i in range(n)]
     edges = [GraphEdge(i, (i + 1) % n, "time") for i in range(n)]
     from gadgetminer.mining import SubgraphCandidate
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from gadgetminer.canon import (
+    MAX_CERT_NODES,
     classes_to_csv,
     classes_to_json_obj,
     group_candidates,
@@ -242,7 +243,7 @@ def test_mine_rejects_negative_max_candidates(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--jobs", 0), ("--jobs", -4), ("--min-repeats", 0),
-    ("--gadget-cnots", 0), ("--gadget-cnots", -3),
+    ("--gadget-cnots", 0), ("--gadget-cnots", -3), ("--gadget-cnots", 33),
     ("--time-budget", "nan"), ("--time-budget", "inf"),
     ("--time-budget", -5)])
 def test_mine_rejects_bad_arguments_before_mining(tmp_path, capsys,
@@ -292,6 +293,25 @@ def test_mine_pool_has_no_more_workers_than_circuits(tmp_path, monkeypatch):
                   "--jobs", 8, "--output", tmp_path / "out"])
     assert rc == 0
     assert workers == [3]
+
+
+def test_mine_rejects_gadget_cnots_beyond_certificate_bound(tmp_path,
+                                                           capsys):
+    """A candidate has two nodes per gate, so C_g above MAX_CERT_NODES / 2
+    could never be certified: the run fails before mining, instead of
+    writing an empty report or failing after mining everything."""
+    c_g = MAX_CERT_NODES // 2
+    long = Circuit.from_pairs(2, [(0, 1), (1, 0)] * 20, name="long")
+    save_circuit(long, tmp_path / "long.txt")
+    rc = run_cli(["mine", "--input", tmp_path / "long.txt", "--gadget-cnots",
+                  c_g + 1, "--output", tmp_path / "over"])
+    assert rc == 1
+    assert "--gadget-cnots" in capsys.readouterr().err
+    assert not (tmp_path / "over" / "report.json").exists()
+    rc = run_cli(["mine", "--input", tmp_path / "long.txt", "--gadget-cnots",
+                  c_g, "--output", tmp_path / "at"])
+    assert rc == 0
+    assert json.loads((tmp_path / "at" / "report.json").read_text())
 
 
 def test_mine_missing_input(tmp_path, capsys):
@@ -426,6 +446,16 @@ def test_gen_single_qubit_both_methods(tmp_path):
             assert load_circuit(out / entry["file"]).cx_count == 0
     assert entries[0] == entries[1]
     assert len(entries[0]) == 2
+
+
+def test_gen_connectivity_file_needs_file_kind(tmp_path, capsys):
+    conn = tmp_path / "conn.txt"
+    conn.write_text("0 1\n1 2\n")
+    rc = run_cli(["gen", "--n", 3, "--k", 1, "--d", 1, "--connectivity", "nn",
+                  "--connectivity-file", conn, "--output", tmp_path / "c"])
+    assert rc == 1
+    assert "kind 'file', not 'nn'" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 def test_gen_failure_exit_code(tmp_path, capsys):

@@ -58,6 +58,10 @@ def test_connectivity_file(tmp_path):
         connectivity_pairs("file", 3, p)
     with pytest.raises(CorpusError):
         connectivity_pairs("file", 3, None)
+    # a path with any other kind is an error, not ignored
+    for kind in ("all", "nn", "nnn"):
+        with pytest.raises(CorpusError):
+            connectivity_pairs(kind, 3, p)
 
 
 def test_generator_config_validation():

@@ -14,7 +14,6 @@ from gadgetminer.graph import (
     GraphNode,
     circuit_to_graph,
     graph_from_json_dict,
-    graph_to_dot,
     graph_to_json_dict,
     is_closed,
     is_connected,
@@ -23,7 +22,7 @@ from gadgetminer.graph import (
 from conftest import random_circuit
 
 
-def ring_graph(m: int, label: str = "n") -> CircuitGraph:
+def ring_graph(m: int, label: str = "c") -> CircuitGraph:
     """Hand-built m-cycle of time edges; min degree 2 everywhere."""
     nodes = [GraphNode(i, i, i, label) for i in range(m)]
     edges = [GraphEdge(i, (i + 1) % m, "time") for i in range(m)]
@@ -83,16 +82,27 @@ def test_construction_validation():
         CircuitGraph([n0, n1], [GraphEdge(0, 1, "cnot"), GraphEdge(0, 1, "cnot")])
 
 
+def test_only_control_and_target_labels():
+    """Graphs have control and target nodes only: the idle label "n" of
+    earlier versions is rejected, hand-built or read from JSON."""
+    with pytest.raises(GraphError):
+        CircuitGraph([GraphNode(0, 0, 0, "n")], [])
+    obj = {"nodes": [{"id": 0, "qubit": 0, "layer": 0, "label": "n"}],
+           "edges": []}
+    with pytest.raises(GraphError):
+        graph_from_json_dict(obj)
+
+
 def test_prune_removes_chain():
     # a path of 4 nodes peels to nothing
-    nodes = [GraphNode(i, 0, i, "n") for i in range(4)]
+    nodes = [GraphNode(i, 0, i, "c") for i in range(4)]
     edges = [GraphEdge(i, i + 1, "time") for i in range(3)]
     assert not is_closed(CircuitGraph(nodes, edges))
 
 
 def test_prune_keeps_cycle_drops_tail():
     g = ring_graph(4)
-    tail_nodes = list(g.nodes) + [GraphNode(10, 9, 9, "n"), GraphNode(11, 9, 10, "n")]
+    tail_nodes = list(g.nodes) + [GraphNode(10, 9, 9, "c"), GraphNode(11, 9, 10, "c")]
     tail_edges = list(g.edges) + [GraphEdge(0, 10, "time"), GraphEdge(10, 11, "time")]
     dressed = CircuitGraph(tail_nodes, tail_edges)
     assert is_closed(g)
@@ -110,7 +120,7 @@ def test_closedness_of_gate_pair():
 
 
 def test_connectivity():
-    two = CircuitGraph([GraphNode(0, 0, 0, "n"), GraphNode(1, 1, 0, "n")], [])
+    two = CircuitGraph([GraphNode(0, 0, 0, "c"), GraphNode(1, 1, 0, "c")], [])
     assert not is_connected(two)
     c = Circuit.from_pairs(4, [(0, 1), (2, 3)])
     assert not is_connected(circuit_to_graph(c))
@@ -143,7 +153,7 @@ def test_is_closed_matches_peeling_oracle():
     outcomes = set()
     for _ in range(40):
         n = rng.randrange(1, 14)
-        nodes = [GraphNode(i, i, i, "n") for i in range(n)]
+        nodes = [GraphNode(i, i, i, "c") for i in range(n)]
         edges = []
         seen = set()
         for _ in range(rng.randrange(0, 2 * n)):
@@ -166,14 +176,6 @@ def test_json_round_trip(ref_circuit):
     assert back.source_circuit == g.source_circuit
     with pytest.raises(GraphError):
         graph_from_json_dict({"nodes": [{"id": 0}], "edges": []})
-
-
-def test_dot_output():
-    g = circuit_to_graph(Circuit.from_pairs(2, [(0, 1), (1, 0)]))
-    dot = graph_to_dot(g)
-    assert dot.startswith("digraph")
-    assert "n0 -> n1;" in dot
-    assert "[style=dashed]" in dot
 
 
 def test_graph_equality_and_hash():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from itertools import combinations
@@ -11,11 +10,10 @@ import pytest
 
 from gadgetminer import graph, mining
 from gadgetminer.circuit import Circuit, CnotGate
-from gadgetminer.graph import CircuitGraph, GraphEdge, GraphNode, circuit_to_graph
+from gadgetminer.graph import CircuitGraph, circuit_to_graph
 from gadgetminer.mining import (
     MiningLimits,
     contract_timelines,
-    enumerate_cnot_subsets,
     extract_candidate,
     mine_circuit,
     ordered_cnot_edges,
@@ -30,17 +28,6 @@ def test_ordered_cnot_edges(ref_circuit):
     g = circuit_to_graph(ref_circuit)
     edges = ordered_cnot_edges(g)
     assert [g.node(e.src).layer for e in edges] == list(range(6))
-
-
-def test_enumerate_counts(ref_circuit):
-    g = circuit_to_graph(ref_circuit)
-    for c_g in range(1, 7):
-        subsets = list(enumerate_cnot_subsets(g, c_g))
-        assert len(subsets) == math.comb(6, c_g)
-    with pytest.raises(ValueError):
-        enumerate_cnot_subsets(g, 0)
-    with pytest.raises(ValueError):
-        enumerate_cnot_subsets(g, 7)
 
 
 def test_extract_candidate_structure():
@@ -113,39 +100,9 @@ def test_stationarity_blocked_pair():
     assert not passes_stationarity_filter(outer)
 
 
-def test_contract_timelines_removes_pass_through():
-    nodes = [GraphNode(0, 0, 0, "c"), GraphNode(1, 1, 0, "t"),
-             GraphNode(2, 0, 1, "n")]
-    edges = [GraphEdge(0, 1, "cnot"), GraphEdge(0, 2, "time"),
-             GraphEdge(2, 1, "time")]
-    from gadgetminer.mining import SubgraphCandidate
-
-    cand = SubgraphCandidate("", (0,), CircuitGraph(nodes, edges), False)
-    out = contract_timelines(cand)
-    assert {nd.id for nd in out.graph.nodes} == {0, 1}
-    assert {(e.src, e.dst, e.kind) for e in out.graph.edges} == {
-        (0, 1, "cnot"), (0, 1, "time")}
-
-
-def test_contract_timelines_parallel_chains_dedup():
-    # two removable chains between the same endpoints collapse to one edge
-    nodes = [GraphNode(0, 0, 0, "c"), GraphNode(9, 1, 0, "t"),
-             GraphNode(2, 0, 1, "n"), GraphNode(3, 0, 2, "n")]
-    edges = [GraphEdge(0, 9, "cnot"),
-             GraphEdge(0, 2, "time"), GraphEdge(2, 9, "time"),
-             GraphEdge(0, 3, "time"), GraphEdge(3, 9, "time")]
-    from gadgetminer.mining import SubgraphCandidate
-
-    cand = SubgraphCandidate("", (0,), CircuitGraph(nodes, edges), False)
-    out = contract_timelines(cand)
-    assert {nd.id for nd in out.graph.nodes} == {0, 9}
-    assert {(e.src, e.dst, e.kind) for e in out.graph.edges} == {
-        (0, 9, "cnot"), (0, 9, "time")}
-
-
 def test_contract_timelines_identity_on_extracted(ref_circuit):
     g = circuit_to_graph(ref_circuit)
-    for subset in enumerate_cnot_subsets(g, 2):
+    for subset in combinations(ordered_cnot_edges(g), 2):
         cand = extract_candidate(g, subset)
         assert contract_timelines(cand).graph == cand.graph
 
@@ -213,7 +170,7 @@ def test_mine_matches_exhaustive_oracle():
         g = circuit_to_graph(c)
         for c_g in range(1, min(6, c.cx_count) + 1):
             want = []
-            for subset in enumerate_cnot_subsets(g, c_g):
+            for subset in combinations(ordered_cnot_edges(g), c_g):
                 cand = extract_candidate(g, subset)
                 if (not cand.tainted
                         and passes_closure_filter(cand)

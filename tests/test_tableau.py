@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gadgetminer.circuit import Circuit, cnots_commute
+from gadgetminer.circuit import Circuit, CnotGate
 from gadgetminer.kernels import gf2_basis
 from gadgetminer.tableau import (
     CanonicalForm,
@@ -28,8 +28,10 @@ from gadgetminer.tableau import (
 
 from conftest import (
     STEANE_X_ANCILLAS,
+    cnots_commute,
     pauli_group_distance_oracle,
     random_circuit,
+    symplectic_ok,
 )
 
 
@@ -177,8 +179,6 @@ def test_commutation_rule_matches_tableau():
         t2 = (c2 + rng.randrange(1, n)) % n
         fwd = CliffordTableau(n).cnot(c1, t1).cnot(c2, t2)
         rev = CliffordTableau(n).cnot(c2, t2).cnot(c1, t1)
-        from gadgetminer.circuit import CnotGate
-
         g1, g2 = CnotGate(c1, t1, 0), CnotGate(c2, t2, 1)
         assert cnots_commute(g1, g2) == (fwd == rev)
 
@@ -196,13 +196,7 @@ def test_symplectic_invariant_random_walk():
             t.h(rng.randrange(6))
         else:
             t.s(rng.randrange(6))
-        assert t.symplectic_ok()
-
-
-def test_nontrivial_qubits():
-    c = Circuit.from_pairs(5, [(1, 3)])
-    assert encoder_tableau(c).nontrivial_qubits() == {1, 3}
-    assert CliffordTableau(4).nontrivial_qubits() == set()
+        assert symplectic_ok(t)
 
 
 def test_encoder_tableau_prefix():
