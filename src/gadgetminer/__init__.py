@@ -35,7 +35,7 @@ from .graph import (  # noqa: F401
 from .mining import (  # noqa: F401
     MiningLimits,
     MiningResult,
-    SubgraphCandidate,
+    MinedCandidate,
     mine_circuit,
 )
 from .canon import (  # noqa: F401

@@ -7,7 +7,8 @@ candidate satisfies: each node then has four slots (cnot out/in, time
 out/in) holding at most one neighbour each, and kernels.canonical_encoding
 walks them from every start node.  A certificate is CERT_VERSION, the
 node count and that encoding, which determines the labelled graph up to
-isomorphism.
+isomorphism.  A mined candidate is certified from its gate list, whose
+slot table is read off the gates, so grouping builds no graph.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cache
 
 from . import kernels
 from .graph import CircuitGraph, graph_to_json_dict
-from .mining import SubgraphCandidate
+from .mining import MinedCandidate
 
 CERT_VERSION = b"GM2"
 # the node count and walk positions are stored one byte each
@@ -36,14 +37,16 @@ class CertificateShapeError(ValueError):
     """Raised when a node has two edges of one kind and direction."""
 
 
-def certificate(graph: CircuitGraph) -> bytes:
-    """Canonical byte string; equal certificates iff isomorphic graphs
+def certificate(graph) -> bytes:
+    """Canonical byte string of a CircuitGraph, or of the graph
+    (graph.gates_graph) of (index, layer, control, target) gates in
+    ascending index order; equal certificates iff isomorphic graphs
     (matching labels and all edge kinds/directions).  A node with two
     edges of one kind and direction raises CertificateShapeError."""
+    if not isinstance(graph, CircuitGraph):
+        return _gates_certificate(graph)
     n = len(graph)
-    if n > MAX_CERT_NODES:
-        raise CertificateSizeError(
-            f"graph has {n} nodes, certificate bound is {MAX_CERT_NODES}")
+    _check_size(n)
     # slots[4*i + k]: node i's neighbour in slot k (_SLOT_NAMES), or -1
     slots = [-1] * (4 * n)
     first = {nd.id: 4 * i for i, nd in enumerate(graph.nodes)}
@@ -57,6 +60,30 @@ def certificate(graph: CircuitGraph) -> bytes:
                     f"{_SLOT_NAMES[i % 4]} edges")
             slots[out], slots[into] = into // 4, out // 4
     return _certificate(tuple(nd.label for nd in graph.nodes), tuple(slots))
+
+
+def _gates_certificate(gates) -> bytes:
+    """certificate of a gate list, from the slot table its graph has: gate
+    j's control is node 2j and its target node 2j + 1, and time slots
+    chain each qubit's nodes in gate order."""
+    n = 2 * len(gates)
+    _check_size(n)
+    slots = [-1] * (4 * n)
+    last: dict[int, int] = {}  # qubit -> its latest node
+    for j, (_, _, control, target) in enumerate(gates):
+        c, t = 2 * j, 2 * j + 1
+        slots[4 * c], slots[4 * t + 1] = t, c
+        for node, q in ((c, control), (t, target)):
+            if q in last:
+                slots[4 * last[q] + 2], slots[4 * node + 3] = node, last[q]
+            last[q] = node
+    return _certificate(("c", "t") * len(gates), tuple(slots))
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_CERT_NODES:
+        raise CertificateSizeError(
+            f"graph has {n} nodes, certificate bound is {MAX_CERT_NODES}")
 
 
 @cache
@@ -82,8 +109,8 @@ class GadgetClass:
     """All mined occurrences of one isomorphism class."""
 
     certificate: bytes
-    representative: SubgraphCandidate
-    occurrences: list[SubgraphCandidate]
+    representative: MinedCandidate
+    occurrences: list[MinedCandidate]
 
     @property
     def n_r(self) -> int:
@@ -91,23 +118,23 @@ class GadgetClass:
 
     @property
     def c_g(self) -> int:
-        return len(self.representative.graph.cnot_edges)
+        return len(self.representative.gates)
 
     @property
     def n_qubits_touched(self) -> int:
-        return len(self.representative.graph.qubits_touched)
+        return len(self.representative.qubits_touched)
 
 
 def group_candidates(candidates) -> list[GadgetClass]:
-    """Group candidates by certificate.  The representative is the first
-    occurrence in input order; classes are sorted by descending N_r with
-    certificate bytes breaking ties, so the output is deterministic for a
-    deterministic input order."""
+    """Group mined candidates by the certificate of their gates.  The
+    representative is the first occurrence in input order; classes are
+    sorted by descending N_r with certificate bytes breaking ties, so the
+    output is deterministic for a deterministic input order."""
     by_cert: dict[bytes, GadgetClass] = {}
     order: list[bytes] = []
     for cand in candidates:
         try:
-            cert = certificate(cand.graph)
+            cert = certificate(cand.gates)
         except CertificateSizeError as exc:
             raise CertificateSizeError(
                 f"{exc} (candidate from {cand.source_circuit!r} "
@@ -131,6 +158,8 @@ def identify_gadgets(classes, n_c: int = 1) -> list[GadgetClass]:
 
 
 def classes_to_json_obj(classes) -> list[dict]:
+    """The report object; builds one graph per class, its
+    representative's."""
     return [
         {
             "certificate": cls.certificate.hex(),

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, kernels
@@ -93,6 +92,10 @@ def _collect_circuits(paths) -> tuple[list[Circuit], list[dict]]:
     return named, inputs
 
 
+class WorkerError(RuntimeError):
+    """A forked mining worker ended without returning its share."""
+
+
 def _mine_one(payload):
     """Mine one circuit against the run's deadline, or return None when
     the deadline has already passed."""
@@ -100,6 +103,85 @@ def _mine_one(payload):
     if limits.deadline is not None and time.monotonic() >= limits.deadline:
         return None
     return mine_circuit(circuit, c_g, limits)
+
+
+def _run_share(fn, items, start: int, step: int, fd: int):
+    """Body of a forked worker: fn over items[start::step], pickled into
+    fd as (None, results), or as (index, exception) at the first item
+    that raises.  Never returns; a worker that cannot write exits 1."""
+    import pickle
+
+    status = 1
+    try:
+        results = []
+        try:
+            for i in range(start, len(items), step):
+                results.append(fn(items[i]))
+            message = (None, results)
+        except Exception as exc:
+            message = (i, exc)
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(message, fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items] in forked workers: worker w maps
+    items[w::workers] and pickles the results into a pipe, and the parent
+    puts them back in input order.  A worker's exception is re-raised
+    (the one at the earliest item, as a serial run would raise it); a
+    worker that ends without a result raises WorkerError.  Every child
+    is reaped, and on an early exit killed first.  Forking, unlike a
+    fresh interpreter per worker, pays no import; the CLI starts no
+    threads, so a fork copies no held lock."""
+    # imported here, as only --jobs > 1 needs them
+    import pickle
+    import signal
+
+    children = []  # (pid, read end of its pipe)
+    statuses: dict[int, int] = {}
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _run_share(fn, items, w, workers, write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        messages = [fh.read() for _, fh in children]
+        for pid, _ in children:
+            statuses[pid] = os.waitpid(pid, 0)[1]
+    finally:
+        for pid, fh in children:
+            fh.close()
+            if pid not in statuses:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    results = [None] * len(items)
+    failures = []
+    for w, ((pid, _), message) in enumerate(zip(children, messages)):
+        code = os.waitstatus_to_exitcode(statuses[pid])
+        if code or not message:
+            how = (f"was killed by signal {-code}" if code < 0
+                   else f"exited with status {code}")
+            raise WorkerError(f"mining worker {w} (pid {pid}) {how} "
+                              "without a result")
+        index, out = pickle.loads(message)
+        if index is None:
+            results[w::workers] = out
+        else:
+            failures.append((index, out))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
 
 
 def cmd_mine(args) -> int:
@@ -127,17 +209,13 @@ def cmd_mine(args) -> int:
     if args.max_candidates is not None:
         limits.max_candidates = args.max_candidates + 1
     # one absolute deadline for the whole run; the monotonic clock is
-    # system-wide, so pool workers compare against the same clock
+    # system-wide, so forked workers compare against the same clock
     if args.time_budget is not None:
         limits.deadline = started + args.time_budget
     payloads = [(c, args.gadget_cnots, limits) for c in circuits]
     workers = min(args.jobs, len(payloads))
-    if workers > 1:
-        # the pool forks all its workers at once; chunks of payloads per
-        # round trip, as multiprocessing.Pool.map sizes them, in order
-        chunksize = max(1, len(payloads) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mine_one, payloads, chunksize=chunksize))
+    if workers > 1 and hasattr(os, "fork"):
+        results = _fork_map(_mine_one, payloads, workers)
     else:
         results = [_mine_one(p) for p in payloads]
     skipped = sum(res is None for res in results)
@@ -330,7 +408,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CorpusError, GenerationError, CatalogError,
-            CertificateSizeError, ValueError, OSError) as exc:
+            CertificateSizeError, WorkerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

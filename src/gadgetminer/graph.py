@@ -127,24 +127,23 @@ class CircuitGraph:
                 f"cnot={len(self.cnot_edges)}, time={len(self.time_edges)})")
 
 
-def gate_parts(circuit: Circuit):
-    """Per gate i: its control node 2i, its target node 2i+1 and its cnot
-    edge.  Graphs built from one call's parts share these objects."""
-    return [(GraphNode(2 * i, g.control, g.layer, "c"),
-             GraphNode(2 * i + 1, g.target, g.layer, "t"),
-             GraphEdge(2 * i, 2 * i + 1, "cnot"))
+def gate_tuples(circuit: Circuit) -> list[tuple[int, int, int, int]]:
+    """(index, layer, control, target) of every gate, in circuit order."""
+    return [(i, g.layer, g.control, g.target)
             for i, g in enumerate(circuit.gates)]
 
 
-def gates_graph(source: str, parts, chosen) -> CircuitGraph:
-    """The graph of the gates chosen by ascending index into parts: their
-    endpoints and cnot edges, and time edges chaining the chosen
-    endpoints on each qubit in layer order."""
+def gates_graph(source: str, gates) -> CircuitGraph:
+    """The graph of (index, layer, control, target) gates in ascending
+    index order: per gate i a control node 2i, a target node 2i+1 and
+    their cnot edge, and time edges chaining the endpoints on each qubit
+    in layer order."""
     nodes, edges, last = [], [], {}  # last: qubit -> its latest node id
-    for i in chosen:
-        c, t, cnot = parts[i]
+    for i, layer, control, target in gates:
+        c = GraphNode(2 * i, control, layer, "c")
+        t = GraphNode(2 * i + 1, target, layer, "t")
         nodes += (c, t)
-        edges.append(cnot)
+        edges.append(GraphEdge(c.id, t.id, "cnot"))
         for nd in (c, t):
             if nd.qubit in last:
                 edges.append(GraphEdge(last[nd.qubit], nd.id, "time"))
@@ -153,9 +152,8 @@ def gates_graph(source: str, parts, chosen) -> CircuitGraph:
 
 
 def circuit_to_graph(circuit: Circuit) -> CircuitGraph:
-    """The graph of all the circuit's gates (see gate_parts)."""
-    return gates_graph(circuit.name, gate_parts(circuit),
-                       range(circuit.cx_count))
+    """The graph of all the circuit's gates (see gates_graph)."""
+    return gates_graph(circuit.name, gate_tuples(circuit))
 
 
 def is_closed(graph: CircuitGraph) -> bool:

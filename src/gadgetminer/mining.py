@@ -16,8 +16,8 @@ Filter pipeline, in order:
 
 extract_candidate and the passes_* filters work on a host graph and its
 candidate graphs and are the reference; mine_circuit runs the same tests
-on a circuit's gate indices and builds a graph only for a set that passes
-them (see its docstring).
+on bitmasks of a circuit's gates and returns each kept set as its gates,
+with no graph (see its docstring).
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ import time as _time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .circuit import Circuit
 from .graph import (
     CircuitGraph,
     GraphEdge,
-    gate_parts,
+    gate_tuples,
     gates_graph,
     is_closed,
     is_connected,
@@ -49,6 +50,27 @@ class SubgraphCandidate:
     tainted: bool
 
 
+class MinedCandidate(NamedTuple):
+    """One kept gate set: its circuit's name and its gates' (index, layer,
+    control, target) in ascending index order.  The graph is built on
+    request, so a kept set costs no graph and pickles small."""
+
+    source_circuit: str
+    gates: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def layers(self) -> tuple[int, ...]:
+        return tuple(g[1] for g in self.gates)
+
+    @property
+    def qubits_touched(self) -> tuple[int, ...]:
+        return tuple(sorted({q for g in self.gates for q in g[2:]}))
+
+    @property
+    def graph(self) -> CircuitGraph:
+        return gates_graph(self.source_circuit, self.gates)
+
+
 @dataclass
 class MiningLimits:
     max_candidates: int | None = None
@@ -57,7 +79,7 @@ class MiningLimits:
 
 @dataclass
 class MiningResult:
-    candidates: list[SubgraphCandidate] = field(default_factory=list)
+    candidates: list[MinedCandidate] = field(default_factory=list)
     truncated: bool = False
     reason: str = ""
     subsets_total: int = 0
@@ -150,57 +172,73 @@ def contract_timelines(candidate: SubgraphCandidate) -> SubgraphCandidate:
     return candidate
 
 
-def _gate_tables(circuit: Circuit):
-    """Per gate (an index into circuit.gates): its timeline neighbours, at
-    most four; its (layer, control, target); and its two endpoints'
-    (qubit, position among the endpoints on that qubit)."""
-    adj: list[set[int]] = [set() for _ in circuit.gates]
-    gates = []
-    ends: list[list[tuple[int, int]]] = [[] for _ in circuit.gates]
-    on_qubit: dict[int, list[int]] = defaultdict(list)
+def _gate_masks(circuit: Circuit) -> tuple[list[int], list[tuple[int, int]]]:
+    """Per gate (bit i stands for circuit.gates[i]): the mask of its
+    timeline neighbours, at most four, and the masks of the gates on its
+    control and on its target qubit."""
+    on_qubit: dict[int, int] = defaultdict(int)
+    last: dict[int, int] = {}
+    nbrs = [0] * circuit.cx_count
     for i, g in enumerate(circuit.gates):
-        gates.append((g.layer, g.control, g.target))
         for q in (g.control, g.target):
-            seq = on_qubit[q]
-            if seq:
-                adj[i].add(seq[-1])
-                adj[seq[-1]].add(i)
-            ends[i].append((q, len(seq)))
-            seq.append(i)
-    return adj, gates, ends
+            if q in last:
+                nbrs[i] |= 1 << last[q]
+                nbrs[last[q]] |= 1 << i
+            last[q] = i
+            on_qubit[q] |= 1 << i
+    return nbrs, [(on_qubit[g.control], on_qubit[g.target])
+                  for g in circuit.gates]
 
 
-def _passes(chosen, gates, ends) -> bool:
-    """The filters on a timeline-connected set: two or more chosen
-    endpoints per touched qubit, at consecutive positions; stationarity."""
-    on_qubit: dict[int, list[int]] = defaultdict(list)
-    for i in chosen:
-        for q, pos in ends[i]:
-            on_qubit[q].append(pos)
-    for ps in on_qubit.values():
-        if len(ps) < 2 or max(ps) - min(ps) >= len(ps):
-            return False
-    return _stationary([gates[i] for i in chosen])
+def _indices(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-def _connected_sets(adj: list[set[int]], root: int,
-                    size: int) -> list[tuple[int, ...]]:
-    """Every connected set of size gates whose least gate is root, once
-    each, as ascending tuples in ascending order (ESU: Wernicke 2006,
-    "Efficient detection of network motifs")."""
+def _closed_untainted(chosen: int, lines) -> bool:
+    """On every qubit the chosen gates touch: two or more chosen gates (a
+    lone endpoint has degree 1), and no unchosen gate of that qubit
+    between the lowest and the highest chosen one (it would taint)."""
+    rest = chosen
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for line in lines[low.bit_length() - 1]:
+            on = chosen & line
+            if not on & (on - 1):
+                return False
+            # the qubit's gates from the lowest chosen to the highest
+            if line & ((1 << on.bit_length()) - (on & -on)) != on:
+                return False
+    return True
+
+
+def _connected_sets(nbrs: list[int], root: int, size: int) -> list[int]:
+    """Every timeline-connected set of size gates whose least gate is root,
+    once each, as masks in no fixed order (ESU: Wernicke 2006, "Efficient
+    detection of network motifs")."""
     found = []
+    above = -1 << (root + 1)  # the gates after root
 
-    def extend(chosen, frontier, seen):
-        if len(chosen) == size:
-            found.append(tuple(sorted(chosen)))
-            return
-        while frontier:
-            w = frontier.pop()
-            new = [u for u in adj[w] if u > root and u not in seen]
-            extend(chosen + [w], frontier + new, seen.union(new))
+    def extend(chosen, ext, seen, left):
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            if left == 1:
+                found.append(chosen | low)
+                continue
+            new = nbrs[low.bit_length() - 1] & above & ~seen
+            extend(chosen | low, ext | new, seen | new, left - 1)
 
-    extend([root], [u for u in adj[root] if u > root], {root, *adj[root]})
-    found.sort()
+    if size == 1:
+        return [1 << root]
+    first = nbrs[root] & above
+    extend(1 << root, first, first | 1 << root, size - 1)
     return found
 
 
@@ -214,40 +252,52 @@ def mine_circuit(
 
     An untainted, connected candidate is connected in the timeline graph,
     where gates are neighbours when consecutive on some qubit, so only
-    those sets are visited, in combinations order: roots ascending, and
-    the sets whose least gate is the root sorted.  Their candidates are
-    connected, so each is filtered on gate indices and gets a graph
-    (gates_graph) only if kept: closed when every touched qubit carries
-    two or more chosen endpoints (a lone one has degree 1), untainted when
-    those are consecutive among the qubit's endpoints, and stationary by
-    its (layer, control, target) tuples.  subsets_total is the binomial
-    search-space size; subsets_examined counts the sets visited.  The
-    deadline is checked before each root; a candidate cap stops the run
-    only when a further set would be visited."""
+    those sets are visited, as bitmasks, in combinations order: roots
+    ascending, and the sets whose least gate is the root in ascending
+    tuple order.  Their candidates are connected; one is closed when every
+    touched qubit carries two or more chosen gates, untainted when no
+    unchosen gate of that qubit lies between them, and stationary by its
+    (layer, control, target) tuples, which are read only for sets that
+    pass the first two.  A kept set is returned as a MinedCandidate.
+    subsets_total is the binomial search-space size; subsets_examined
+    counts the sets visited.  The deadline is checked before each root; a
+    candidate cap stops the run only when a further set would be
+    visited."""
     if c_g < 1:
         raise ValueError(f"subset size {c_g} must be >= 1")
     limits = limits or MiningLimits()
     if c_g > circuit.cx_count:
         return MiningResult()
-    parts = gate_parts(circuit)
-    adj, gates, ends = _gate_tables(circuit)
-    result = MiningResult(subsets_total=math.comb(len(parts), c_g))
+    gates = gate_tuples(circuit)
+    nbrs, lines = _gate_masks(circuit)
+    cap = limits.max_candidates
+    result = MiningResult(subsets_total=math.comb(len(gates), c_g))
     kept = result.candidates
-    for root in range(len(parts) - c_g + 1):
+    for root in range(len(gates) - c_g + 1):
         if (limits.deadline is not None
                 and _time.monotonic() >= limits.deadline):
             result.truncated, result.reason = True, "time_budget"
             break
-        for chosen in _connected_sets(adj, root, c_g):
-            if (limits.max_candidates is not None
-                    and len(kept) >= limits.max_candidates):
-                result.truncated, result.reason = True, "max_candidates"
-                break
-            result.subsets_examined += 1
-            if _passes(chosen, gates, ends):
-                kept.append(SubgraphCandidate(
-                    circuit.name, tuple(gates[i][0] for i in chosen),
-                    gates_graph(circuit.name, parts, chosen), False))
+        sets = _connected_sets(nbrs, root, c_g)
+        passed = []
+        for chosen in sets:
+            if _closed_untainted(chosen, lines):
+                idx = _indices(chosen)
+                if _stationary([gates[i][1:] for i in idx]):
+                    passed.append(idx)
+        passed.sort()
+        visited = len(sets)
+        if cap is not None and len(kept) + len(passed) >= cap:
+            # the cap is reached at this root: the run stops before the
+            # set after the cap-th kept one, in ascending tuple order
+            del passed[cap - len(kept):]
+            visited = (sum(idx <= passed[-1] for idx in map(_indices, sets))
+                       if passed else 0)
+            result.truncated = visited < len(sets)
+        result.subsets_examined += visited
+        kept += (MinedCandidate(circuit.name, tuple(gates[i] for i in idx))
+                 for idx in passed)
         if result.truncated:
+            result.reason = "max_candidates"
             break
     return result

@@ -7,7 +7,11 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,9 +74,9 @@ def test_harness_imports_resolve():
 
 def test_one_canonical_search_per_distinct_graph(monkeypatch):
     """Grouping mined candidates calls canon.certificate once per
-    candidate, which the benchmark's traced check reads as
-    canon.certificates == mining.kept, and the canonical search once per
-    distinct ordered labelled graph."""
+    candidate, on its gate tuples, which the benchmark's traced check
+    reads as canon.certificates == mining.kept, and the canonical search
+    once per distinct slot table (ordered labelled graph)."""
     rng = random.Random(9)
     candidates = []
     for i in range(8):
@@ -91,5 +95,23 @@ def test_one_canonical_search_per_distinct_graph(monkeypatch):
     canon._certificate.cache_clear()
     group_candidates(candidates)
     distinct = {ordered_graph_key(c.graph) for c in candidates}
-    assert certified == [c.graph for c in candidates]
+    assert certified == [c.gates for c in candidates]
     assert len(searched) == len(distinct) < len(candidates)
+
+
+def test_cli_import_loads_traced_modules_and_no_pool():
+    """The tracer wraps only the modules loaded by ``import
+    gadgetminer.cli``, so that import must load every target module; it
+    must not load a process-pool package, which every command, the
+    benchmark's set-up probe included, would pay for."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, gadgetminer.cli; print(json.dumps(list(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    loaded = set(json.loads(out))
+    for modname in {m for m, _ in _targets()}:
+        assert f"gadgetminer.{modname}" in loaded
+    assert "concurrent.futures" not in loaded
+    assert "multiprocessing" not in loaded

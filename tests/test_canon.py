@@ -28,8 +28,10 @@ from gadgetminer.graph import (
     GraphEdge,
     GraphNode,
     circuit_to_graph,
+    gate_tuples,
+    gates_graph,
 )
-from gadgetminer.mining import mine_circuit
+from gadgetminer.mining import MinedCandidate, mine_circuit
 
 from conftest import (
     graph_isomorphic_oracle,
@@ -147,10 +149,12 @@ def test_certificate_matches_oracle_on_mined_candidates():
             qubits = rng.sample(range(5), spec.qubits_touched)
             host = plant(host, spec, qubits, host.cx_count)
         hosts.append(host)
-    graphs = [cand.graph for c_g in (3, 4) for host in hosts
-              for cand in mine_circuit(host, c_g).candidates]
+    cands = [cand for c_g in (3, 4) for host in hosts
+             for cand in mine_circuit(host, c_g).candidates]
+    graphs = [cand.graph for cand in cands]
     certs = [certificate(g) for g in graphs]
     assert len(graphs) == 28 and len(set(certs)) == 9
+    assert [certificate(cand.gates) for cand in cands] == certs
     for i, a in enumerate(graphs):
         for j in range(i):
             assert (certs[i] == certs[j]) == graph_isomorphic_oracle(
@@ -174,6 +178,20 @@ def test_certificate_cache_is_exact():
     warm = [certificate(g) for g in graphs]
     assert cold == uncached
     assert warm == uncached
+
+
+def test_gate_list_certificate_matches_its_graph():
+    """A gate list is certified from the slot table its graph has, so the
+    certificate is the graph's, byte for byte."""
+    rng = random.Random(17)
+    circuits = [spec.as_circuit() for spec in all_gadgets()]
+    circuits += [random_circuit(rng, rng.randrange(2, 7), rng.randrange(1, 20))
+                 for _ in range(60)]
+    for c in circuits:
+        gates = gate_tuples(c)
+        for chosen in (gates, gates[::2], gates[1::3]):
+            assert certificate(chosen) == certificate(
+                gates_graph(c.name, chosen))
 
 
 def test_certificate_digest_prefixes_differ():
@@ -214,17 +232,14 @@ def test_group_candidates_sorting_and_cutoff():
 
 
 def test_group_candidates_size_error_carries_provenance():
-    n = 66
-    nodes = [GraphNode(i, 0, i, "c") for i in range(n)]
-    edges = [GraphEdge(i, (i + 1) % n, "time") for i in range(n)]
-    from gadgetminer.mining import SubgraphCandidate
-
-    cand = SubgraphCandidate("bighost", (1, 2), CircuitGraph(nodes, edges),
-                             False)
+    # 33 gates have 66 nodes, two above the bound
+    cand = MinedCandidate("bighost",
+                          tuple((i, i + 1, i % 2, 1 - i % 2) for i in range(33)))
     with pytest.raises(CertificateSizeError) as exc_info:
         group_candidates([cand])
     msg = str(exc_info.value)
-    assert "bighost" in msg and "[1, 2]" in msg
+    assert "66 nodes" in msg
+    assert "bighost" in msg and "[1, 2, 3," in msg
 
 
 def test_json_and_csv_output(ref_circuit):

@@ -9,7 +9,6 @@ import pytest
 from gadgetminer.canon import certificate
 from gadgetminer.catalog import (
     FAMILIES,
-    GENERATIONS,
     CatalogError,
     all_gadgets,
     build_gadget,

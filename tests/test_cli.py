@@ -26,7 +26,6 @@ from gadgetminer.circuit import (
     Circuit,
     load_circuit,
     save_circuit,
-    serialize_circuit,
 )
 from gadgetminer.mining import mine_circuit
 from gadgetminer.tableau import encoder_tableau
@@ -189,8 +188,8 @@ def test_mine_time_budget_covers_whole_run(tmp_path):
 
 
 def test_mine_chunked_pool_matches_one_job(tmp_path):
-    """24 circuits go to the pool in chunks of 3 at --jobs 2 and of 2 at
-    --jobs 3; every output equals the --jobs 1 run's."""
+    """24 circuits are split by stride across 2 and 3 forked workers;
+    every output equals the --jobs 1 run's."""
     inputs = tmp_path / "in"
     inputs.mkdir()
     rng = random.Random(24)
@@ -212,9 +211,9 @@ def test_mine_chunked_pool_matches_one_job(tmp_path):
 
 
 def test_mine_time_budget_with_chunked_pool(tmp_path):
-    """Each circuit in a chunk still checks the deadline: 16 circuits go
-    to 2 workers in chunks of 2, and the ones starting after the budget
-    are skipped."""
+    """Each circuit a worker mines still checks the deadline: 16 circuits
+    go to 2 forked workers, and the ones starting after the budget are
+    skipped."""
     inputs = tmp_path / "in"
     inputs.mkdir()
     rng = random.Random(6)
@@ -272,27 +271,76 @@ def test_usage_errors_exit_1(capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
-def test_mine_pool_has_no_more_workers_than_circuits(tmp_path, monkeypatch):
-    workers = []
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
 
-        def __enter__(self):
-            return self
+def test_mine_forks_no_more_workers_than_circuits(tmp_path, monkeypatch):
+    """--jobs 8 over 3 circuits forks 3 workers, reaps them all, and
+    writes what --jobs 1 writes."""
+    forks = []
+    fork = os.fork
 
-        def __exit__(self, *exc):
-            return False
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for jobs in (1, 8):
+        rc = run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,
+                      "--jobs", jobs, "--output", tmp_path / f"j{jobs}"])
+        assert rc == 0
+    assert len(forks) == 3
+    _assert_no_child_left()
+    for name in ("report.json", "summary.csv"):
+        assert (tmp_path / "j1" / name).read_bytes() == \
+            (tmp_path / "j8" / name).read_bytes()
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+
+def test_mine_worker_exception_is_the_serial_error(tmp_path, monkeypatch,
+                                                   capsys):
+    """A worker's exception reaches the parent as the error --jobs 1
+    reports: the one of the earliest failing circuit, although another
+    worker fails later in input order but sooner in its own share."""
+    mine = cli.mine_circuit
+
+    def failing(circuit, c_g, limits):
+        if circuit.name in ("host_b", "host_c"):
+            raise ValueError(f"cannot mine {circuit.name}")
+        return mine(circuit, c_g, limits)
+
+    monkeypatch.setattr(cli, "mine_circuit", failing)
+    errors = []
+    for jobs in (1, 2):
+        out = tmp_path / f"j{jobs}"
+        rc = run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,
+                      "--jobs", jobs, "--output", out])
+        assert rc == 1
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: cannot mine host_b\n"
+    _assert_no_child_left()
+
+
+def test_mine_worker_without_result_is_an_error(tmp_path, monkeypatch,
+                                                capsys):
+    """A worker that exits without writing its share is an explicit
+    error naming its exit status, not a partial report."""
+    def dying(circuit, c_g, limits):
+        os._exit(3)
+
+    monkeypatch.setattr(cli, "mine_circuit", dying)
     rc = run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,
-                  "--jobs", 8, "--output", tmp_path / "out"])
-    assert rc == 0
-    assert workers == [3]
+                  "--jobs", 2, "--output", tmp_path / "out"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mining worker ")
+    assert "exited with status 3 without a result" in err
+    assert not (tmp_path / "out").exists()
+    _assert_no_child_left()
 
 
 def test_mine_rejects_gadget_cnots_beyond_certificate_bound(tmp_path,

@@ -26,7 +26,6 @@ from gadgetminer.corpus import (
     _move_scores,
     _propose_hillclimb,
 )
-from gadgetminer.tableau import code_distance
 
 from conftest import STEANE_PAIRS, STEANE_X_ANCILLAS, pauli_group_distance_oracle
 from test_kernels import brute_force_profile, random_generators

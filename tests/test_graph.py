@@ -19,8 +19,6 @@ from gadgetminer.graph import (
     is_connected,
 )
 
-from conftest import random_circuit
-
 
 def ring_graph(m: int, label: str = "c") -> CircuitGraph:
     """Hand-built m-cycle of time edges; min degree 2 everywhere."""

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import io
+import json
+import pickle
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from gadgetminer import graph, mining
-from gadgetminer.circuit import Circuit, CnotGate
+from gadgetminer import cli
+from gadgetminer.circuit import Circuit, CnotGate, save_circuit
+from gadgetminer.cli import main
 from gadgetminer.graph import CircuitGraph, circuit_to_graph
 from gadgetminer.mining import (
     MiningLimits,
@@ -120,23 +125,30 @@ def test_mined_candidates_satisfy_all_filters():
     rng = random.Random(321)
     for _ in range(15):
         c = random_circuit(rng, rng.randrange(2, 5), rng.randrange(2, 9))
+        host = circuit_to_graph(c)
+        edges = ordered_cnot_edges(host)
         for c_g in range(2, min(5, c.cx_count) + 1):
             for cand in mine_circuit(c, c_g).candidates:
-                assert not cand.tainted
+                ref = extract_candidate(host, [edges[g[0]] for g in cand.gates])
+                assert not ref.tainted and ref.graph == cand.graph
                 assert passes_closure_filter(cand)
                 assert passes_stationarity_filter(cand)
                 assert cand.layers == tuple(sorted(cand.layers))
                 assert len(cand.layers) == c_g
 
 
-def _timeline_connected(circuit, subset) -> bool:
-    """Gates joined when consecutive in the circuit on some qubit."""
+def _timeline_pairs(circuit) -> set:
+    """The gate pairs consecutive in the circuit on some qubit."""
     on_qubit: dict[int, list[int]] = {}
     for i, g in enumerate(circuit.gates):
         for q in (g.control, g.target):
             on_qubit.setdefault(q, []).append(i)
-    pairs = {frozenset(p) for seq in on_qubit.values()
-             for p in zip(seq, seq[1:])}
+    return {frozenset(p) for seq in on_qubit.values()
+            for p in zip(seq, seq[1:])}
+
+
+def _timeline_connected(pairs, subset) -> bool:
+    """Gates joined when they are one of the pairs (_timeline_pairs)."""
     reached, todo = {subset[0]}, [subset[0]]
     while todo:
         a = todo.pop()
@@ -166,11 +178,18 @@ def test_mine_matches_exhaustive_oracle():
     circuits += [random_circuit(rng, rng.randrange(2, 6), rng.randrange(1, 13))
                  for _ in range(30)]
     circuits += [_relayered(c, rng) for c in circuits[:4]]
-    for c in circuits:
+    cases = [(c, range(1, min(6, c.cx_count) + 1)) for c in circuits]
+    # above 64 gates, a set's mask spans more than one machine word
+    cases.append((random_circuit(rng, 3, 70), range(2, 4)))
+    for c, sizes in cases:
         g = circuit_to_graph(c)
-        for c_g in range(1, min(6, c.cx_count) + 1):
+        for c_g in sizes:
             want = []
             for subset in combinations(ordered_cnot_edges(g), c_g):
+                # a lone endpoint on a qubit has degree 1: not closed
+                if min(Counter(g.node(n).qubit for e in subset
+                               for n in (e.src, e.dst)).values()) < 2:
+                    continue
                 cand = extract_candidate(g, subset)
                 if (not cand.tainted
                         and passes_closure_filter(cand)
@@ -181,8 +200,9 @@ def test_mine_matches_exhaustive_oracle():
                 (x.graph, x.layers) for x in want]
             assert not res.truncated
             # the count does not depend on how the gates are numbered
+            pairs = _timeline_pairs(c)
             assert res.subsets_examined == sum(
-                _timeline_connected(c, s)
+                _timeline_connected(pairs, s)
                 for s in combinations(range(c.cx_count), c_g))
             for cap in range(len(want) + 1):
                 capped = mine_circuit(c, c_g,
@@ -194,45 +214,51 @@ def test_mine_matches_exhaustive_oracle():
                     assert capped.reason == "max_candidates"
 
 
-def test_mine_builds_a_graph_only_per_kept_candidate(monkeypatch,
-                                                     ref_circuit):
+def test_mine_builds_graphs_only_for_reported_classes(monkeypatch, tmp_path):
+    """Mining and grouping build no graph; the report builds one per
+    reported class, its representative's."""
     builds = []
+    init = CircuitGraph.__init__
 
-    class CountingGraph(CircuitGraph):
-        def __init__(self, *args, **kwargs):
-            builds.append(1)
-            super().__init__(*args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
 
     rng = random.Random(77)
-    hosts = [ref_circuit] + [random_circuit(rng, 4, 30) for _ in range(3)]
-    # no host graph: a kept set's graph is built in graph
-    monkeypatch.setattr(graph, "CircuitGraph", CountingGraph)
-    monkeypatch.setattr(mining, "CircuitGraph", CountingGraph)
-    kept = 0
-    for c in hosts:
-        for c_g in range(2, 6):
-            builds.clear()
-            res = mine_circuit(c, c_g)
-            assert len(builds) == len(res.candidates)
-            kept += len(res.candidates)
-    assert kept > 0
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for i in range(4):
+        save_circuit(random_circuit(rng, 4, 30), inputs / f"c{i}.txt")
+    monkeypatch.setattr(CircuitGraph, "__init__", counting_init)
+    gadgets = 0
+    for c_g in range(2, 6):
+        builds.clear()
+        out = tmp_path / f"out{c_g}"
+        assert main(["mine", "--input", str(inputs), "--gadget-cnots",
+                     str(c_g), "--output", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(builds) == manifest["gadgets"] < manifest["candidates"]
+        gadgets += manifest["gadgets"]
+    assert gadgets > 0
 
 
-def test_mined_candidates_share_gate_objects():
-    """The candidates of one circuit share each gate's node and cnot-edge
-    objects, so a pickled result (what a --jobs worker returns) holds
-    each once."""
-    # a host whose kept sets at C_g = 4 overlap
+def test_mine_result_pickle_holds_no_graph():
+    """What a --jobs worker pickles back is the mining result and its
+    candidates' gate tuples: no graph, node or edge objects."""
     c = random_circuit(random.Random(3), 3, 20)
-    seen = {}
-    repeats = 0
-    for cand in mine_circuit(c, 4).candidates:
-        for obj in cand.graph.nodes + cand.graph.cnot_edges:
-            if obj in seen:
-                assert seen[obj] is obj
-                repeats += 1
-            seen[obj] = obj
-    assert repeats > 0
+    res = cli._mine_one((c, 4, MiningLimits()))
+    assert res.candidates
+    classes = []
+
+    class Recording(pickle.Unpickler):
+        def find_class(self, module, name):
+            classes.append(f"{module}.{name}")
+            return super().find_class(module, name)
+
+    back = Recording(io.BytesIO(pickle.dumps(res))).load()
+    assert back == res
+    assert sorted(set(classes)) == ["gadgetminer.mining.MinedCandidate",
+                                    "gadgetminer.mining.MiningResult"]
 
 
 def test_oversized_subset_returns_empty():

@@ -12,7 +12,6 @@ import pytest
 from gadgetminer.circuit import Circuit, CnotGate
 from gadgetminer.kernels import gf2_basis
 from gadgetminer.tableau import (
-    CanonicalForm,
     CliffordTableau,
     DistanceSearchError,
     Pauli,
