@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cache
+from time import monotonic
 
 from . import kernels
 from .graph import CircuitGraph, graph_to_json_dict
@@ -27,6 +28,8 @@ MAX_CERT_NODES = 64
 CSV_HEADER = "certificate_prefix,C_g,N_r,n_qubits_touched"
 _LABEL_CODE = {"c": 0, "t": 1}
 _SLOT_NAMES = ("cnot-out", "cnot-in", "time-out", "time-in")
+# grouping reads the clock once per this many candidates
+DEADLINE_STRIDE = 100
 
 
 class CertificateSizeError(ValueError):
@@ -109,8 +112,12 @@ class GadgetClass:
     """All mined occurrences of one isomorphism class."""
 
     certificate: bytes
-    representative: MinedCandidate
     occurrences: list[MinedCandidate]
+
+    @property
+    def representative(self) -> MinedCandidate:
+        """The first occurrence in input order."""
+        return self.occurrences[0]
 
     @property
     def n_r(self) -> int:
@@ -125,14 +132,22 @@ class GadgetClass:
         return len(self.representative.qubits_touched)
 
 
-def group_candidates(candidates) -> list[GadgetClass]:
+def group_candidates(candidates,
+                     deadline: float | None = None) -> list[GadgetClass]:
     """Group mined candidates by the certificate of their gates.  The
     representative is the first occurrence in input order; classes are
     sorted by descending N_r with certificate bytes breaking ties, so the
-    output is deterministic for a deterministic input order."""
+    output is deterministic for a deterministic input order.
+
+    With a deadline (a time.monotonic value), the clock is read after
+    every DEADLINE_STRIDE candidates; once past the deadline, grouping
+    stops, and the classes hold only a prefix of the candidates (a total
+    N_r below len(candidates))."""
     by_cert: dict[bytes, GadgetClass] = {}
-    order: list[bytes] = []
-    for cand in candidates:
+    for i, cand in enumerate(candidates):
+        if (deadline is not None and i and i % DEADLINE_STRIDE == 0
+                and monotonic() >= deadline):
+            break
         try:
             cert = certificate(cand.gates)
         except CertificateSizeError as exc:
@@ -141,11 +156,10 @@ def group_candidates(candidates) -> list[GadgetClass]:
                 f"layers {list(cand.layers)})") from exc
         cls = by_cert.get(cert)
         if cls is None:
-            by_cert[cert] = GadgetClass(cert, cand, [cand])
-            order.append(cert)
+            by_cert[cert] = GadgetClass(cert, [cand])
         else:
             cls.occurrences.append(cand)
-    classes = [by_cert[c] for c in order]
+    classes = list(by_cert.values())
     classes.sort(key=lambda cls: (-cls.n_r, cls.certificate))
     return classes
 

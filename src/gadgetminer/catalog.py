@@ -86,19 +86,6 @@ def all_gadgets() -> tuple[GadgetSpec, ...]:
     return tuple(build_gadget(f, g) for f in FAMILIES for g in GENERATIONS)
 
 
-def gadget_names() -> tuple[str, ...]:
-    return tuple(spec.name for spec in all_gadgets())
-
-
-def get_gadget(name: str) -> GadgetSpec:
-    for family in FAMILIES:
-        if name.startswith(family) and name[len(family):].isdigit():
-            m = int(name[len(family):])
-            if m >= 2 and m % 2 == 0:
-                return build_gadget(family, m // 2)
-    raise CatalogError(f"unknown gadget {name!r}")
-
-
 def plant(host: Circuit, spec: GadgetSpec, qubit_map,
           layer_offset: int) -> Circuit:
     """Insert the gadget's gates into the host's gate sequence.

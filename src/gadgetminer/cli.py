@@ -46,9 +46,9 @@ from .corpus import (
     save_corpus,
     unique_name,
 )
-from .graph import circuit_to_graph
+from .graph import gate_tuples
 from .mining import MiningLimits, mine_circuit
-from .tableau import canonical_tableau, encoder_tableau
+from .tableau import canonical_rows, encoder_tableau
 
 OUTPUT_ENV = "GADGETMINER_OUTPUT"
 FORMAT_VERSION = 1
@@ -224,13 +224,17 @@ def cmd_mine(args) -> int:
     for res in results:
         candidates.extend(res.candidates)
     reasons: list[str] = []
-    if skipped or any(res.reason == "time_budget" for res in results):
-        reasons.append("time_budget")
     if args.max_candidates is not None and len(candidates) > args.max_candidates:
         candidates = candidates[: args.max_candidates]
         reasons.append("max_candidates")
+    classes = group_candidates(candidates, limits.deadline)
+    # grouping stops certifying at the deadline; the rest go unreported
+    certified = sum(cls.n_r for cls in classes)
+    if (skipped or certified < len(candidates)
+            or any(res.reason == "time_budget" for res in results)):
+        reasons.insert(0, "time_budget")
+    del candidates[certified:]
     truncated = bool(reasons)
-    classes = group_candidates(candidates)
     gadgets = identify_gadgets(classes, args.min_repeats)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -302,7 +306,7 @@ def cmd_catalog(args) -> int:
     if (args.family is None) != (args.generation is None):
         raise CatalogError("give both --family and --generation, or neither")
     for spec in all_gadgets():
-        cert = certificate(circuit_to_graph(spec.as_circuit()))
+        cert = certificate(gate_tuples(spec.as_circuit()))
         print(f"{spec.name:6s} qubits={spec.qubits_touched}  "
               f"cx={spec.cx_count:2d}  certificate={certificate_digest(cert)[:12]}")
     return 0
@@ -326,7 +330,7 @@ def cmd_canon(args) -> int:
     t = encoder_tableau(circuit)
     print(t.digest())
     if args.rows:
-        print(canonical_tableau(t))
+        print(canonical_rows(t.stabilizer_rows()))
     return 0
 
 

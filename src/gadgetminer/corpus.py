@@ -25,12 +25,7 @@ from pathlib import Path
 
 from . import kernels
 from .circuit import Circuit, load_circuit, serialize_circuit
-from .tableau import (
-    CanonicalForm,
-    encoder_code,
-    encoder_tableau,
-    generator_weights,
-)
+from .tableau import canonical_rows, encoder_code, encoder_tableau
 
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
@@ -193,9 +188,6 @@ class CorpusEntry:
     def code(self):
         return encoder_code(self.circuit, self.k, self.x_ancillas)
 
-    def canonical_form(self) -> CanonicalForm:
-        return self.code().canonical()
-
 
 @dataclass
 class Corpus:
@@ -212,9 +204,6 @@ class Corpus:
 
     def circuits(self) -> list[Circuit]:
         return [e.circuit for e in self.entries]
-
-    def digests(self) -> set[str]:
-        return {e.digest for e in self.entries}
 
 
 def entry_digest(circuit: Circuit, x_ancillas=()) -> str:
@@ -437,8 +426,8 @@ def corpus_stats(corpus: Corpus) -> dict:
     pooled: list[int] = []
     hist: dict[str, int] = {}
     for e in corpus.entries:
-        weights, _ = generator_weights(e.code())
-        pooled.extend(weights)
+        rows = canonical_rows(e.code().generators).rows
+        pooled.extend(p.weight for p in rows)
         d = "?" if e.distance is None else str(e.distance)
         label = f"[[{e.circuit.n_qubits},{e.k},{d}]]"
         hist[label] = hist.get(label, 0) + 1
@@ -472,7 +461,7 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
             "name": e.name,
             "file": filename,
             "digest": e.digest,
-            "canonical_digest": e.canonical_form().digest(),
+            "canonical_digest": canonical_rows(e.code().generators).digest(),
             "origin": e.origin,
             "n": e.circuit.n_qubits,
             "k": e.k,

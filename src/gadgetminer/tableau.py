@@ -182,9 +182,6 @@ class CliffordTableau:
             and self.r == other.r
         )
 
-    def __hash__(self):
-        return hash(self.to_bytes())
-
     def row_pauli(self, i: int) -> Pauli:
         return Pauli(self.n, self.x[i], self.z[i], self.r[i])
 
@@ -247,9 +244,6 @@ class CanonicalForm:
         payload = f"{self.n}|" + "|".join(str(p) for p in self.rows)
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def weights(self) -> list[int]:
-        return [p.weight for p in self.rows]
-
 
 def canonical_rows(rows: Sequence[Pauli]) -> CanonicalForm:
     """RREF over GF(2) of commuting Pauli rows, with exact sign tracking."""
@@ -284,11 +278,6 @@ def canonical_rows(rows: Sequence[Pauli]) -> CanonicalForm:
     return CanonicalForm(n=n, rows=tuple(reduced[i] for i in order))
 
 
-def canonical_tableau(t: CliffordTableau) -> CanonicalForm:
-    """Canonical form of the group generated by the stabilizer rows."""
-    return canonical_rows(t.stabilizer_rows())
-
-
 # ---------------------------------------------------------------------------
 # Stabilizer codes
 # ---------------------------------------------------------------------------
@@ -319,17 +308,6 @@ class StabilizerCode:
             self.generators
         ):
             raise TableauError("generators are not independent over GF(2)")
-
-    def canonical(self) -> CanonicalForm:
-        return canonical_rows(self.generators)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "k": self.k, "generators": [str(g) for g in self.generators]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> StabilizerCode:
-        gens = tuple(Pauli.from_str(s) for s in obj["generators"])
-        return cls(n=int(obj["n"]), k=int(obj["k"]), generators=gens)
 
 
 def encoder_code(c: Circuit, k: int, x_ancillas: Iterable[int] = ()) -> StabilizerCode:
@@ -374,9 +352,3 @@ def code_distance(
             f"search bound exceeded: no logical operator of weight <= {limit}"
         )
     return w
-
-
-def generator_weights(code: StabilizerCode) -> tuple[list[int], float]:
-    """Weights of the canonical-form generators and their mean."""
-    weights = code.canonical().weights()
-    return weights, sum(weights) / len(weights)

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from gadgetminer.canon import certificate
-from gadgetminer.catalog import build_gadget, get_gadget, plant
+from gadgetminer.catalog import all_gadgets, build_gadget, plant
 from gadgetminer.circuit import Circuit, CnotGate, save_circuit
 from gadgetminer.cli import main
 from gadgetminer.graph import (
@@ -36,7 +36,7 @@ from gadgetminer.mining import (
 )
 from gadgetminer.tableau import (
     CliffordTableau,
-    canonical_tableau,
+    canonical_rows,
     code_distance,
     encoder_tableau,
 )
@@ -58,6 +58,7 @@ DISCOVERY_ATTEMPTS = 200
 DISCOVERY_COUNT = 20
 
 PLANT_GADGETS = ("DCX2", "DCX4", "PL4", "PL6", "O4", "O6")
+GADGETS = {spec.name: spec for spec in all_gadgets()}
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,7 @@ def planted_hosts():
     rng = random.Random(20260813)
     out: dict[str, list[Circuit]] = {}
     for name in PLANT_GADGETS:
-        spec = get_gadget(name)
+        spec = GADGETS[name]
         m = spec.qubits_touched
         hosts = []
         for i in range(3):
@@ -309,7 +310,7 @@ def test_a3_planted_gadget_recovery(planted_hosts, tmp_path):
     oracle exactly (no false classes), in under 60 seconds."""
     started = time.monotonic()
     for name in PLANT_GADGETS:
-        spec = get_gadget(name)
+        spec = GADGETS[name]
         hosts = planted_hosts[name]
         c_g = spec.cx_count
         host_dir = tmp_path / f"hosts_{name}"
@@ -442,7 +443,8 @@ def test_a6_tableau_correctness(five_qubit_code):
         t2 = encoder_tableau(v2)
         if t1.digest() != t2.digest():
             misses += 1
-        elif canonical_tableau(t1).digest() != canonical_tableau(t2).digest():
+        elif (canonical_rows(t1.stabilizer_rows()).digest()
+              != canonical_rows(t2.stabilizer_rows()).digest()):
             misses += 1
         built += 1
     assert built == 100 and misses == 0

@@ -12,8 +12,6 @@ from gadgetminer.catalog import (
     CatalogError,
     all_gadgets,
     build_gadget,
-    gadget_names,
-    get_gadget,
     plant,
 )
 from gadgetminer.circuit import Circuit
@@ -28,10 +26,11 @@ EXPECTED_CX = {
     ("PL", 1): 2, ("PL", 2): 4, ("PL", 3): 6,
     ("O", 1): 2, ("O", 2): 6, ("O", 3): 10,
 }
+GADGETS = {spec.name: spec for spec in all_gadgets()}
 
 
 def test_catalog_roster():
-    assert gadget_names() == (
+    assert tuple(spec.name for spec in all_gadgets()) == (
         "DCX2", "DCX4", "DCX6", "PL2", "PL4", "PL6", "O2", "O4", "O6")
     for spec in all_gadgets():
         assert spec.qubits_touched == 2 * spec.generation
@@ -40,24 +39,16 @@ def test_catalog_roster():
         assert circ.n_qubits == spec.qubits_touched
         assert set(q for g in circ.gates for q in (g.control, g.target)) == \
             set(range(spec.qubits_touched))
+    with pytest.raises(CatalogError):
+        build_gadget("DCX", 0)
+    with pytest.raises(CatalogError):
+        build_gadget("XX", 1)
 
 
 def test_generation_one_families_coincide():
     base = build_gadget("DCX", 1)
     for family in FAMILIES:
         assert build_gadget(family, 1).gates == base.gates
-
-
-def test_get_gadget_parsing():
-    assert get_gadget("PL4") is build_gadget("PL", 2)
-    assert get_gadget("DCX6").cx_count == 12
-    for bad in ("PL", "PL3", "PL0", "Q4", "pl4", "DCX-2"):
-        with pytest.raises(CatalogError):
-            get_gadget(bad)
-    with pytest.raises(CatalogError):
-        build_gadget("DCX", 0)
-    with pytest.raises(CatalogError):
-        build_gadget("XX", 1)
 
 
 def test_self_check_keeps_exactly_one():
@@ -79,7 +70,7 @@ def test_certificates_distinguish_catalog():
         g = circuit_to_graph(spec.as_circuit())
         certs[spec.name] = certificate(g)
     assert certs["DCX2"] == certs["PL2"] == certs["O2"]
-    distinct = {certs[n] for n in gadget_names() if n not in ("PL2", "O2")}
+    distinct = {cert for n, cert in certs.items() if n not in ("PL2", "O2")}
     assert len(distinct) == 7
 
 
@@ -116,7 +107,7 @@ def test_planted_gadget_is_recovered():
     a mined candidate whose certificate matches the gadget's own."""
     rng = random.Random(12)
     for name in ("DCX4", "PL4", "O4"):
-        spec = get_gadget(name)
+        spec = GADGETS[name]
         m = spec.qubits_touched
         host = random_circuit(rng, 3, 6, name="bed")
         wide = Circuit(host.n_qubits + m, host.gates, name=host.name)

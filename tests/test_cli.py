@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,18 +16,22 @@ import pytest
 
 from gadgetminer.canon import (
     MAX_CERT_NODES,
+    certificate,
+    certificate_digest,
     classes_to_csv,
     classes_to_json_obj,
     group_candidates,
     identify_gadgets,
 )
-from gadgetminer import cli
+from gadgetminer import canon, cli
+from gadgetminer.catalog import all_gadgets
 from gadgetminer.cli import main
 from gadgetminer.circuit import (
     Circuit,
     load_circuit,
     save_circuit,
 )
+from gadgetminer.graph import circuit_to_graph
 from gadgetminer.mining import mine_circuit
 from gadgetminer.tableau import encoder_tableau
 
@@ -64,6 +69,22 @@ def test_cli_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
+
+
+def test_package_import_loads_no_submodule():
+    """The top level holds only __version__: importing the package loads
+    none of its modules, so a command pays only for what it imports."""
+    import gadgetminer
+
+    src = str(Path(gadgetminer.__file__).resolve().parents[1])
+    code = ("import json, sys, gadgetminer; "
+            "print(json.dumps(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True).stdout
+    loaded = json.loads(out)
+    assert "gadgetminer" in loaded
+    assert [m for m in loaded if m.startswith("gadgetminer.")] == []
 
 
 def test_mine_matches_golden(tmp_path, capsys):
@@ -231,6 +252,33 @@ def test_mine_time_budget_with_chunked_pool(tmp_path):
     assert manifest["circuits_skipped"] > 0
     assert manifest["truncation_reasons"] == ["time_budget"]
     assert elapsed < 0.3 + 2.0
+
+
+def test_mine_time_budget_covers_grouping(tmp_path, monkeypatch):
+    """Two rounds of a 12-qubit brickwork ring give 322 candidates at
+    C_g = 12.  Mining fits in the budget, but the clock grouping reads is
+    past it, so certification stops at the first check: the run is
+    truncated and reports the candidates certified before it."""
+    bonds = [(i, (i + 1) % 12) for i in range(12)]
+    ring = Circuit.from_pairs(12, (bonds[0::2] + bonds[1::2]) * 2,
+                              name="ring")
+    save_circuit(ring, tmp_path / "ring.txt")
+    certified = []
+    cert = canon.certificate
+    monkeypatch.setattr(canon, "certificate",
+                        lambda g: certified.append(g) or cert(g))
+    monkeypatch.setattr(canon, "monotonic", lambda: math.inf)
+    rc = run_cli(["mine", "--input", tmp_path / "ring.txt",
+                  "--gadget-cnots", 12, "--time-budget", 60,
+                  "--output", tmp_path / "out"])
+    assert rc == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["truncated"] is True
+    assert manifest["truncation_reasons"] == ["time_budget"]
+    assert manifest["circuits_skipped"] == 0
+    assert manifest["candidates"] == len(certified) == canon.DEADLINE_STRIDE
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert sum(cls["n_r"] for cls in report) <= canon.DEADLINE_STRIDE
 
 
 def test_mine_rejects_negative_max_candidates(tmp_path, capsys):
@@ -519,7 +567,10 @@ def test_catalog_listing(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 9
     assert lines[0].startswith("DCX2")
-    assert all("certificate=" in line for line in lines)
+    for line, spec in zip(lines, all_gadgets()):
+        assert line.split()[0] == spec.name
+        cert = certificate(circuit_to_graph(spec.as_circuit()))
+        assert line.split("certificate=")[1] == certificate_digest(cert)[:12]
 
 
 def test_catalog_circuit_output(tmp_path, capsys):

@@ -142,7 +142,7 @@ def test_generate_distance_two_quickly():
                           attempts=200, count=5, seed=11)
     corpus = generate_encoders(cfg)
     assert len(corpus) == 5
-    assert len(corpus.digests()) == 5
+    assert len({e.digest for e in corpus.entries}) == 5
     for e in corpus.entries:
         assert e.origin == "generated"
         assert e.distance is not None and e.distance >= 2
