@@ -68,11 +68,11 @@ def connectivity_pairs(kind: str, n: int,
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
+            try:
+                a, b = map(int, line.split())
+            except ValueError:
                 raise CorpusError(
-                    f"bad connectivity line {lineno}: {raw!r}")
-            a, b = int(parts[0]), int(parts[1])
+                    f"bad connectivity line {lineno}: {raw!r}") from None
             if a == b or not (0 <= a < n and 0 <= b < n):
                 raise CorpusError(
                     f"bad connectivity pair ({a}, {b}) at line {lineno}")
@@ -480,8 +480,8 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
 
 
 def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
-    """One manifest entry with its field types checked and its digest
-    re-verified, and the circuit file it names."""
+    """One manifest entry with its field types and ranges checked and its
+    digest re-verified, and the circuit file it names."""
     if not isinstance(obj, dict):
         raise ValueError(f"{obj!r} is not an object")
     name, file, digest = obj["name"], obj["file"], obj["digest"]
@@ -499,6 +499,13 @@ def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
                          "must be integers")
     path = directory / file
     circuit = load_circuit(path)
+    n = circuit.n_qubits
+    if not 0 <= k < n:
+        raise ValueError(f"{name!r}: k={k} outside 0..{n - 1}")
+    if any(not k <= q < n for q in x_anc):
+        raise ValueError(f"{name!r}: x_ancillas {x_anc} outside {k}..{n - 1}")
+    if distance is not None and distance < 1:
+        raise ValueError(f"{name!r}: distance {distance} below 1")
     entry = CorpusEntry(
         name=name,
         circuit=Circuit(circuit.n_qubits, circuit.gates, name=name),

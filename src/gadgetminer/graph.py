@@ -191,20 +191,3 @@ def graph_to_json_dict(graph: CircuitGraph) -> dict:
             for e in graph.edges
         ],
     }
-
-
-def graph_from_json_dict(data: dict, source_circuit: str = "") -> CircuitGraph:
-    try:
-        nodes = [
-            GraphNode(int(nd["id"]), int(nd["qubit"]), int(nd["layer"]),
-                      str(nd["label"]))
-            for nd in data["nodes"]
-        ]
-        edges = [
-            GraphEdge(int(e["from"]), int(e["to"]), str(e["kind"]))
-            for e in data["edges"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed graph JSON: {exc}") from exc
-    return CircuitGraph(nodes, edges, source_circuit=source_circuit)
-

@@ -8,8 +8,8 @@ from itertools import combinations
 import pytest
 
 from gadgetminer.circuit import Circuit, CnotGate
-from gadgetminer.graph import CircuitGraph, GraphEdge, GraphNode
-from gadgetminer.tableau import CliffordTableau, Pauli, StabilizerCode
+from gadgetminer.graph import CircuitGraph, GraphEdge, GraphError, GraphNode
+from gadgetminer.tableau import Pauli, StabilizerCode
 
 # three qubits, six CNOTs: every consecutive pair forms a back-to-back block
 REF_3Q6_PAIRS = ((0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2))
@@ -63,13 +63,88 @@ def cnots_commute(g1: CnotGate, g2: CnotGate) -> bool:
     return not (g1.control == g2.target or g1.target == g2.control)
 
 
-def symplectic_ok(t: CliffordTableau) -> bool:
-    """The tableau's rows form a symplectic basis: row i anticommutes with
-    row i + n and commutes with every other row."""
-    n = t.n
-    rows = [t.row_pauli(i) for i in range(2 * n)]
-    return all(rows[i].commutes(rows[j]) != (j == i + n)
+def symplectic_ok(t) -> bool:
+    """The tableau's rows (X/Z bitmask lists t.x, t.z) form a symplectic
+    basis: row i anticommutes with row i + n and commutes with every
+    other row."""
+    n, x, z = t.n, t.x, t.z
+    return all(((x[i] & z[j]).bit_count() + (z[i] & x[j]).bit_count()) % 2
+               == (j == i + n)
                for i in range(2 * n) for j in range(i + 1, 2 * n))
+
+
+class SignedTableau:
+    """Reference Aaronson-Gottesman tableau (Aaronson & Gottesman, 2004)
+    with the sign column and the CNOT, H and S gates: 2n rows of X/Z
+    bitmasks (bit q = qubit q) and 2n sign bits, destabilizers first,
+    starting as the identity."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.x = [1 << i for i in range(n)] + [0] * n
+        self.z = [0] * n + [1 << i for i in range(n)]
+        self.r = [0] * (2 * n)
+
+    def cnot(self, a: int, b: int) -> SignedTableau:
+        x, z, r = self.x, self.z, self.r
+        for i in range(2 * self.n):
+            xi, zi = x[i], z[i]
+            xa, zb = xi >> a & 1, zi >> b & 1
+            r[i] ^= xa & zb & ((xi >> b ^ zi >> a ^ 1) & 1)
+            x[i] = xi ^ xa << b
+            z[i] = zi ^ zb << a
+        return self
+
+    def h(self, q: int) -> SignedTableau:
+        x, z, r = self.x, self.z, self.r
+        for i in range(2 * self.n):
+            xq, zq = x[i] >> q & 1, z[i] >> q & 1
+            r[i] ^= xq & zq
+            swap = (xq ^ zq) << q
+            x[i] ^= swap
+            z[i] ^= swap
+        return self
+
+    def s(self, q: int) -> SignedTableau:
+        x, z, r = self.x, self.z, self.r
+        for i in range(2 * self.n):
+            xq = x[i] >> q & 1
+            r[i] ^= xq & z[i] >> q
+            z[i] ^= xq << q
+        return self
+
+    def row(self, i: int) -> str:
+        """Row i as a signed Pauli word, e.g. '-XZ'."""
+        return "-+"[self.r[i] == 0] + "".join(
+            "IXZY"[(self.x[i] >> q & 1) | (self.z[i] >> q & 1) << 1]
+            for q in range(self.n))
+
+    def to_bytes(self) -> bytes:
+        """4-byte big-endian n, then the X rows, the Z rows (row-major,
+        qubit 0 first) and the signs as one bit stream, packed MSB-first
+        and zero-padded to a whole byte."""
+        n = self.n
+        bits = "".join(format(m, f"0{n}b")[::-1] for m in self.x + self.z)
+        bits += "".join(map(str, self.r))
+        bits += "0" * (-len(bits) % 8)
+        return n.to_bytes(4, "big") + int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+def graph_from_json_dict(data: dict, source_circuit: str = "") -> CircuitGraph:
+    """Reader of the graph JSON that graph_to_json_dict writes."""
+    try:
+        nodes = [
+            GraphNode(int(nd["id"]), int(nd["qubit"]), int(nd["layer"]),
+                      str(nd["label"]))
+            for nd in data["nodes"]
+        ]
+        edges = [
+            GraphEdge(int(e["from"]), int(e["to"]), str(e["kind"]))
+            for e in data["edges"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise GraphError(f"malformed graph JSON: {exc}") from exc
+    return CircuitGraph(nodes, edges, source_circuit=source_circuit)
 
 
 def random_labeled_graph(rng: random.Random, n: int,

@@ -25,7 +25,6 @@ from gadgetminer.graph import (
     GraphEdge,
     GraphNode,
     circuit_to_graph,
-    graph_from_json_dict,
 )
 from gadgetminer.mining import (
     extract_candidate,
@@ -43,6 +42,7 @@ from gadgetminer.tableau import (
 
 from conftest import (
     cnots_commute,
+    graph_from_json_dict,
     graph_isomorphic_oracle,
     pauli_group_distance_oracle,
     random_circuit,

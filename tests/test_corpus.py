@@ -61,6 +61,9 @@ def test_connectivity_file(tmp_path):
     for kind in ("all", "nn", "nnn"):
         with pytest.raises(CorpusError):
             connectivity_pairs(kind, 3, p)
+    p.write_text("0 1\na b\n")
+    with pytest.raises(CorpusError, match=r"bad connectivity line 2: 'a b'"):
+        connectivity_pairs("file", 3, p)
 
 
 def test_generator_config_validation():
@@ -424,6 +427,16 @@ def test_load_rejects_bad_format(tmp_path):
         (lambda m: m["entries"][0].update(file=5), None),
         (lambda m: m["entries"][0].update(x_ancillas="456"), None),
         (lambda m: m["entries"][0].update(k="1"), None),
+        (lambda m: m["entries"][0].update(k=9),
+         r"'steane': k=9 outside 0\.\.6"),
+        # logical qubit 0 as a |+> ancilla, with the digest to match
+        (lambda m: m["entries"][0].update(
+            x_ancillas=[0, 4, 5, 6],
+            digest=entry_digest(Circuit.from_pairs(7, STEANE_PAIRS),
+                                (0, 4, 5, 6))),
+         r"'steane': x_ancillas \[0, 4, 5, 6\] outside 1\.\.6"),
+        (lambda m: m["entries"][0].update(distance=0),
+         "'steane': distance 0 below 1"),
     ]
     for i, (damage, pattern) in enumerate(damages):
         out = save_corpus(steane_corpus(), tmp_path / str(i))

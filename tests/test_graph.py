@@ -13,11 +13,12 @@ from gadgetminer.graph import (
     GraphError,
     GraphNode,
     circuit_to_graph,
-    graph_from_json_dict,
     graph_to_json_dict,
     is_closed,
     is_connected,
 )
+
+from conftest import graph_from_json_dict
 
 
 def ring_graph(m: int, label: str = "c") -> CircuitGraph:

@@ -25,6 +25,7 @@ from gadgetminer.tableau import (
 
 from conftest import (
     STEANE_X_ANCILLAS,
+    SignedTableau,
     cnots_commute,
     pauli_group_distance_oracle,
     random_circuit,
@@ -38,9 +39,11 @@ from conftest import (
 
 
 def test_pauli_str_round_trip():
-    for s in ("+XZZXI", "-IYXZI", "+IIIII", "-Z"):
+    for s in ("+XZZXI", "+IYXZI", "+IIIII", "+Z"):
         assert str(Pauli.from_str(s)) == s
-    assert str(Pauli.from_str("XZ")) == "+XZ"  # sign optional on input
+    assert str(Pauli.from_str("XZ")) == "+XZ"  # '+' optional on input
+    with pytest.raises(TableauError):
+        Pauli.from_str("-X")  # rows are unsigned
 
 
 def test_pauli_weight():
@@ -54,48 +57,6 @@ def test_pauli_commutes():
     assert Pauli.from_str("XX").commutes(Pauli.from_str("ZZ"))
     assert not Pauli.from_str("XI").commutes(Pauli.from_str("ZI"))
     assert Pauli.from_str("XY").commutes(Pauli.from_str("XY"))
-
-
-def test_pauli_mul_signs():
-    XX, ZZ = Pauli.from_str("+XX"), Pauli.from_str("+ZZ")
-    # qubit-wise XZ = -iY, so XX * ZZ = (-i)^2 YY = -YY
-    assert str(XX.mul(ZZ)) == "-YY"
-    assert str(ZZ.mul(XX)) == "-YY"
-    assert str(XX.mul(XX)) == "+II"
-    minus = Pauli.from_str("-XX")
-    assert str(minus.mul(ZZ)) == "+YY"
-    with pytest.raises(TableauError):
-        Pauli.from_str("X").mul(Pauli.from_str("Z"))  # anticommuting pair
-
-
-def test_pauli_mul_matches_matrix_model():
-    # brute force 2x2 complex matrices on up to 3 qubits
-    import numpy as np
-
-    mats = {
-        "I": np.eye(2),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]]),
-        "Z": np.diag([1.0, -1.0]).astype(complex),
-    }
-
-    def as_matrix(p: Pauli):
-        m = np.eye(1, dtype=complex)
-        for ch in str(p)[1:]:
-            m = np.kron(m, mats[ch])
-        return -m if str(p)[0] == "-" else m
-
-    rng = random.Random(11)
-    letters = "IXYZ"
-    for _ in range(60):
-        n = rng.randrange(1, 4)
-        a = Pauli.from_str(rng.choice("+-") + "".join(rng.choice(letters) for _ in range(n)))
-        b = Pauli.from_str(rng.choice("+-") + "".join(rng.choice(letters) for _ in range(n)))
-        ma, mb = as_matrix(a), as_matrix(b)
-        commute = np.allclose(ma @ mb, mb @ ma)
-        assert a.commutes(b) == commute
-        if commute:
-            assert np.allclose(as_matrix(a.mul(b)), ma @ mb)
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +73,15 @@ def test_cnot_conjugation_images():
 
 
 def test_h_and_s_conjugation():
-    t = CliffordTableau(1).h(0)
-    assert str(t.row_pauli(0)) == "+Z"
-    assert str(t.row_pauli(1)) == "+X"
-    t = CliffordTableau(1).s(0)
-    assert str(t.row_pauli(0)) == "+Y"  # S X S† = Y
-    assert str(t.row_pauli(1)) == "+Z"
-    t = CliffordTableau(1).s(0).s(0)
-    assert str(t.row_pauli(0)) == "-X"  # Z X Z = -X
+    """The signed reference tableau's H and S images."""
+    t = SignedTableau(1).h(0)
+    assert t.row(0) == "+Z"
+    assert t.row(1) == "+X"
+    t = SignedTableau(1).s(0)
+    assert t.row(0) == "+Y"  # S X S† = Y
+    assert t.row(1) == "+Z"
+    t = SignedTableau(1).s(0).s(0)
+    assert t.row(0) == "-X"  # Z X Z = -X
 
 
 def test_gate_index_checks():
@@ -129,9 +91,12 @@ def test_gate_index_checks():
     with pytest.raises(TableauError):
         t.cnot(0, 2)
     with pytest.raises(TableauError):
-        t.h(-1)
+        t.cnot(-1, 0)
     with pytest.raises(TableauError):
         CliffordTableau(0)
+    for bad in ((2,), (-1,)):
+        with pytest.raises(TableauError):
+            encoder_tableau(Circuit(2, ()), x_ancillas=bad)
 
 
 def test_cnot_involution_and_digest():
@@ -144,17 +109,44 @@ def test_cnot_involution_and_digest():
 
 
 def test_to_bytes_matches_golden():
-    """Pins the layout that corpus digests depend on: 4-byte big-endian n,
-    then X rows, Z rows and signs packed MSB-first and zero-padded.  The
-    gate sequences use H and S so that sign bits are set."""
+    """Pins the signed reference's layout, which corpus digests depend on:
+    4-byte big-endian n, then X rows, Z rows and signs packed MSB-first
+    and zero-padded.  The gate sequences use H and S so that sign bits
+    are set; test_to_bytes_matches_signed_reference ties the program's
+    bytes to the reference's."""
     golden = Path(__file__).parent / "fixtures" / "golden_tableau.json"
     for case in json.loads(golden.read_text()):
-        t = CliffordTableau(case["n"])
+        t = SignedTableau(case["n"])
         for gate in case["gates"].split("; "):
             name, *qubits = gate.split()
             getattr(t, "cnot" if name == "cx" else name)(*map(int, qubits))
         assert t.to_bytes().hex() == case["to_bytes"]
-        assert t.digest() == hashlib.sha256(bytes.fromhex(case["to_bytes"])).hexdigest()
+
+
+def test_to_bytes_matches_signed_reference():
+    """On random CNOT encoders with random |+> sets the program's bytes
+    equal those of the signed reference run as H on each |+> wire, then
+    the CNOTs, and the reference never sets a sign bit."""
+    rng = random.Random(1717)
+    for trial in range(600):
+        n = 1 if trial < 20 else rng.randrange(2, 12)
+        k = 0 if trial % 3 == 0 else rng.randrange(n)
+        if trial % 5 == 0:
+            xs = set(range(k, n))  # every ancilla in |+>
+        else:
+            xs = {q for q in range(k, n) if rng.random() < 0.5}
+        c = random_circuit(rng, n, rng.randrange(0, 25) if n > 1 else 0)
+        ref = SignedTableau(n)
+        for q in xs:
+            ref.h(q)
+        for g in c.gates:
+            ref.cnot(g.control, g.target)
+        t = encoder_tableau(c, xs)
+        assert t.to_bytes() == ref.to_bytes()
+        assert t.digest() == hashlib.sha256(ref.to_bytes()).hexdigest()
+        assert not any(ref.r)
+        gens = encoder_code(c, k, xs).generators
+        assert [str(g) for g in gens] == [ref.row(n + j) for j in range(k, n)]
 
 
 def test_copy_is_independent():
@@ -181,8 +173,9 @@ def test_commutation_rule_matches_tableau():
 
 
 def test_symplectic_invariant_random_walk():
+    """On the signed reference, whose H and S the program does not have."""
     rng = random.Random(99)
-    t = CliffordTableau(6)
+    t = SignedTableau(6)
     for _ in range(500):
         kind = rng.randrange(3)
         if kind == 0:
@@ -198,10 +191,12 @@ def test_symplectic_invariant_random_walk():
 
 def test_encoder_tableau_prefix():
     c = Circuit.from_pairs(3, [(0, 1)])
-    manual = CliffordTableau(3).h(2).cnot(0, 1)
-    assert encoder_tableau(c, x_ancillas=(2,)) == manual
+    t = encoder_tableau(c, x_ancillas=(2,))
+    # the |+> wire 2 starts with destabilizer Z_2 and stabilizer X_2
+    assert [str(t.row_pauli(i)) for i in range(6)] == [
+        "+XXI", "+IXI", "+IIZ", "+ZII", "+ZZI", "+IIX"]
     # duplicate listings fold to one H
-    assert encoder_tableau(c, x_ancillas=(2, 2)) == manual
+    assert encoder_tableau(c, x_ancillas=(2, 2)) == t
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +209,6 @@ def test_canonical_rows_group_invariance():
     b = [Pauli.from_str("+ZZ"), Pauli.from_str("+IZ")]  # same group
     assert canonical_rows(a) == canonical_rows(b)
     assert canonical_rows(a).digest() == canonical_rows(b).digest()
-
-
-def test_canonical_rows_signs_matter():
-    a = [Pauli.from_str("+ZI")]
-    b = [Pauli.from_str("-ZI")]
-    assert canonical_rows(a) != canonical_rows(b)
 
 
 def test_canonical_rows_random_generating_sets():
@@ -241,8 +230,6 @@ def test_canonical_rows_random_generating_sets():
 
 
 def test_canonical_rows_inconsistent():
-    with pytest.raises(TableauError):
-        canonical_rows([Pauli.from_str("+Z"), Pauli.from_str("-Z")])
     with pytest.raises(TableauError):
         canonical_rows([])
 
@@ -309,8 +296,8 @@ def test_zero_ancilla_encoders_have_distance_one():
 
 def test_encoder_code_images_of_initial_stabilizers():
     """Generator j is the circuit image of Z_j for a |0> ancilla and of X_j
-    for a |+> ancilla, signs included: the bare circuit's stabilizer and
-    destabilizer rows."""
+    for a |+> ancilla: the bare circuit's stabilizer and destabilizer
+    rows."""
     rng = random.Random(17)
     for _ in range(30):
         n = rng.randrange(2, 7)
