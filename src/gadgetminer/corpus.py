@@ -271,46 +271,77 @@ def ingest(paths) -> Corpus:
 def _generator_masks(tableau, n: int, k: int) -> tuple[list[int], list[int]]:
     """X/Z masks of the encoded state's stabilizer generators.
 
-    The tableau must come from encoder_tableau, whose H prefix folds the
+    The tableau must come from encoder_tableau, whose initial rows fold the
     |+> preparations in; the state stabilizer is then the image of Z_j for
     every ancilla wire, i.e. stabilizer row n+j regardless of basis."""
     return tableau.x[n + k:], tableau.z[n + k:]
 
 
-def _move_scores(gx: list[int], gz: list[int], n: int, target_d: int,
-                 directed) -> list[tuple[int, ...]]:
-    """Violation profile (counts of undetected nontrivial Paulis at each
-    weight below target_d) of the generators after each move in directed.
+def _list_logicals(sl: list[int], ws: list[int], n: int, w: int,
+                   vectors) -> None:
+    """Give each weight-w logical vector a bit no listed logical holds and
+    set it in ws[w] and, per letter, in sl: bit i of sl[q] (Z on qubit q,
+    X at q + n) and of ws[w] says that listed logical i has that letter or
+    weight w."""
+    live = 0
+    for m in ws:
+        live |= m
+    for v in vectors:
+        bit = ~live & (live + 1)
+        live |= bit
+        ws[w] |= bit
+        while v:
+            low = v & -v
+            sl[low.bit_length() - 1] |= bit
+            v ^= low
 
-    A CNOT move a -> b conjugates the code, so one walk listing the current
-    logicals up to target_d scores every move: on {a, b} a logical's weight
-    stays 1 or 2 and moves by one where it flips.  Bit i of sl[q] (Z on
-    qubit q, X at q + n) and of ws[w] says that listed logical i has that
-    letter or weight w."""
-    sl = [0] * (2 * n)
-    ws = [0] * (target_d + 1)
-    bit = 1
-    for w, found in enumerate(
-            kernels.logicals_by_weight(gx, gz, n, target_d), 1):
-        for v in found:
-            ws[w] |= bit
-            while v:
-                low = v & -v
-                sl[low.bit_length() - 1] |= bit
-                v ^= low
-            bit <<= 1
-    scores = []
+
+def _move_scores(sl: list[int], ws: list[int], n: int, directed):
+    """Violation profile (counts of undetected nontrivial Paulis at each
+    weight below the bound) after each move in directed, from the listed
+    logicals of weight up to the bound len(ws) - 1; and per move its up
+    and down masks, the listed logicals whose weight it raises or lowers
+    by one.
+
+    A CNOT a -> b conjugates the code, and on {a, b} a logical's weight
+    stays 1 or 2 and changes where it flips: X on a spreads to b, Z on b
+    spreads to a."""
+    ups, downs = [], []
     for a, b in directed:
-        # X on a spreads to b, Z on b spreads to a
         xa, za, xb, zb = sl[a + n], sl[a], sl[b + n], sl[b]
         was = (xa | za) & (xb | zb)
         now = (xa | za ^ zb) & (xb ^ xa | zb)
-        up, down = now & ~was, was & ~now
-        same = ~(up | down)
-        scores.append(tuple(
-            (ws[w] & same | ws[w - 1] & up | ws[w + 1] & down).bit_count()
-            for w in range(1, target_d)))
-    return scores
+        ups.append(now & ~was)
+        downs.append(was & ~now)
+    # one column of counts per weight w, from ws[w - 1], ws[w], ws[w + 1]
+    cols = [[(mid & ~(up | down) | lo & up | hi & down).bit_count()
+             for up, down in zip(ups, downs)]
+            for lo, mid, hi in zip(ws, ws[1:], ws[2:])]
+    return list(zip(*cols)) or [()] * len(directed), ups, downs
+
+
+def _apply_move(gx: list[int], gz: list[int], sl: list[int], ws: list[int],
+                n: int, a: int, b: int, up: int, down: int):
+    """The generators after the move a -> b.  The listed logicals in sl and
+    ws are carried across it in place, given the move's up and down masks
+    from _move_scores: they are conjugated, those the move lifts past the
+    bound are dropped, and those it brings down into the bound are
+    listed."""
+    top = len(ws) - 1
+    same = ~(up | down)
+    gone = ws[top] & up
+    sl[b + n] ^= sl[a + n]
+    sl[a] ^= sl[b]
+    ws[1:] = [mid & same | lo & up | hi & down
+              for lo, mid, hi in zip(ws, ws[1:], ws[2:] + [0])]
+    if gone:
+        keep = ~gone
+        sl[:] = [s & keep for s in sl]
+    gx = [x ^ (x >> a & 1) << b for x in gx]
+    gz = [z ^ (z >> b & 1) << a for z in gz]
+    _list_logicals(sl, ws, n, top,
+                   kernels.logicals_entering(gx, gz, n, top, a, b))
+    return gx, gz
 
 
 def _propose_random(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
@@ -321,14 +352,20 @@ def _propose_random(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
 
 def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
     """Greedy gate appension scored by the violation profile, with a random
-    kick on plateaus.  Stops as soon as the profile is clean."""
-    t = encoder_tableau(Circuit.from_pairs(cfg.n, ()), x_set)
-    gx, gz = _generator_masks(t, cfg.n, cfg.k)
+    kick on plateaus.  Stops as soon as the profile is clean.  One walk
+    lists the logicals up to target_d; each move carries the list on."""
+    n, d = cfg.n, cfg.target_d
+    t = encoder_tableau(Circuit.from_pairs(n, ()), x_set)
+    gx, gz = _generator_masks(t, n, cfg.k)
+    sl = [0] * (2 * n)
+    ws = [0] * (d + 1)
+    for w, found in enumerate(kernels.logicals_by_weight(gx, gz, n, d), 1):
+        _list_logicals(sl, ws, n, w, found)
     gates: list[tuple[int, int]] = []
-    target = (0,) * (cfg.target_d - 1)
-    cur = tuple(kernels.pauli_weight_profile(gx, gz, cfg.n, cfg.target_d - 1))
+    target = (0,) * (d - 1)
+    cur = tuple(m.bit_count() for m in ws[1:d])
     while cur != target and len(gates) < cfg.max_gates:
-        scores = _move_scores(gx, gz, cfg.n, cfg.target_d, directed)
+        scores, ups, downs = _move_scores(sl, ws, n, directed)
         best = min(scores)
         if best < cur:
             ties = [i for i, s in enumerate(scores) if s == best]
@@ -336,9 +373,7 @@ def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set
         else:
             i = sub.randrange(len(directed))
         a, b = directed[i]
-        # the move on the generators (signs are not scored)
-        gx = [x ^ (x >> a & 1) << b for x in gx]
-        gz = [z ^ (z >> b & 1) << a for z in gz]
+        gx, gz = _apply_move(gx, gz, sl, ws, n, a, b, ups[i], downs[i])
         gates.append((a, b))
         cur = scores[i]
     return gates
@@ -504,8 +539,11 @@ def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
         raise ValueError(f"{name!r}: k={k} outside 0..{n - 1}")
     if any(not k <= q < n for q in x_anc):
         raise ValueError(f"{name!r}: x_ancillas {x_anc} outside {k}..{n - 1}")
-    if distance is not None and distance < 1:
-        raise ValueError(f"{name!r}: distance {distance} below 1")
+    if len(set(x_anc)) < len(x_anc):
+        raise ValueError(f"{name!r}: x_ancillas {x_anc} repeat a qubit")
+    # a stated distance is bounded, not recomputed: loading stays cheap
+    if distance is not None and not 1 <= distance <= n:
+        raise ValueError(f"{name!r}: distance {distance} outside 1..{n}")
     entry = CorpusEntry(
         name=name,
         circuit=Circuit(circuit.n_qubits, circuit.gates, name=name),

@@ -7,9 +7,10 @@ from itertools import combinations
 
 import pytest
 
+from gadgetminer import kernels
 from gadgetminer.circuit import Circuit, CnotGate
 from gadgetminer.graph import CircuitGraph, GraphEdge, GraphError, GraphNode
-from gadgetminer.tableau import Pauli, StabilizerCode
+from gadgetminer.tableau import Pauli, StabilizerCode, encoder_tableau
 
 # three qubits, six CNOTs: every consecutive pair forms a back-to-back block
 REF_3Q6_PAIRS = ((0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2))
@@ -128,6 +129,85 @@ class SignedTableau:
         bits += "".join(map(str, self.r))
         bits += "0" * (-len(bits) % 8)
         return n.to_bytes(4, "big") + int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+def logical_slices(lists, n: int) -> tuple[list[int], list[int]]:
+    """(sl, ws) of per-weight logical lists, one bit per logical in list
+    order: bit i of sl[q] (Z on qubit q, X at q + n) and of ws[w] says
+    logical i has that letter or weight w."""
+    sl = [0] * (2 * n)
+    ws = [0]
+    bit = 1
+    for found in lists:
+        ws.append(0)
+        for v in found:
+            ws[-1] |= bit
+            for q in range(2 * n):
+                if v >> q & 1:
+                    sl[q] |= bit
+            bit <<= 1
+    return sl, ws
+
+
+def slice_logicals(sl: list[int], ws: list[int], n: int) -> list[list[int]]:
+    """The sorted per-weight vector lists, (x << n) | z, that slices hold."""
+    lists = []
+    for m in ws[1:]:
+        found = []
+        while m:
+            bit = m & -m
+            found.append(sum(1 << q for q in range(2 * n) if sl[q] & bit))
+            m ^= bit
+        lists.append(sorted(found))
+    return lists
+
+
+def reference_move_scores(gx, gz, n: int, target_d: int,
+                          directed) -> list[tuple[int, ...]]:
+    """Violation profile of the generators after each move in directed,
+    scored from a fresh walk of the current logicals up to target_d: on
+    {a, b} a logical's weight stays 1 or 2 and moves by one where it
+    flips."""
+    sl, ws = logical_slices(
+        kernels.logicals_by_weight(gx, gz, n, target_d), n)
+    scores = []
+    for a, b in directed:
+        # X on a spreads to b, Z on b spreads to a
+        xa, za, xb, zb = sl[a + n], sl[a], sl[b + n], sl[b]
+        was = (xa | za) & (xb | zb)
+        now = (xa | za ^ zb) & (xb ^ xa | zb)
+        up, down = now & ~was, was & ~now
+        same = ~(up | down)
+        scores.append(tuple(
+            (ws[w] & same | ws[w - 1] & up | ws[w + 1] & down).bit_count()
+            for w in range(1, target_d)))
+    return scores
+
+
+def reference_hillclimb(sub: random.Random, cfg, directed, x_set):
+    """The hill climb that walks the logicals afresh at every step: greedy
+    gate appension scored by the violation profile, with a random kick on
+    plateaus, stopping as soon as the profile is clean."""
+    n = cfg.n
+    t = encoder_tableau(Circuit.from_pairs(n, ()), x_set)
+    gx, gz = t.x[n + cfg.k:], t.z[n + cfg.k:]
+    gates = []
+    target = (0,) * (cfg.target_d - 1)
+    cur = tuple(kernels.pauli_weight_profile(gx, gz, n, cfg.target_d - 1))
+    while cur != target and len(gates) < cfg.max_gates:
+        scores = reference_move_scores(gx, gz, n, cfg.target_d, directed)
+        best = min(scores)
+        if best < cur:
+            ties = [i for i, s in enumerate(scores) if s == best]
+            i = ties[sub.randrange(len(ties))]
+        else:
+            i = sub.randrange(len(directed))
+        a, b = directed[i]
+        gx = [x ^ (x >> a & 1) << b for x in gx]
+        gz = [z ^ (z >> b & 1) << a for z in gz]
+        gates.append((a, b))
+        cur = scores[i]
+    return gates
 
 
 def graph_from_json_dict(data: dict, source_circuit: str = "") -> CircuitGraph:

@@ -467,6 +467,20 @@ def test_gen_stats_mine_pipeline(tmp_path, capsys):
     assert (tmp_path / "mined" / "report.json").is_file()
 
 
+def test_stats_rejects_an_overstated_distance(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    assert run_cli(["gen", "--n", 4, "--k", 1, "--d", 2, "--count", 2,
+                    "--attempts", 300, "--seed", 9,
+                    "--output", corpus_dir]) == 0
+    manifest_path = corpus_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["entries"][0]["distance"] = 99
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli(["stats", corpus_dir]) == 1
+    assert "'enc_0000': distance 99 outside 1..4" in capsys.readouterr().err
+
+
 def test_mine_corpus_hashes_the_files_its_manifest_names(tmp_path):
     corpus_dir = tmp_path / "corpus"
     assert run_cli(["gen", "--n", 4, "--k", 1, "--d", 2, "--count", 2,

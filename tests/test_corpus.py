@@ -23,11 +23,20 @@ from gadgetminer.corpus import (
     ingest,
     load_corpus,
     save_corpus,
+    _apply_move,
+    _list_logicals,
     _move_scores,
     _propose_hillclimb,
 )
 
-from conftest import STEANE_PAIRS, STEANE_X_ANCILLAS, pauli_group_distance_oracle
+from conftest import (
+    STEANE_PAIRS,
+    STEANE_X_ANCILLAS,
+    logical_slices,
+    pauli_group_distance_oracle,
+    reference_hillclimb,
+    slice_logicals,
+)
 from test_kernels import brute_force_profile, random_generators
 
 
@@ -211,21 +220,27 @@ def _moved(gx, gz, a, b):
             [z ^ (z >> b & 1) << a for z in gz])
 
 
+def _random_generator_set(rng, n):
+    # commuting or not, with a dependent generator mixed in half the time
+    m = rng.randrange(0, n + 1)
+    gx, gz = random_generators(rng, n, m)
+    if m >= 2 and rng.random() < 0.5:
+        gx.append(gx[0] ^ gx[1])
+        gz.append(gz[0] ^ gz[1])
+    return gx, gz
+
+
 def test_move_scores_match_moved_profiles():
-    # every ordered pair on random generator sets, commuting or not, with
-    # dependent generators mixed in
+    # every ordered pair on random generator sets
     rng = random.Random(99)
     for _ in range(60):
         n = rng.randrange(2, 9)
         d = rng.randrange(1, 6)
-        m = rng.randrange(0, n + 1)
-        gx, gz = random_generators(rng, n, m)
-        if m >= 2 and rng.random() < 0.5:
-            gx.append(gx[0] ^ gx[1])
-            gz.append(gz[0] ^ gz[1])
+        gx, gz = _random_generator_set(rng, n)
         directed = [(a, b) for a in range(n) for b in range(n) if a != b]
-        scores = _move_scores(gx, gz, n, d, directed)
-        assert len(scores) == len(directed)
+        sl, ws = logical_slices(kernels.logicals_by_weight(gx, gz, n, d), n)
+        scores, ups, downs = _move_scores(sl, ws, n, directed)
+        assert len(scores) == len(ups) == len(downs) == len(directed)
         for (a, b), score in zip(directed, scores):
             assert list(score) == kernels.pauli_weight_profile(
                 *_moved(gx, gz, a, b), n, d - 1)
@@ -236,9 +251,54 @@ def test_move_scores_match_moved_profiles():
                 *_moved(gx, gz, *directed[i]), n, d - 1)
 
 
-def test_hillclimb_lists_logicals_once_per_step(monkeypatch):
-    # a structural guard in place of a timing: scoring each move with a
-    # fresh scan would walk 42 times a step on [[7,1,3]]
+def test_carried_logicals_match_fresh_walks():
+    # after every move of a random sequence, the slices hold exactly the
+    # moved generators' logicals up to the bound, weight by weight, and no
+    # bit of a dropped logical is left behind for a new one to inherit
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randrange(2, 8)
+        d = rng.randrange(1, 6)
+        gx, gz = _random_generator_set(rng, n)
+        sl, ws = [0] * (2 * n), [0] * (d + 1)
+        for w, found in enumerate(kernels.logicals_by_weight(gx, gz, n, d), 1):
+            _list_logicals(sl, ws, n, w, found)
+        for _ in range(6):
+            a, b = rng.sample(range(n), 2)
+            _, (up,), (down,) = _move_scores(sl, ws, n, [(a, b)])
+            gx, gz = _apply_move(gx, gz, sl, ws, n, a, b, up, down)
+            assert slice_logicals(sl, ws, n) == [
+                sorted(found)
+                for found in kernels.logicals_by_weight(gx, gz, n, d)]
+            live = 0
+            for m in ws:
+                live |= m
+            assert all(s & ~live == 0 for s in sl)
+
+
+def test_hillclimb_matches_reference_climb():
+    # the carried slices pick the same gates as the climb that walks afresh
+    # at every step, on every n, k and d (d > n included); long climbs at
+    # d >= 4 are cut short, where each fresh walk is dear
+    rng = random.Random(23)
+    kinds = ("all", "nn", "nnn")
+    for n in range(1, 10):
+        for d in range(1, 6):
+            for k in range(min(3, n)):
+                pairs = connectivity_pairs(kinds[(n + d + k) % 3], n)
+                directed = sorted(pairs + tuple((b, a) for a, b in pairs))
+                cfg = GeneratorConfig(n=n, k=k, target_d=d, connectivity=pairs,
+                                      max_gates=25 if d <= 3 else 4)
+                x_set = frozenset(q for q in range(k, n) if rng.random() < 0.5)
+                seed = rng.getrandbits(32)
+                assert _propose_hillclimb(random.Random(seed), cfg, directed,
+                                          x_set) == reference_hillclimb(
+                    random.Random(seed), cfg, directed, x_set)
+
+
+def test_hillclimb_lists_logicals_once_per_proposal(monkeypatch):
+    # a structural guard in place of a timing: one full walk seeds the
+    # carried logicals, and no step walks or profiles afresh
     calls = {"walk": 0, "profile": 0}
 
     def counted(key, fn):
@@ -258,9 +318,8 @@ def test_hillclimb_lists_logicals_once_per_step(monkeypatch):
         calls.update(walk=0, profile=0)
         gates = _propose_hillclimb(random.Random(seed), cfg, directed,
                                    frozenset(range(1, seed + 1)))
-        assert gates
-        assert calls["profile"] <= 1
-        assert calls["walk"] <= len(gates) + 1
+        assert len(gates) > 1
+        assert calls == {"walk": 1, "profile": 0}
 
 
 def _recording(monkeypatch, module, attr, log):
@@ -436,7 +495,12 @@ def test_load_rejects_bad_format(tmp_path):
                                 (0, 4, 5, 6))),
          r"'steane': x_ancillas \[0, 4, 5, 6\] outside 1\.\.6"),
         (lambda m: m["entries"][0].update(distance=0),
-         "'steane': distance 0 below 1"),
+         r"'steane': distance 0 outside 1\.\.7"),
+        # the digest is taken over the set, so it still matches
+        (lambda m: m["entries"][0].update(x_ancillas=[4, 4, 5, 6]),
+         r"'steane': x_ancillas \[4, 4, 5, 6\] repeat a qubit"),
+        (lambda m: m["entries"][0].update(distance=99),
+         r"'steane': distance 99 outside 1\.\.7"),
     ]
     for i, (damage, pattern) in enumerate(damages):
         out = save_corpus(steane_corpus(), tmp_path / str(i))

@@ -145,6 +145,22 @@ def test_scan_parity_random():
             next((i for i, found in enumerate(ref, 1) if found), 0)
 
 
+def test_logicals_entering_matches_brute_force():
+    # the weight-w logicals whose letters on {a, b} are exactly one of X_a,
+    # Y_a, Z_b and Y_b, for w up to n + 1
+    rng = random.Random(4321)
+    for _ in range(30):
+        n = rng.randrange(2, 7)
+        gx, gz = random_generators(rng, n, rng.randrange(0, n + 1))
+        a, b = rng.sample(range(n), 2)
+        w = rng.randrange(1, n + 2)
+        heads = {1 << a + n, 1 << a + n | 1 << a, 1 << b, 1 << b + n | 1 << b}
+        pair = (1 << a | 1 << b) * ((1 << n) + 1)
+        ref = [v for v in brute_force_logicals(gx, gz, n, w)[w - 1]
+               if v & pair in heads]
+        assert sorted(kernels.logicals_entering(gx, gz, n, w, a, b)) == ref
+
+
 def test_scan_parity_wide_inputs():
     # masks wider than a machine word
     n = 36
