@@ -42,7 +42,7 @@ class CertificateShapeError(ValueError):
 
 def certificate(graph) -> bytes:
     """Canonical byte string of a CircuitGraph, or of the graph
-    (graph.gates_graph) of (index, layer, control, target) gates in
+    (graph.gates_graph) of (index, control, target) gates in
     ascending index order; equal certificates iff isomorphic graphs
     (matching labels and all edge kinds/directions).  A node with two
     edges of one kind and direction raises CertificateShapeError."""
@@ -73,7 +73,7 @@ def _gates_certificate(gates) -> bytes:
     _check_size(n)
     slots = [-1] * (4 * n)
     last: dict[int, int] = {}  # qubit -> its latest node
-    for j, (_, _, control, target) in enumerate(gates):
+    for j, (_, control, target) in enumerate(gates):
         c, t = 2 * j, 2 * j + 1
         slots[4 * c], slots[4 * t + 1] = t, c
         for node, q in ((c, control), (t, target)):

@@ -92,7 +92,8 @@ def plant(host: Circuit, spec: GadgetSpec, qubit_map,
 
     qubit_map[i] is the host qubit playing the gadget's local qubit i;
     layer_offset is the gate position the block is spliced in at (0 puts
-    it first, host.cx_count appends).  Layers are renumbered 0..N-1."""
+    it first, host.cx_count appends), and the host's later gates move up
+    by the gadget's gate count."""
     qubit_map = tuple(qubit_map)
     if len(qubit_map) != spec.qubits_touched:
         raise CatalogError(
@@ -108,6 +109,6 @@ def plant(host: Circuit, spec: GadgetSpec, qubit_map,
         raise CatalogError(
             f"layer offset {layer_offset} outside 0..{host.cx_count}")
     mapped = [(qubit_map[c], qubit_map[t]) for c, t in spec.gates]
-    pairs = list(host.pairs())
+    pairs = host.pairs()
     pairs[layer_offset:layer_offset] = mapped
     return Circuit.from_pairs(host.n_qubits, pairs, name=host.name)

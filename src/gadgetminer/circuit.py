@@ -1,8 +1,8 @@
 """CNOT-circuit intermediate representation.
 
-A circuit is an ordered list of CNOT gates on ``n_qubits`` wires, one gate
-per temporal layer (layer index == position in the gate list).  Two
-serializations are supported and round-trip exactly:
+A circuit is its qubit count and its ordered (control, target) pairs, one
+gate per temporal layer: a gate's layer is its index.  Two serializations
+are supported and round-trip exactly:
 
 * line format::
 
@@ -25,7 +25,7 @@ from pathlib import Path
 
 
 class CircuitError(ValueError):
-    """Invalid circuit structure (bad indices, layering, ...)."""
+    """Invalid circuit structure (bad qubit count or gate)."""
 
 
 class CircuitParseError(CircuitError):
@@ -37,65 +37,51 @@ class CircuitParseError(CircuitError):
 
 
 @dataclass(frozen=True)
-class CnotGate:
-    """A single CNOT: ``control`` and ``target`` are 0-based qubit indices."""
-
-    control: int
-    target: int
-    layer: int
-
-    def __post_init__(self):
-        if self.control == self.target:
-            raise CircuitError(
-                f"control equals target ({self.control}) at layer {self.layer}"
-            )
-        if self.control < 0 or self.target < 0 or self.layer < 0:
-            raise CircuitError("negative qubit or layer index")
-
-
-@dataclass(frozen=True)
 class Circuit:
-    """An ordered CNOT circuit with strictly increasing layer indices."""
+    """An ordered CNOT circuit: gates[i] is the (control, target) pair at
+    layer i, with 0-based qubit indices."""
 
     n_qubits: int
-    gates: tuple[CnotGate, ...]
+    gates: tuple[tuple[int, int], ...]
     name: str = ""
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise CircuitError(f"n_qubits must be positive, got {self.n_qubits}")
-        prev = -1
-        for g in self.gates:
-            if g.layer <= prev:
-                raise CircuitError(
-                    f"gate layers must be strictly increasing (layer {g.layer} "
-                    f"after {prev})"
-                )
-            prev = g.layer
-            if g.control >= self.n_qubits or g.target >= self.n_qubits:
-                raise CircuitError(
-                    f"qubit index out of range in gate ({g.control},{g.target}) "
-                    f"for {self.n_qubits} qubits"
-                )
+        n = self.n_qubits
+        # type() rather than isinstance(): True and False are not qubits
+        if type(n) is not int or n < 1:
+            raise CircuitError(
+                f"n_qubits must be a positive integer, got {n!r}")
+        gates = []
+        for i, gate in enumerate(self.gates):
+            try:
+                c, t = gate
+                ok = (type(c) is int and type(t) is int and c != t
+                      and 0 <= c < n and 0 <= t < n)
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise CircuitError(f"gate {i} is not a pair of distinct "
+                                   f"integer qubits below {n}: {gate!r}")
+            gates.append((c, t))
+        object.__setattr__(self, "gates", tuple(gates))
 
     @classmethod
     def from_pairs(
         cls, n_qubits: int, pairs: list[tuple[int, int]] | tuple, name: str = ""
     ) -> Circuit:
-        """Build a circuit from (control, target) pairs, layered 0, 1, 2, ..."""
-        gates = tuple(CnotGate(c, t, i) for i, (c, t) in enumerate(pairs))
-        return cls(n_qubits=n_qubits, gates=gates, name=name)
+        """Build a circuit from (control, target) pairs."""
+        return cls(n_qubits=n_qubits, gates=pairs, name=name)
 
     @property
     def cx_count(self) -> int:
         return len(self.gates)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(g.control, g.target) for g in self.gates]
+        return list(self.gates)
 
 
 def parse_circuit(text: str | bytes, name: str = "") -> Circuit:
-    """Parse the line format.  Layer i is assigned to the i-th gate line.
+    """Parse the line format: the i-th gate line is gate i.
 
     Raises CircuitParseError with the 1-based line number on malformed lines,
     out-of-range qubit indices, or control == target.
@@ -103,7 +89,7 @@ def parse_circuit(text: str | bytes, name: str = "") -> Circuit:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     n_qubits = None
-    pairs: list[tuple[int, int, int]] = []  # (control, target, source line)
+    pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -144,41 +130,39 @@ def parse_circuit(text: str | bytes, name: str = "") -> Circuit:
                 f"(circuit has {n_qubits} qubits)",
                 lineno,
             )
-        pairs.append((c, t, lineno))
+        pairs.append((c, t))
     if n_qubits is None:
         raise CircuitParseError("missing 'qubits <N>' header", None)
-    gates = tuple(CnotGate(c, t, i) for i, (c, t, _) in enumerate(pairs))
-    return Circuit(n_qubits=n_qubits, gates=gates, name=name)
+    return Circuit(n_qubits, pairs, name=name)
 
 
 def serialize_circuit(c: Circuit) -> str:
     """Line-format serialization; parse_circuit inverts it (name aside,
     which the line format does not carry)."""
     lines = [f"qubits {c.n_qubits}"]
-    lines.extend(f"cx {g.control} {g.target}" for g in c.gates)
+    lines.extend(f"cx {control} {target}" for control, target in c.gates)
     return "\n".join(lines) + "\n"
 
 
 def parse_circuit_json(text: str | bytes, name: str = "") -> Circuit:
-    """Parse the JSON form; an embedded "name" wins over the argument."""
+    """Parse the JSON form; an embedded "name" wins over the argument.
+    Circuit rejects a qubit count or index that is not a JSON integer."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitParseError(f"invalid JSON: {exc}", exc.lineno) from None
     try:
-        n = int(obj["qubits"])
-        gates = [(int(c), int(t)) for c, t in obj["gates"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        return Circuit(obj["qubits"], obj["gates"],
+                       name=str(obj.get("name", name)))
+    except (KeyError, TypeError) as exc:
         raise CircuitParseError(f"bad circuit JSON structure: {exc!r}") from None
-    try:
-        return Circuit.from_pairs(n, gates, name=str(obj.get("name", name)))
     except CircuitError as exc:
         raise CircuitParseError(str(exc)) from None
 
 
 def serialize_circuit_json(c: Circuit) -> str:
     return json.dumps(
-        {"name": c.name, "qubits": c.n_qubits, "gates": [[g.control, g.target] for g in c.gates]}
+        {"name": c.name, "qubits": c.n_qubits, "gates": c.gates}
     )
 
 

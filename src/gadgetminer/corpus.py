@@ -526,6 +526,9 @@ def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
     distance = obj.get("distance")
     if not all(isinstance(v, str) for v in (name, file, digest, origin)):
         raise ValueError("name, file, digest and origin must be strings")
+    # save_corpus writes plain names; a path could read outside the corpus
+    if Path(file).name != file:
+        raise ValueError(f"{name!r}: file {file!r} is not a plain file name")
     # type() rather than isinstance(): JSON true and false are not counts
     if not (type(k) is int and isinstance(x_anc, list)
             and all(type(q) is int for q in x_anc)

@@ -2,8 +2,8 @@
 
 Every CNOT endpoint becomes a node labeled "c" (control) or "t" (target);
 a "cnot" edge runs control -> target within a gate, and "time" edges chain
-consecutive endpoints on each qubit in layer order.  Spectator qubits never
-produce nodes.
+consecutive endpoints on each qubit in gate order.  A node's layer is its
+gate's index.  Spectator qubits never produce nodes.
 """
 
 from __future__ import annotations
@@ -127,21 +127,20 @@ class CircuitGraph:
                 f"cnot={len(self.cnot_edges)}, time={len(self.time_edges)})")
 
 
-def gate_tuples(circuit: Circuit) -> list[tuple[int, int, int, int]]:
-    """(index, layer, control, target) of every gate, in circuit order."""
-    return [(i, g.layer, g.control, g.target)
-            for i, g in enumerate(circuit.gates)]
+def gate_tuples(circuit: Circuit) -> list[tuple[int, int, int]]:
+    """(index, control, target) of every gate, in circuit order."""
+    return [(i, c, t) for i, (c, t) in enumerate(circuit.gates)]
 
 
 def gates_graph(source: str, gates) -> CircuitGraph:
-    """The graph of (index, layer, control, target) gates in ascending
-    index order: per gate i a control node 2i, a target node 2i+1 and
-    their cnot edge, and time edges chaining the endpoints on each qubit
-    in layer order."""
+    """The graph of (index, control, target) gates in ascending index
+    order: per gate i a control node 2i and a target node 2i+1, both at
+    layer i, their cnot edge, and time edges chaining the endpoints on
+    each qubit in index order."""
     nodes, edges, last = [], [], {}  # last: qubit -> its latest node id
-    for i, layer, control, target in gates:
-        c = GraphNode(2 * i, control, layer, "c")
-        t = GraphNode(2 * i + 1, target, layer, "t")
+    for i, control, target in gates:
+        c = GraphNode(2 * i, control, i, "c")
+        t = GraphNode(2 * i + 1, target, i, "t")
         nodes += (c, t)
         edges.append(GraphEdge(c.id, t.id, "cnot"))
         for nd in (c, t):

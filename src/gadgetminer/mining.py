@@ -51,20 +51,21 @@ class SubgraphCandidate:
 
 
 class MinedCandidate(NamedTuple):
-    """One kept gate set: its circuit's name and its gates' (index, layer,
-    control, target) in ascending index order.  The graph is built on
-    request, so a kept set costs no graph and pickles small."""
+    """One kept gate set: its circuit's name and its gates' (index,
+    control, target) in ascending index order; a gate's layer is its
+    index.  The graph is built on request, so a kept set costs no graph
+    and pickles small."""
 
     source_circuit: str
-    gates: tuple[tuple[int, int, int, int], ...]
+    gates: tuple[tuple[int, int, int], ...]
 
     @property
     def layers(self) -> tuple[int, ...]:
-        return tuple(g[1] for g in self.gates)
+        return tuple(g[0] for g in self.gates)
 
     @property
     def qubits_touched(self) -> tuple[int, ...]:
-        return tuple(sorted({q for g in self.gates for q in g[2:]}))
+        return tuple(sorted({q for g in self.gates for q in g[1:]}))
 
     @property
     def graph(self) -> CircuitGraph:
@@ -153,7 +154,7 @@ def passes_stationarity_filter(candidate: SubgraphCandidate) -> bool:
 
 def _stationary(gates) -> bool:
     """passes_stationarity_filter on (layer, control, target) tuples in
-    layer order."""
+    layer order; a gate's index serves as its layer."""
     for (li, ci, ti), (lj, cj, tj) in combinations(gates, 2):
         shared = {ci, ti} & {cj, tj}
         # not adjacent: disjoint, or a chosen gate on a shared qubit lies
@@ -179,15 +180,14 @@ def _gate_masks(circuit: Circuit) -> tuple[list[int], list[tuple[int, int]]]:
     on_qubit: dict[int, int] = defaultdict(int)
     last: dict[int, int] = {}
     nbrs = [0] * circuit.cx_count
-    for i, g in enumerate(circuit.gates):
-        for q in (g.control, g.target):
+    for i, gate in enumerate(circuit.gates):
+        for q in gate:
             if q in last:
                 nbrs[i] |= 1 << last[q]
                 nbrs[last[q]] |= 1 << i
             last[q] = i
             on_qubit[q] |= 1 << i
-    return nbrs, [(on_qubit[g.control], on_qubit[g.target])
-                  for g in circuit.gates]
+    return nbrs, [(on_qubit[c], on_qubit[t]) for c, t in circuit.gates]
 
 
 def _indices(mask: int) -> tuple[int, ...]:
@@ -257,7 +257,7 @@ def mine_circuit(
     tuple order.  Their candidates are connected; one is closed when every
     touched qubit carries two or more chosen gates, untainted when no
     unchosen gate of that qubit lies between them, and stationary by its
-    (layer, control, target) tuples, which are read only for sets that
+    (index, control, target) tuples, which are read only for sets that
     pass the first two.  A kept set is returned as a MinedCandidate.
     subsets_total is the binomial search-space size; subsets_examined
     counts the sets visited.  The deadline is checked before each root; a
@@ -283,7 +283,7 @@ def mine_circuit(
         for chosen in sets:
             if _closed_untainted(chosen, lines):
                 idx = _indices(chosen)
-                if _stationary([gates[i][1:] for i in idx]):
+                if _stationary([gates[i] for i in idx]):
                     passed.append(idx)
         passed.sort()
         visited = len(sets)

@@ -174,8 +174,8 @@ def encoder_tableau(c: Circuit, x_ancillas: Iterable[int] = ()) -> CliffordTable
     for q in set(x_ancillas):
         t._check_qubit(q)
         t.x[q], t.z[q], t.x[n + q], t.z[n + q] = 0, 1 << q, 1 << q, 0
-    for g in c.gates:
-        t.cnot(g.control, g.target)
+    for control, target in c.gates:
+        t.cnot(control, target)
     return t
 
 

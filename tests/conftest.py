@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from gadgetminer import kernels
-from gadgetminer.circuit import Circuit, CnotGate
+from gadgetminer.circuit import Circuit
 from gadgetminer.graph import CircuitGraph, GraphEdge, GraphError, GraphNode
 from gadgetminer.tableau import Pauli, StabilizerCode, encoder_tableau
 
@@ -55,13 +55,15 @@ def random_circuit(rng: random.Random, n_qubits: int, n_gates: int,
 # ---------------------------------------------------------------------------
 
 
-def cnots_commute(g1: CnotGate, g2: CnotGate) -> bool:
-    """True iff the two CNOTs commute as operators.
+def cnots_commute(g1: tuple[int, int], g2: tuple[int, int]) -> bool:
+    """True iff the two CNOTs, given as (control, target) pairs, commute as
+    operators.
 
     Shared-control, shared-target and disjoint pairs commute; the pair fails
     to commute exactly when one gate's control sits on the other's target.
     """
-    return not (g1.control == g2.target or g1.target == g2.control)
+    (c1, t1), (c2, t2) = g1, g2
+    return not (c1 == t2 or t1 == c2)
 
 
 def symplectic_ok(t) -> bool:

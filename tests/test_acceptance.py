@@ -18,7 +18,7 @@ import pytest
 
 from gadgetminer.canon import certificate
 from gadgetminer.catalog import all_gadgets, build_gadget, plant
-from gadgetminer.circuit import Circuit, CnotGate, save_circuit
+from gadgetminer.circuit import Circuit, save_circuit
 from gadgetminer.cli import main
 from gadgetminer.graph import (
     CircuitGraph,
@@ -68,20 +68,20 @@ GADGETS = {spec.name: spec for spec in all_gadgets()}
 
 def oracle_tainted(circuit: Circuit, chosen) -> bool:
     """A candidate is tainted when an unchosen gate endpoint falls strictly
-    between two consecutive chosen endpoints on a shared qubit."""
+    between two consecutive chosen endpoints on a shared qubit; a gate's
+    position in the circuit is its time."""
     chosen_set = set(chosen)
     per_qubit: dict[int, list[int]] = {}
     for i in chosen:
-        g = circuit.gates[i]
-        per_qubit.setdefault(g.control, []).append(g.layer)
-        per_qubit.setdefault(g.target, []).append(g.layer)
-    for q, layers in per_qubit.items():
-        layers.sort()
+        for q in circuit.gates[i]:
+            per_qubit.setdefault(q, []).append(i)
+    for q, positions in per_qubit.items():
+        positions.sort()
         for j, g in enumerate(circuit.gates):
-            if j in chosen_set or q not in (g.control, g.target):
+            if j in chosen_set or q not in g:
                 continue
-            for a, b in zip(layers, layers[1:]):
-                if a < g.layer < b:
+            for a, b in zip(positions, positions[1:]):
+                if a < j < b:
                     return True
     return False
 
@@ -91,12 +91,12 @@ def oracle_candidate_graph(circuit: Circuit, chosen) -> CircuitGraph:
     edges = []
     per_qubit: dict[int, list[tuple[int, int]]] = {}
     for i in chosen:
-        g = circuit.gates[i]
-        nodes.append(GraphNode(2 * i, g.control, g.layer, "c"))
-        nodes.append(GraphNode(2 * i + 1, g.target, g.layer, "t"))
+        control, target = circuit.gates[i]
+        nodes.append(GraphNode(2 * i, control, i, "c"))
+        nodes.append(GraphNode(2 * i + 1, target, i, "t"))
         edges.append(GraphEdge(2 * i, 2 * i + 1, "cnot"))
-        per_qubit.setdefault(g.control, []).append((g.layer, 2 * i))
-        per_qubit.setdefault(g.target, []).append((g.layer, 2 * i + 1))
+        per_qubit.setdefault(control, []).append((i, 2 * i))
+        per_qubit.setdefault(target, []).append((i, 2 * i + 1))
     for items in per_qubit.values():
         items.sort()
         for (_, a), (_, b) in zip(items, items[1:]):
@@ -142,9 +142,7 @@ def oracle_connected(graph: CircuitGraph) -> bool:
 
 
 def oracle_stationary(circuit: Circuit, chosen) -> bool:
-    gates = sorted(
-        (circuit.gates[i].layer, circuit.gates[i].control,
-         circuit.gates[i].target) for i in chosen)
+    gates = sorted((i, *circuit.gates[i]) for i in chosen)
     m = len(gates)
     for i in range(m):
         li, ci, ti = gates[i]
@@ -435,7 +433,7 @@ def test_a6_tableau_correctness(five_qubit_code):
             g1, g2 = (qubits[0], qubits[1]), (qubits[2], qubits[3])
         else:
             continue
-        assert cnots_commute(CnotGate(*g1, 0), CnotGate(*g2, 1))
+        assert cnots_commute(g1, g2)
         suffix = random_circuit(rng, n, rng.randrange(0, 6)).pairs()
         v1 = Circuit.from_pairs(n, prefix + [g1, g2] + suffix)
         v2 = Circuit.from_pairs(n, prefix + [g2, g1] + suffix)

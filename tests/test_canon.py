@@ -234,12 +234,12 @@ def test_group_candidates_sorting_and_cutoff():
 def test_group_candidates_size_error_carries_provenance():
     # 33 gates have 66 nodes, two above the bound
     cand = MinedCandidate("bighost",
-                          tuple((i, i + 1, i % 2, 1 - i % 2) for i in range(33)))
+                          tuple((i, i % 2, 1 - i % 2) for i in range(33)))
     with pytest.raises(CertificateSizeError) as exc_info:
         group_candidates([cand])
     msg = str(exc_info.value)
     assert "66 nodes" in msg
-    assert "bighost" in msg and "[1, 2, 3," in msg
+    assert "bighost" in msg and "[0, 1, 2," in msg
 
 
 def test_json_and_csv_output(ref_circuit):

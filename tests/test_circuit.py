@@ -10,7 +10,6 @@ from gadgetminer.circuit import (
     Circuit,
     CircuitError,
     CircuitParseError,
-    CnotGate,
     load_circuit,
     parse_circuit,
     parse_circuit_json,
@@ -23,43 +22,40 @@ from conftest import cnots_commute, random_circuit
 
 
 def test_gate_validation():
-    CnotGate(0, 1, 0)
-    with pytest.raises(CircuitError):
-        CnotGate(2, 2, 0)
-    with pytest.raises(CircuitError):
-        CnotGate(-1, 2, 0)
-    with pytest.raises(CircuitError):
-        CnotGate(0, 1, -1)
+    """Each gate is a pair of distinct in-range integer qubits; the error
+    names the offending gate's index."""
+    for gate in ((2, 2), (-1, 2), (0, 3), (0,), (0, 1, 2), 5, (0, 1.0),
+                 (True, 0), ("0", 1)):
+        with pytest.raises(CircuitError, match="gate 1 "):
+            Circuit(3, ((0, 1), gate))
 
 
 def test_circuit_validation():
-    Circuit(2, (CnotGate(0, 1, 0), CnotGate(1, 0, 1)))
+    Circuit(2, ((0, 1), (1, 0)))
     with pytest.raises(CircuitError):
-        Circuit(2, (CnotGate(0, 1, 0), CnotGate(1, 0, 0)))  # layer collision
-    with pytest.raises(CircuitError):
-        Circuit(2, (CnotGate(0, 1, 1), CnotGate(1, 0, 0)))  # out of order
-    with pytest.raises(CircuitError):
-        Circuit(2, (CnotGate(0, 2, 0),))  # target out of range
-    with pytest.raises(CircuitError):
-        Circuit(0, ())
+        Circuit(2, ((0, 2),))  # target out of range
+    for n_qubits in (0, 2.0, True, "2"):
+        with pytest.raises(CircuitError):
+            Circuit(n_qubits, ())
 
 
 def test_from_pairs_layers():
-    c = Circuit.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
-    assert [g.layer for g in c.gates] == [0, 1, 2]
+    c = Circuit.from_pairs(3, [(0, 1), (1, 2), [2, 0]])
+    assert c.gates == ((0, 1), (1, 2), (2, 0))
     assert c.cx_count == 3
     assert c.pairs() == [(0, 1), (1, 2), (2, 0)]
+    assert c == Circuit(3, c.pairs())
 
 
 def test_commutation_rule():
     # sharing only control-control or target-target qubits commutes
-    assert cnots_commute(CnotGate(0, 1, 0), CnotGate(0, 2, 1))
-    assert cnots_commute(CnotGate(1, 0, 0), CnotGate(2, 0, 1))
-    assert cnots_commute(CnotGate(0, 1, 0), CnotGate(2, 3, 1))
+    assert cnots_commute((0, 1), (0, 2))
+    assert cnots_commute((1, 0), (2, 0))
+    assert cnots_commute((0, 1), (2, 3))
     # control of one hitting target of the other does not
-    assert not cnots_commute(CnotGate(0, 1, 0), CnotGate(1, 2, 1))
-    assert not cnots_commute(CnotGate(0, 1, 0), CnotGate(2, 0, 1))
-    assert not cnots_commute(CnotGate(0, 1, 0), CnotGate(1, 0, 1))
+    assert not cnots_commute((0, 1), (1, 2))
+    assert not cnots_commute((0, 1), (2, 0))
+    assert not cnots_commute((0, 1), (1, 0))
 
 
 def test_parse_round_trip():
@@ -95,6 +91,25 @@ def test_control_equals_target_message():
         parse_circuit("qubits 3\ncx 1 1\n")
     msg = str(exc_info.value)
     assert "control equals target" in msg and "line 2" in msg
+
+
+@pytest.mark.parametrize("text", [
+    '{"qubits": 2.9, "gates": [[0, 1]]}',
+    '{"qubits": true, "gates": []}',
+    '{"qubits": "2", "gates": [[0, 1]]}',
+    '{"qubits": 2, "gates": [[1.7, 0]]}',
+    '{"qubits": 2, "gates": [[true, false]]}',
+    '{"qubits": 2, "gates": [[1, "0"]]}',
+    '{"qubits": 2, "gates": [1]}',
+    '{"qubits": 2, "gates": [[0, 1, 0]]}',
+    '[2]',
+], ids=["float-qubits", "bool-qubits", "string-qubits", "float-gate",
+        "bool-gate", "string-gate", "int-gate", "triple-gate", "not-object"])
+def test_json_rejects_non_integers(text):
+    """Only JSON integers are qubit counts and qubit indices: nothing is
+    coerced."""
+    with pytest.raises(CircuitParseError):
+        parse_circuit_json(text)
 
 
 def test_json_round_trip():

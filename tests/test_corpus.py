@@ -470,6 +470,13 @@ def test_load_rejects_bad_format(tmp_path):
         return lambda m: m.update(
             config={**_config_without("seed"), "seed": 7, **fields})
 
+    def entry_file(file):
+        return lambda m: m["entries"][0].update(file=file)
+
+    # a valid circuit file outside the corpora the damages are applied to
+    outside = save_corpus(steane_corpus(), tmp_path / "outside") / "steane.txt"
+    plain = "is not a plain file name"
+
     # (damage, pattern the error message must match, or None)
     damages = [
         (lambda m: m.update(format_version=99), None),
@@ -501,6 +508,10 @@ def test_load_rejects_bad_format(tmp_path):
          r"'steane': x_ancillas \[4, 4, 5, 6\] repeat a qubit"),
         (lambda m: m["entries"][0].update(distance=99),
          r"'steane': distance 99 outside 1\.\.7"),
+        (entry_file(str(outside)), plain),
+        (entry_file("../outside/steane.txt"), plain),
+        (entry_file("sub/x.txt"), plain),
+        (entry_file("../x.txt"), plain),
     ]
     for i, (damage, pattern) in enumerate(damages):
         out = save_corpus(steane_corpus(), tmp_path / str(i))

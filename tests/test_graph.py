@@ -33,10 +33,10 @@ def test_conversion_node_edge_layout(ref_circuit):
     assert len(g) == 12
     assert len(g.cnot_edges) == 6
     assert len(g.time_edges) == 9  # 3 qubits x (4 endpoints - 1)
-    for i, gate in enumerate(ref_circuit.gates):
+    for i, (control, target) in enumerate(ref_circuit.gates):
         c, t = g.node(2 * i), g.node(2 * i + 1)
-        assert (c.qubit, c.layer, c.label) == (gate.control, gate.layer, "c")
-        assert (t.qubit, t.layer, t.label) == (gate.target, gate.layer, "t")
+        assert (c.qubit, c.layer, c.label) == (control, i, "c")
+        assert (t.qubit, t.layer, t.label) == (target, i, "t")
     assert all((e.src, e.dst) == (2 * i, 2 * i + 1)
                for i, e in enumerate(sorted(g.cnot_edges, key=lambda e: e.src)))
     assert g.source_circuit == "ref3q6"

@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from gadgetminer import cli
-from gadgetminer.circuit import Circuit, CnotGate, save_circuit
+from gadgetminer.circuit import Circuit, save_circuit
 from gadgetminer.cli import main
 from gadgetminer.graph import CircuitGraph, circuit_to_graph
 from gadgetminer.mining import (
@@ -140,8 +140,8 @@ def test_mined_candidates_satisfy_all_filters():
 def _timeline_pairs(circuit) -> set:
     """The gate pairs consecutive in the circuit on some qubit."""
     on_qubit: dict[int, list[int]] = {}
-    for i, g in enumerate(circuit.gates):
-        for q in (g.control, g.target):
+    for i, gate in enumerate(circuit.gates):
+        for q in gate:
             on_qubit.setdefault(q, []).append(i)
     return {frozenset(p) for seq in on_qubit.values()
             for p in zip(seq, seq[1:])}
@@ -159,16 +159,6 @@ def _timeline_connected(pairs, subset) -> bool:
     return len(reached) == len(subset)
 
 
-def _relayered(circuit: Circuit, rng: random.Random) -> Circuit:
-    """The circuit with its gates at increasing layers from 3 up, with
-    gaps, so that no layer is its gate's index."""
-    gates, layer = [], 2
-    for g in circuit.gates:
-        layer += rng.randrange(1, 5)
-        gates.append(CnotGate(g.control, g.target, layer))
-    return Circuit(circuit.n_qubits, tuple(gates), name=circuit.name)
-
-
 def test_mine_matches_exhaustive_oracle():
     rng = random.Random(654)
     # gate 0 is the least gate of two kept sets at C_g = 4, so the order
@@ -177,7 +167,6 @@ def test_mine_matches_exhaustive_oracle():
         3, [(1, 2), (2, 1), (1, 0), (0, 2), (2, 0)])]
     circuits += [random_circuit(rng, rng.randrange(2, 6), rng.randrange(1, 13))
                  for _ in range(30)]
-    circuits += [_relayered(c, rng) for c in circuits[:4]]
     cases = [(c, range(1, min(6, c.cx_count) + 1)) for c in circuits]
     # above 64 gates, a set's mask spans more than one machine word
     cases.append((random_circuit(rng, 3, 70), range(2, 4)))

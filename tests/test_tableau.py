@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gadgetminer.circuit import Circuit, CnotGate
+from gadgetminer.circuit import Circuit
 from gadgetminer.kernels import gf2_basis
 from gadgetminer.tableau import (
     CliffordTableau,
@@ -139,8 +139,8 @@ def test_to_bytes_matches_signed_reference():
         ref = SignedTableau(n)
         for q in xs:
             ref.h(q)
-        for g in c.gates:
-            ref.cnot(g.control, g.target)
+        for control, target in c.gates:
+            ref.cnot(control, target)
         t = encoder_tableau(c, xs)
         assert t.to_bytes() == ref.to_bytes()
         assert t.digest() == hashlib.sha256(ref.to_bytes()).hexdigest()
@@ -168,8 +168,7 @@ def test_commutation_rule_matches_tableau():
         t2 = (c2 + rng.randrange(1, n)) % n
         fwd = CliffordTableau(n).cnot(c1, t1).cnot(c2, t2)
         rev = CliffordTableau(n).cnot(c2, t2).cnot(c1, t1)
-        g1, g2 = CnotGate(c1, t1, 0), CnotGate(c2, t2, 1)
-        assert cnots_commute(g1, g2) == (fwd == rev)
+        assert cnots_commute((c1, t1), (c2, t2)) == (fwd == rev)
 
 
 def test_symplectic_invariant_random_walk():
@@ -305,8 +304,8 @@ def test_encoder_code_images_of_initial_stabilizers():
         c = random_circuit(rng, n, rng.randrange(1, 15))
         xa = {q for q in range(k, n) if rng.random() < 0.5}
         bare = CliffordTableau(n)
-        for g in c.gates:
-            bare.cnot(g.control, g.target)
+        for control, target in c.gates:
+            bare.cnot(control, target)
         images = tuple(bare.row_pauli(j if j in xa else n + j)
                        for j in range(k, n))
         assert encoder_code(c, k, xa).generators == images
