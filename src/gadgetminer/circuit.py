@@ -80,6 +80,14 @@ class Circuit:
         return list(self.gates)
 
 
+def parse_decimal(field: str) -> int:
+    """An ASCII decimal field as an int.  int() alone would also take
+    underscores, a sign and non-ASCII digits."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"not an ASCII decimal: {field!r}")
+    return int(field)
+
+
 def parse_circuit(text: str | bytes, name: str = "") -> Circuit:
     """Parse the line format: the i-th gate line is gate i.
 
@@ -102,7 +110,7 @@ def parse_circuit(text: str | bytes, name: str = "") -> Circuit:
                     lineno,
                 )
             try:
-                n_qubits = int(fields[1])
+                n_qubits = parse_decimal(fields[1])
             except ValueError:
                 raise CircuitParseError(
                     f"malformed qubit count at line {lineno}", lineno
@@ -117,7 +125,7 @@ def parse_circuit(text: str | bytes, name: str = "") -> Circuit:
                 f"malformed gate line at line {lineno}: {raw!r}", lineno
             )
         try:
-            c, t = int(fields[1]), int(fields[2])
+            c, t = parse_decimal(fields[1]), parse_decimal(fields[2])
         except ValueError:
             raise CircuitParseError(
                 f"malformed qubit index at line {lineno}: {raw!r}", lineno

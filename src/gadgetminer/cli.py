@@ -48,7 +48,7 @@ from .corpus import (
 )
 from .graph import gate_tuples
 from .mining import MiningLimits, mine_circuit
-from .tableau import canonical_rows, encoder_tableau
+from .tableau import canonical_rows, encoder_tableau, row_str
 
 OUTPUT_ENV = "GADGETMINER_OUTPUT"
 FORMAT_VERSION = 1
@@ -330,7 +330,9 @@ def cmd_canon(args) -> int:
     t = encoder_tableau(circuit)
     print(t.digest())
     if args.rows:
-        print(canonical_rows(t.stabilizer_rows()))
+        n = t.n
+        for v in canonical_rows(x | z << n for x, z in zip(t.x[n:], t.z[n:])):
+            print(row_str(v, n))
     return 0
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import kernels
-from .circuit import Circuit, load_circuit, serialize_circuit
-from .tableau import canonical_rows, encoder_code, encoder_tableau
+from .circuit import Circuit, load_circuit, parse_decimal, serialize_circuit
+from .tableau import canonical_rows, encoder_tableau, rows_digest
 
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
@@ -69,7 +69,7 @@ def connectivity_pairs(kind: str, n: int,
             if not line:
                 continue
             try:
-                a, b = map(int, line.split())
+                a, b = map(parse_decimal, line.split())
             except ValueError:
                 raise CorpusError(
                     f"bad connectivity line {lineno}: {raw!r}") from None
@@ -185,9 +185,6 @@ class CorpusEntry:
     x_ancillas: tuple[int, ...] = ()
     distance: int | None = None
 
-    def code(self):
-        return encoder_code(self.circuit, self.k, self.x_ancillas)
-
 
 @dataclass
 class Corpus:
@@ -275,6 +272,13 @@ def _generator_masks(tableau, n: int, k: int) -> tuple[list[int], list[int]]:
     |+> preparations in; the state stabilizer is then the image of Z_j for
     every ancilla wire, i.e. stabilizer row n+j regardless of basis."""
     return tableau.x[n + k:], tableau.z[n + k:]
+
+
+def _canonical_generators(e: CorpusEntry) -> list[int]:
+    """Canonical rows x | z << n of the state an entry's encoder prepares."""
+    n = e.circuit.n_qubits
+    gx, gz = _generator_masks(encoder_tableau(e.circuit, e.x_ancillas), n, e.k)
+    return canonical_rows(x | z << n for x, z in zip(gx, gz))
 
 
 def _list_logicals(sl: list[int], ws: list[int], n: int, w: int,
@@ -461,10 +465,11 @@ def corpus_stats(corpus: Corpus) -> dict:
     pooled: list[int] = []
     hist: dict[str, int] = {}
     for e in corpus.entries:
-        rows = canonical_rows(e.code().generators).rows
-        pooled.extend(p.weight for p in rows)
+        n = e.circuit.n_qubits
+        pooled.extend(((v | v >> n) & ((1 << n) - 1)).bit_count()
+                      for v in _canonical_generators(e))
         d = "?" if e.distance is None else str(e.distance)
-        label = f"[[{e.circuit.n_qubits},{e.k},{d}]]"
+        label = f"[[{n},{e.k},{d}]]"
         hist[label] = hist.get(label, 0) + 1
     return {
         "size": len(corpus.entries),
@@ -496,7 +501,8 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
             "name": e.name,
             "file": filename,
             "digest": e.digest,
-            "canonical_digest": canonical_rows(e.code().generators).digest(),
+            "canonical_digest": rows_digest(_canonical_generators(e),
+                                            e.circuit.n_qubits),
             "origin": e.origin,
             "n": e.circuit.n_qubits,
             "k": e.k,

@@ -222,24 +222,28 @@ def _connected_sets(nbrs: list[int], root: int, size: int) -> list[int]:
     """Every timeline-connected set of size gates whose least gate is root,
     once each, as masks in no fixed order (ESU: Wernicke 2006, "Efficient
     detection of network motifs")."""
-    found = []
-    above = -1 << (root + 1)  # the gates after root
-
-    def extend(chosen, ext, seen, left):
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            if left == 1:
-                found.append(chosen | low)
-                continue
-            new = nbrs[low.bit_length() - 1] & above & ~seen
-            extend(chosen | low, ext | new, seen | new, left - 1)
-
     if size == 1:
         return [1 << root]
+    found: list[int] = []
+    above = -1 << (root + 1)  # the gates after root
     first = nbrs[root] & above
-    extend(1 << root, first, first | 1 << root, size - 1)
+    _extend(nbrs, above, found, 1 << root, first, first | 1 << root, size - 1)
     return found
+
+
+def _extend(nbrs, above, found, chosen, ext, seen, left) -> None:
+    """Append to found each set that adds left gates from ext to chosen.
+    Not a closure: a recursive closure is a reference cycle, which would
+    keep found alive until the cyclic collector runs."""
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        if left == 1:
+            found.append(chosen | low)
+            continue
+        new = nbrs[low.bit_length() - 1] & above & ~seen
+        _extend(nbrs, above, found, chosen | low, ext | new, seen | new,
+                left - 1)
 
 
 def mine_circuit(

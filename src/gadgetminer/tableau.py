@@ -8,6 +8,11 @@ and Z-type rows to Z-type rows with sign +, and a |+> wire only swaps its
 two fresh rows, so every row is an unsigned pure-X or pure-Z Pauli and the
 tableau keeps no sign column.
 
+Canonical stabilizer rows are X/Z masks x | z << n read off the tableau
+(canonical_rows, row_str, rows_digest).  Pauli, StabilizerCode,
+encoder_code, code_distance and row_pauli are on no command's path: tests
+use them as oracles and the benchmark's tracer wraps them by name.
+
 Conventions (conjugation by CNOT with control c, target t):
     X_c -> X_c X_t      X_t -> X_t
     Z_c -> Z_c          Z_t -> Z_c Z_t
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import kernels
 from .circuit import Circuit
@@ -35,8 +40,7 @@ class DistanceSearchError(RuntimeError):
 # Pauli strings
 # ---------------------------------------------------------------------------
 
-_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_BITS = {v: k for k, v in _LETTER.items()}
+_LETTERS = "IXZY"  # one qubit's letter at index x | z << 1
 
 
 @dataclass(frozen=True)
@@ -55,28 +59,19 @@ class Pauli:
         return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
     def __str__(self) -> str:
-        # the '+' of the signed layout keeps canonical digests unchanged
-        return "+" + "".join(
-            _LETTER[((self.x >> q) & 1, (self.z >> q) & 1)] for q in range(self.n)
-        )
+        return row_str(self.x | self.z << self.n, self.n)
 
     @classmethod
     def from_str(cls, s: str) -> Pauli:
         s = s.strip().removeprefix("+")
         x = z = 0
         for q, ch in enumerate(s):
-            if ch not in _BITS:
+            i = _LETTERS.find(ch)
+            if i < 0:
                 raise TableauError(f"bad Pauli letter {ch!r}")
-            xb, zb = _BITS[ch]
-            x |= xb << q
-            z |= zb << q
+            x |= (i & 1) << q
+            z |= (i >> 1) << q
         return cls(n=len(s), x=x, z=z)
-
-    def mul(self, other: Pauli) -> Pauli:
-        """Product self * other up to phase: the XOR of the bitmasks."""
-        if self.n != other.n:
-            raise TableauError("Pauli size mismatch")
-        return Pauli(self.n, self.x ^ other.x, self.z ^ other.z)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +133,6 @@ class CliffordTableau:
     def row_pauli(self, i: int) -> Pauli:
         return Pauli(self.n, self.x[i], self.z[i])
 
-    def stabilizer_rows(self) -> list[Pauli]:
-        return [self.row_pauli(self.n + i) for i in range(self.n)]
-
     def to_bytes(self) -> bytes:
         """Faithful fixed-convention serialization; equal bytes <=> equal
         tableau <=> equal CNOT unitary.
@@ -184,51 +176,35 @@ def encoder_tableau(c: Circuit, x_ancillas: Iterable[int] = ()) -> CliffordTable
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Reduced row echelon form over GF(2) of a set of unsigned Pauli rows.
-
-    Column order is the X block then the Z block, ascending qubit index; the
-    rows are the unique span elements with pivots at the RREF columns, so
-    two row sets spanning the same space compare equal.  Rows print with
-    the leading '+' of the signed layout, so digests are unchanged.
-    """
-
-    n: int
-    rows: tuple[Pauli, ...]
-
-    def __str__(self) -> str:
-        return "\n".join(str(p) for p in self.rows)
-
-    def digest(self) -> str:
-        payload = f"{self.n}|" + "|".join(str(p) for p in self.rows)
-        return hashlib.sha256(payload.encode()).hexdigest()
+def canonical_rows(rows: Iterable[int]) -> list[int]:
+    """GF(2) reduced row echelon form of row masks x | z << n, sorted by
+    pivot.  Columns run X block then Z block, ascending qubit, so a pivot
+    is its row's lowest set bit; equal spans give equal lists, and
+    dependent rows are dropped."""
+    reduced: list[int] = []
+    for v in rows:
+        # a pivot column is clear in the other rows: one pass clears v's
+        for r in reduced:
+            if v & r & -r:
+                v ^= r
+        if v:
+            low = v & -v
+            reduced = [r ^ v if r & low else r for r in reduced]
+            reduced.append(v)
+    return sorted(reduced, key=lambda r: r & -r)
 
 
-def canonical_rows(rows: Sequence[Pauli]) -> CanonicalForm:
-    """RREF over GF(2) of Pauli rows (unsigned CNOT images)."""
-    if not rows:
-        raise TableauError("cannot canonicalize an empty row set")
-    n = rows[0].n
+def row_str(v: int, n: int) -> str:
+    """Row mask x | z << n as text, e.g. '+IXYZ'; the '+' of the signed
+    layout keeps canonical digests unchanged."""
+    return "+" + "".join(
+        _LETTERS[(v >> q & 1) | (v >> (n + q) & 1) << 1] for q in range(n))
 
-    def bit(p: Pauli, col: int) -> int:
-        # columns 0..n-1: X block; columns n..2n-1: Z block
-        return (p.x >> col) & 1 if col < n else (p.z >> (col - n)) & 1
 
-    # pivots are taken in column order, so reduced stays sorted by pivot
-    reduced: list[Pauli] = []
-    remaining = list(rows)
-    for col in range(2 * n):
-        pivot = next((i for i, p in enumerate(remaining) if bit(p, col)), None)
-        if pivot is None:
-            continue
-        row = remaining.pop(pivot)
-        remaining = [p.mul(row) if bit(p, col) else p for p in remaining]
-        reduced = [p.mul(row) if bit(p, col) else p for p in reduced]
-        reduced.append(row)
-        if not remaining:
-            break
-    return CanonicalForm(n=n, rows=tuple(reduced))
+def rows_digest(rows: Iterable[int], n: int) -> str:
+    """SHA-256 of 'n|row|row|...' over the printed rows."""
+    payload = f"{n}|" + "|".join(row_str(v, n) for v in rows)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

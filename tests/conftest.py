@@ -351,3 +351,42 @@ def pauli_group_distance_oracle(code: StabilizerCode) -> int:
         if best is not None:
             break
     raise AssertionError("no logical operator found")
+
+
+_ORACLE_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+
+
+def pauli_canonical_rows(rows: list[Pauli]) -> tuple[Pauli, ...]:
+    """RREF over GF(2) of Pauli rows, column by column: X block, then Z
+    block, ascending qubit; the reference for tableau.canonical_rows."""
+    n = rows[0].n
+
+    def bit(p: Pauli, col: int) -> int:
+        return (p.x >> col) & 1 if col < n else (p.z >> (col - n)) & 1
+
+    def mul(p: Pauli, q: Pauli) -> Pauli:
+        return Pauli(n, p.x ^ q.x, p.z ^ q.z)
+
+    reduced: list[Pauli] = []
+    remaining = list(rows)
+    for col in range(2 * n):
+        pivot = next((i for i, p in enumerate(remaining) if bit(p, col)), None)
+        if pivot is None:
+            continue
+        row = remaining.pop(pivot)
+        remaining = [mul(p, row) if bit(p, col) else p for p in remaining]
+        reduced = [mul(p, row) if bit(p, col) else p for p in reduced]
+        reduced.append(row)
+    return tuple(reduced)
+
+
+def pauli_row_text(p: Pauli) -> str:
+    """'+' then one letter per qubit, e.g. '+IXYZ'."""
+    return "+" + "".join(_ORACLE_LETTER[((p.x >> q) & 1, (p.z >> q) & 1)]
+                         for q in range(p.n))
+
+
+def stabilizer_masks(t) -> list[int]:
+    """A tableau's stabilizer rows n..2n-1 as masks x | z << n."""
+    n = t.n
+    return [x | z << n for x, z in zip(t.x[n:], t.z[n:])]

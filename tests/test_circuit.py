@@ -86,6 +86,23 @@ def test_parse_errors_carry_line(text, fragment):
     assert fragment in str(exc_info.value)
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("qubits 1_2\n", "malformed qubit count at line 1"),
+    ("qubits +2\n", "malformed qubit count at line 1"),
+    ("qubits -0\n", "malformed qubit count at line 1"),
+    ("qubits \u0663\n", "malformed qubit count at line 1"),
+    ("qubits 12\ncx 1_0 2\n", "malformed qubit index at line 2"),
+    ("qubits 3\ncx 0 +2\n", "malformed qubit index at line 2"),
+    ("qubits 3\ncx -0 1\n", "malformed qubit index at line 2"),
+    ("qubits 4\ncx \u0663 0\n", "malformed qubit index at line 2"),
+], ids=["count-underscore", "count-plus", "count-minus", "count-arabic",
+        "index-underscore", "index-plus", "index-minus", "index-arabic"])
+def test_parse_accepts_ascii_decimals_only(text, fragment):
+    with pytest.raises(CircuitParseError) as exc_info:
+        parse_circuit(text)
+    assert fragment in str(exc_info.value)
+
+
 def test_control_equals_target_message():
     with pytest.raises(CircuitParseError) as exc_info:
         parse_circuit("qubits 3\ncx 1 1\n")

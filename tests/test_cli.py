@@ -607,11 +607,63 @@ def test_canon_digest(capsys):
     assert run_cli(["canon", path]) == 0
     printed = capsys.readouterr().out.strip()
     assert printed == encoder_tableau(load_circuit(path)).digest()
-    assert run_cli(["canon", path, "--rows"]) == 0
-    out = capsys.readouterr().out.strip().split("\n")
-    assert out[0] == printed
-    assert len(out) == 5  # digest + one canonical row per qubit
-    assert all(row[0] in "+-" for row in out[1:])
+
+
+# stdout of the commands below, pinned byte for byte; a CNOT circuit maps
+# the Z rows' span onto itself, so its canonical rows are the Z_i
+CANON_ROWS_STDOUT = {
+    "host_a.txt": "fffa870ae0eab12e51be3e7591776e6bd255adb6be46611cafb623b737d57b3a\n"
+                  "+ZIII\n+IZII\n+IIZI\n+IIIZ\n",
+    "host_b.txt": "eee457ac8f98f95945bce9923e10fbc8611c143423c1c3f0d3a58bae2f376f72\n"
+                  "+ZII\n+IZI\n+IIZ\n",
+    "host_c.txt": "53b63c18fd10bb04df2058a0cdb8192030d3085cc3d257c0f2f5430c812096da\n"
+                  "+ZIIII\n+IZIII\n+IIZII\n+IIIZI\n+IIIIZ\n",
+}
+STATS_HOSTS_STDOUT = """{
+  "code_parameters": {
+    "[[3,0,?]]": 1,
+    "[[4,0,?]]": 1,
+    "[[5,0,?]]": 1
+  },
+  "cx_count": {
+    "max": 5,
+    "mean": 4.0,
+    "min": 3
+  },
+  "mean_generator_weight": 1.0,
+  "size": 3
+}
+"""
+STATS_GEN_STDOUT = """{
+  "code_parameters": {
+    "[[7,1,3]]": 20
+  },
+  "cx_count": {
+    "max": 24,
+    "mean": 14.8,
+    "min": 10
+  },
+  "mean_generator_weight": 4.0,
+  "size": 20
+}
+"""
+
+
+@pytest.mark.parametrize("name", sorted(CANON_ROWS_STDOUT))
+def test_canon_rows_stdout(capsys, name):
+    assert run_cli(["canon", HOSTS / name, "--rows"]) == 0
+    assert capsys.readouterr().out == CANON_ROWS_STDOUT[name]
+
+
+def test_stats_stdout(tmp_path, capsys):
+    assert run_cli(["stats", HOSTS]) == 0
+    assert capsys.readouterr().out == STATS_HOSTS_STDOUT
+    assert run_cli(["gen", "--n", 7, "--k", 1, "--d", 3, "--seed", 7,
+                    "--attempts", 200, "--count", 20,
+                    "--output", tmp_path / "enc"]) == 0
+    capsys.readouterr()
+    assert run_cli(["stats", tmp_path / "enc"]) == 0
+    assert capsys.readouterr().out == STATS_GEN_STDOUT
 
 
 def test_canon_missing_file(tmp_path, capsys):

@@ -28,6 +28,7 @@ from gadgetminer.corpus import (
     _move_scores,
     _propose_hillclimb,
 )
+from gadgetminer.tableau import encoder_code
 
 from conftest import (
     STEANE_PAIRS,
@@ -73,6 +74,15 @@ def test_connectivity_file(tmp_path):
     p.write_text("0 1\na b\n")
     with pytest.raises(CorpusError, match=r"bad connectivity line 2: 'a b'"):
         connectivity_pairs("file", 3, p)
+
+
+@pytest.mark.parametrize("line", ["0 1_0", "+1 2", "-0 1", "1 \u0662"],
+                         ids=["underscore", "plus", "minus", "arabic"])
+def test_connectivity_file_accepts_ascii_decimals_only(tmp_path, line):
+    p = tmp_path / "conn.txt"
+    p.write_text(f"0 1\n{line}\n")
+    with pytest.raises(CorpusError, match=r"bad connectivity line 2: "):
+        connectivity_pairs("file", 12, p)
 
 
 def test_generator_config_validation():
@@ -158,7 +168,8 @@ def test_generate_distance_two_quickly():
     for e in corpus.entries:
         assert e.origin == "generated"
         assert e.distance is not None and e.distance >= 2
-        assert e.distance == pauli_group_distance_oracle(e.code())
+        assert e.distance == pauli_group_distance_oracle(
+            encoder_code(e.circuit, e.k, e.x_ancillas))
 
 
 def test_generate_deterministic():
@@ -350,7 +361,8 @@ def test_generate_walks_once_per_proposal(monkeypatch, method, n, d):
     assert len(walks) == len(proposals)
     assert all(args[3] == cfg.n for args in walks)
     for e in corpus.entries:
-        assert e.distance == pauli_group_distance_oracle(e.code())
+        assert e.distance == pauli_group_distance_oracle(
+            encoder_code(e.circuit, e.k, e.x_ancillas))
 
 
 def test_generate_k0_walk_stays_below_target(monkeypatch):

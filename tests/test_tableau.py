@@ -21,13 +21,17 @@ from gadgetminer.tableau import (
     code_distance,
     encoder_code,
     encoder_tableau,
+    row_str,
+    rows_digest,
 )
 
 from conftest import (
     STEANE_X_ANCILLAS,
     SignedTableau,
     cnots_commute,
+    pauli_canonical_rows,
     pauli_group_distance_oracle,
+    pauli_row_text,
     random_circuit,
     symplectic_ok,
 )
@@ -203,34 +207,57 @@ def test_encoder_tableau_prefix():
 # ---------------------------------------------------------------------------
 
 
+def _mask(p: Pauli) -> int:
+    return p.x | p.z << p.n
+
+
 def test_canonical_rows_group_invariance():
-    a = [Pauli.from_str("+ZI"), Pauli.from_str("+IZ")]
-    b = [Pauli.from_str("+ZZ"), Pauli.from_str("+IZ")]  # same group
+    a = [_mask(Pauli.from_str("+ZI")), _mask(Pauli.from_str("+IZ"))]
+    b = [_mask(Pauli.from_str("+ZZ")), _mask(Pauli.from_str("+IZ"))]
     assert canonical_rows(a) == canonical_rows(b)
-    assert canonical_rows(a).digest() == canonical_rows(b).digest()
+    assert [row_str(v, 2) for v in canonical_rows(a)] == ["+ZI", "+IZ"]
+
+
+def _random_row_sets(rng):
+    """Stabilizer rows of random encoders (n = 1, k = 0 and all-|+> among
+    them), then random Pauli rows, which have Y letters."""
+    cases = [(1, 0, set()), (1, 0, {0}), (3, 0, {0, 1, 2}), (4, 0, set())]
+    for _ in range(60):
+        n = rng.randrange(1, 8)
+        k = rng.randrange(n)
+        cases.append((n, k, {q for q in range(k, n) if rng.random() < 0.5}))
+    for n, k, xa in cases:
+        c = random_circuit(rng, n, rng.randrange(12)) if n > 1 else Circuit(1, ())
+        t = encoder_tableau(c, xa)
+        yield n, [Pauli(n, t.x[i], t.z[i]) for i in range(n + k, 2 * n)]
+    for _ in range(30):
+        n = rng.randrange(1, 8)
+        yield n, [Pauli(n, rng.getrandbits(n), rng.getrandbits(n))
+                  for _ in range(rng.randrange(1, 2 * n + 1))]
 
 
 def test_canonical_rows_random_generating_sets():
-    """Shuffling and multiplying generators must not move the canonical form."""
+    """The mask RREF equals the Pauli-row reference on random row sets,
+    shuffled and mixed by row operations, with dependent rows added: same
+    rows, text and digest."""
     rng = random.Random(7)
-    for trial in range(30):
-        n = rng.randrange(2, 6)
-        c = random_circuit(rng, n, rng.randrange(1, 12))
-        rows = encoder_tableau(c).stabilizer_rows()
-        ref = canonical_rows(rows)
+    for n, rows in _random_row_sets(rng):
+        ref = pauli_canonical_rows(rows)
         mixed = list(rows)
         for _ in range(10):
-            i = rng.randrange(len(mixed))
-            j = rng.randrange(len(mixed))
-            if i != j and mixed[i].commutes(mixed[j]):
-                mixed[i] = mixed[i].mul(mixed[j])
+            i, j = rng.randrange(len(mixed)), rng.randrange(len(mixed))
+            if i != j:
+                mixed[i] = Pauli(n, mixed[i].x ^ mixed[j].x,
+                                 mixed[i].z ^ mixed[j].z)
+        mixed.append(Pauli(n, mixed[0].x ^ mixed[-1].x, mixed[0].z ^ mixed[-1].z))
+        mixed.append(Pauli(n, 0, 0))
         rng.shuffle(mixed)
-        assert canonical_rows(mixed) == ref
-
-
-def test_canonical_rows_inconsistent():
-    with pytest.raises(TableauError):
-        canonical_rows([])
+        got = canonical_rows(_mask(p) for p in mixed)
+        assert got == [_mask(p) for p in ref]
+        text = [pauli_row_text(p) for p in ref]
+        assert [row_str(v, n) for v in got] == text
+        assert rows_digest(got, n) == hashlib.sha256(
+            (f"{n}|" + "|".join(text)).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +286,8 @@ def test_gf2_rank():
 def test_five_qubit_code_distance(five_qubit_code):
     assert code_distance(five_qubit_code) == 3
     assert pauli_group_distance_oracle(five_qubit_code) == 3
-    rows = canonical_rows(five_qubit_code.generators).rows
-    assert [p.weight for p in rows] == [4, 4, 4, 4]
+    rows = canonical_rows(_mask(g) for g in five_qubit_code.generators)
+    assert [Pauli(5, v & 31, v >> 5).weight for v in rows] == [4, 4, 4, 4]
 
 
 def test_steane_encoder_distance(steane_circuit):
