@@ -13,8 +13,9 @@ are supported and round-trip exactly:
 
 * JSON: ``{"name": str, "qubits": int, "gates": [[control, target], ...]}``
 
-The IR deliberately knows nothing about single-qubit gates; those exist only
-in the tableau layer.
+The IR has no single-qubit gates.  The only one the program models is the
+H that prepares a |+> ancilla, and encoder_tableau folds it into the
+tableau's initial rows.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from .corpus import (
 )
 from .graph import gate_tuples
 from .mining import MiningLimits, mine_circuit
-from .tableau import canonical_rows, encoder_tableau, row_str
+from .tableau import encoder_tableau
 
 OUTPUT_ENV = "GADGETMINER_OUTPUT"
 FORMAT_VERSION = 1
@@ -326,13 +326,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    circuit = load_circuit(args.circuit)
-    t = encoder_tableau(circuit)
-    print(t.digest())
-    if args.rows:
-        n = t.n
-        for v in canonical_rows(x | z << n for x, z in zip(t.x[n:], t.z[n:])):
-            print(row_str(v, n))
+    print(encoder_tableau(load_circuit(args.circuit)).digest())
     return 0
 
 
@@ -402,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canon", help="canonical tableau digest of a circuit")
     p.add_argument("circuit", help="circuit file")
-    p.add_argument("--rows", action="store_true",
-                   help="also print the canonical stabilizer rows")
     p.set_defaults(func=cmd_canon)
     return parser
 

@@ -3,9 +3,10 @@
 A corpus is an ordered list of entries deduplicated by the tableau digest
 of the encoding unitary (with basis-flip prefixes for |+> ancillas), which
 identifies exactly the circuits implementing the same Clifford map.  The
-grouped canonical form of the prepared state is stored alongside but is
-too coarse a key for CNOT-only circuits, where every encoder stabilizes a
-group with the same row-echelon form.
+manifest also stores each entry's canonical digest, of the reduced row
+echelon form of the stabilizer rows: it identifies the code the encoder
+prepares, a coarser key than the tableau digest, as different encoders
+can prepare the same code.
 
 Corpus directory layout: one circuit text file per entry plus
 manifest.json carrying digests, per-entry code data, the generator config
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from . import kernels
 from .circuit import Circuit, load_circuit, parse_decimal, serialize_circuit
-from .tableau import canonical_rows, encoder_tableau, rows_digest
+from .tableau import encoder_tableau, rows_digest
 
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
@@ -265,32 +266,31 @@ def ingest(paths) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def _generator_masks(tableau, n: int, k: int) -> tuple[list[int], list[int]]:
-    """X/Z masks of the encoded state's stabilizer generators.
+def _generator_masks(tableau, n: int, k: int) -> list[int]:
+    """Rows x | z << n of the encoded state's stabilizer generators.
 
     The tableau must come from encoder_tableau, whose initial rows fold the
     |+> preparations in; the state stabilizer is then the image of Z_j for
     every ancilla wire, i.e. stabilizer row n+j regardless of basis."""
-    return tableau.x[n + k:], tableau.z[n + k:]
+    return tableau.rows[n + k:]
 
 
 def _canonical_generators(e: CorpusEntry) -> list[int]:
-    """Canonical rows x | z << n of the state an entry's encoder prepares."""
-    n = e.circuit.n_qubits
-    gx, gz = _generator_masks(encoder_tableau(e.circuit, e.x_ancillas), n, e.k)
-    return canonical_rows(x | z << n for x, z in zip(gx, gz))
+    """Canonical rows of the state an entry's encoder prepares."""
+    t = encoder_tableau(e.circuit, e.x_ancillas)
+    return kernels.canonical_rows(_generator_masks(t, t.n, e.k))
 
 
 def _list_logicals(sl: list[int], ws: list[int], n: int, w: int,
-                   vectors) -> None:
-    """Give each weight-w logical vector a bit no listed logical holds and
-    set it in ws[w] and, per letter, in sl: bit i of sl[q] (Z on qubit q,
-    X at q + n) and of ws[w] says that listed logical i has that letter or
-    weight w."""
+                   logicals) -> None:
+    """Give each weight-w logical a bit no listed logical holds and set it
+    in ws[w] and, per letter, in sl: bit i of sl[q] (X on qubit q, Z at
+    q + n, as in the logical's row) and of ws[w] says that listed logical
+    i has that letter or weight w."""
     live = 0
     for m in ws:
         live |= m
-    for v in vectors:
+    for v in logicals:
         bit = ~live & (live + 1)
         live |= bit
         ws[w] |= bit
@@ -312,7 +312,7 @@ def _move_scores(sl: list[int], ws: list[int], n: int, directed):
     spreads to a."""
     ups, downs = [], []
     for a, b in directed:
-        xa, za, xb, zb = sl[a + n], sl[a], sl[b + n], sl[b]
+        xa, za, xb, zb = sl[a], sl[a + n], sl[b], sl[b + n]
         was = (xa | za) & (xb | zb)
         now = (xa | za ^ zb) & (xb ^ xa | zb)
         ups.append(now & ~was)
@@ -324,28 +324,26 @@ def _move_scores(sl: list[int], ws: list[int], n: int, directed):
     return list(zip(*cols)) or [()] * len(directed), ups, downs
 
 
-def _apply_move(gx: list[int], gz: list[int], sl: list[int], ws: list[int],
-                n: int, a: int, b: int, up: int, down: int):
-    """The generators after the move a -> b.  The listed logicals in sl and
-    ws are carried across it in place, given the move's up and down masks
-    from _move_scores: they are conjugated, those the move lifts past the
-    bound are dropped, and those it brings down into the bound are
-    listed."""
+def _apply_move(gens: list[int], sl: list[int], ws: list[int], n: int,
+                a: int, b: int, up: int, down: int) -> None:
+    """Carry the generators and the listed logicals in sl and ws across the
+    move a -> b in place, given the move's up and down masks from
+    _move_scores: the generators and logicals are conjugated, the
+    logicals the move lifts past the bound are dropped, and those it
+    brings down into the bound are listed."""
     top = len(ws) - 1
     same = ~(up | down)
     gone = ws[top] & up
-    sl[b + n] ^= sl[a + n]
-    sl[a] ^= sl[b]
+    sl[b] ^= sl[a]
+    sl[a + n] ^= sl[b + n]
     ws[1:] = [mid & same | lo & up | hi & down
               for lo, mid, hi in zip(ws, ws[1:], ws[2:] + [0])]
     if gone:
         keep = ~gone
         sl[:] = [s & keep for s in sl]
-    gx = [x ^ (x >> a & 1) << b for x in gx]
-    gz = [z ^ (z >> b & 1) << a for z in gz]
+    kernels.cnot_rows(gens, n, a, b)
     _list_logicals(sl, ws, n, top,
-                   kernels.logicals_entering(gx, gz, n, top, a, b))
-    return gx, gz
+                   kernels.logicals_entering(gens, n, top, a, b))
 
 
 def _propose_random(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
@@ -360,10 +358,10 @@ def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set
     lists the logicals up to target_d; each move carries the list on."""
     n, d = cfg.n, cfg.target_d
     t = encoder_tableau(Circuit.from_pairs(n, ()), x_set)
-    gx, gz = _generator_masks(t, n, cfg.k)
+    gens = _generator_masks(t, n, cfg.k)
     sl = [0] * (2 * n)
     ws = [0] * (d + 1)
-    for w, found in enumerate(kernels.logicals_by_weight(gx, gz, n, d), 1):
+    for w, found in enumerate(kernels.logicals_by_weight(gens, n, d), 1):
         _list_logicals(sl, ws, n, w, found)
     gates: list[tuple[int, int]] = []
     target = (0,) * (d - 1)
@@ -377,7 +375,7 @@ def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set
         else:
             i = sub.randrange(len(directed))
         a, b = directed[i]
-        gx, gz = _apply_move(gx, gz, sl, ws, n, a, b, ups[i], downs[i])
+        _apply_move(gens, sl, ws, n, a, b, ups[i], downs[i])
         gates.append((a, b))
         cur = scores[i]
     return gates
@@ -415,11 +413,11 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
         gates = propose(sub, cfg, directed, x_set)
         circuit = Circuit.from_pairs(cfg.n, gates)
         t = encoder_tableau(circuit, x_set)
-        gx, gz = _generator_masks(t, cfg.n, cfg.k)
+        gens = _generator_masks(t, cfg.n, cfg.k)
         # with logicals the walk stops at the exact distance; with none
         # (k = 0) a bound of n would list all 4^n Paulis
         bound = cfg.n if cfg.k else cfg.target_d - 1
-        distance = kernels.min_logical_weight(gx, gz, cfg.n, bound) or None
+        distance = kernels.min_logical_weight(gens, cfg.n, bound) or None
         if distance is not None:
             best_distance = max(best_distance, distance)
             if distance < cfg.target_d:
@@ -488,14 +486,23 @@ def corpus_stats(corpus: Corpus) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _plain_file_name(name: str, file: str) -> str:
+    """file, if it names a file directly in the corpus directory: a path
+    could read or write outside it."""
+    if Path(file).name != file:
+        raise CorpusError(f"{name!r}: file {file!r} is not a plain file name")
+    return file
+
+
 def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
     """Write one circuit text file per entry plus manifest.json.  Output is
-    byte-identical for identical corpora."""
+    byte-identical for identical corpora.  An entry name that is not a
+    plain file name raises CorpusError before any file is written."""
+    files = [_plain_file_name(e.name, f"{e.name}.txt") for e in corpus.entries]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
-    for e in corpus.entries:
-        filename = f"{e.name}.txt"
+    for e, filename in zip(corpus.entries, files):
         (directory / filename).write_text(serialize_circuit(e.circuit))
         entries.append({
             "name": e.name,
@@ -532,9 +539,7 @@ def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
     distance = obj.get("distance")
     if not all(isinstance(v, str) for v in (name, file, digest, origin)):
         raise ValueError("name, file, digest and origin must be strings")
-    # save_corpus writes plain names; a path could read outside the corpus
-    if Path(file).name != file:
-        raise ValueError(f"{name!r}: file {file!r} is not a plain file name")
+    _plain_file_name(name, file)
     # type() rather than isinstance(): JSON true and false are not counts
     if not (type(k) is int and isinstance(x_anc, list)
             and all(type(q) is int for q in x_anc)

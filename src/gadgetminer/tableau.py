@@ -2,16 +2,18 @@
 
 The tableau follows the Aaronson-Gottesman layout: for an n-qubit circuit
 U, rows 0..n-1 hold the images U X_i U† (destabilizers) and rows n..2n-1 the
-images U Z_i U† (stabilizers), each as X and Z bitmasks (bit q = qubit q,
-as in Pauli).  CNOT is the only gate.  It maps X-type rows to X-type rows
-and Z-type rows to Z-type rows with sign +, and a |+> wire only swaps its
-two fresh rows, so every row is an unsigned pure-X or pure-Z Pauli and the
-tableau keeps no sign column.
+images U Z_i U† (stabilizers), each one integer x | z << n (bit q is X on
+qubit q, bit q + n is Z on it), the one layout of kernels.  CNOT is the
+only gate.  It maps X-type rows to X-type rows and Z-type rows to Z-type
+rows with sign +, and a |+> wire only swaps its two fresh rows, so every
+row is an unsigned pure-X or pure-Z Pauli and the tableau keeps no sign
+column.
 
-Canonical stabilizer rows are X/Z masks x | z << n read off the tableau
-(canonical_rows, row_str, rows_digest).  Pauli, StabilizerCode,
-encoder_code, code_distance and row_pauli are on no command's path: tests
-use them as oracles and the benchmark's tracer wraps them by name.
+A corpus manifest's canonical rows are kernels.canonical_rows of the
+stabilizer rows, printed by row_str and hashed by rows_digest.  Pauli,
+StabilizerCode, encoder_code, code_distance and row_pauli are on no
+command's path: tests use them as oracles and the benchmark's tracer
+wraps them by name.
 
 Conventions (conjugation by CNOT with control c, target t):
     X_c -> X_c X_t      X_t -> X_t
@@ -45,7 +47,8 @@ _LETTERS = "IXZY"  # one qubit's letter at index x | z << 1
 
 @dataclass(frozen=True)
 class Pauli:
-    """Unsigned n-qubit Pauli with X/Z bitmasks (bit q = qubit q)."""
+    """Unsigned n-qubit Pauli with X/Z bitmasks (bit q = qubit q); as a
+    row it is x | z << n."""
 
     n: int
     x: int
@@ -80,27 +83,22 @@ class Pauli:
 
 
 class CliffordTableau:
-    """2n rows of X/Z bitmasks; starts as the identity."""
+    """2n rows x | z << n; starts as the identity."""
 
-    __slots__ = ("n", "x", "z")
+    __slots__ = ("n", "rows")
 
     def __init__(self, n: int):
         if n < 1:
             raise TableauError(f"qubit count must be positive, got {n}")
         self.n = n
-        # destabilizer i = X_i, stabilizer i = Z_i
-        self.x = [1 << i for i in range(n)] + [0] * n
-        self.z = [0] * n + [1 << i for i in range(n)]
+        # destabilizer i = X_i (bit i), stabilizer i = Z_i (bit n + i)
+        self.rows = [1 << i for i in range(2 * n)]
 
     # -- the one gate (in place) --------------------------------------------
 
     def cnot(self, control: int, target: int) -> CliffordTableau:
-        a, b = control, target
-        self._check_pair(a, b)
-        x, z = self.x, self.z
-        for i in range(2 * self.n):
-            x[i] ^= (x[i] >> a & 1) << b
-            z[i] ^= (z[i] >> b & 1) << a
+        self._check_pair(control, target)
+        kernels.cnot_rows(self.rows, self.n, control, target)
         return self
 
     def _check_qubit(self, q: int) -> None:
@@ -118,20 +116,19 @@ class CliffordTableau:
     def copy(self) -> CliffordTableau:
         t = CliffordTableau.__new__(CliffordTableau)
         t.n = self.n
-        t.x = self.x.copy()
-        t.z = self.z.copy()
+        t.rows = self.rows.copy()
         return t
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CliffordTableau)
             and self.n == other.n
-            and self.x == other.x
-            and self.z == other.z
+            and self.rows == other.rows
         )
 
     def row_pauli(self, i: int) -> Pauli:
-        return Pauli(self.n, self.x[i], self.z[i])
+        r, n = self.rows[i], self.n
+        return Pauli(n, r & (1 << n) - 1, r >> n)
 
     def to_bytes(self) -> bytes:
         """Faithful fixed-convention serialization; equal bytes <=> equal
@@ -142,8 +139,9 @@ class CliffordTableau:
         and zero-padded to a whole byte.  The sign bits of a CNOT image are
         always 0 (+); they are kept so that digests stay those of the signed
         Aaronson-Gottesman layout."""
-        n = self.n
-        bits = "".join(format(m, f"0{n}b")[::-1] for m in self.x + self.z)
+        n, rows = self.n, self.rows
+        halves = [r & (1 << n) - 1 for r in rows] + [r >> n for r in rows]
+        bits = "".join(format(m, f"0{n}b")[::-1] for m in halves)
         bits += "0" * (2 * n)
         bits += "0" * (-len(bits) % 8)
         return n.to_bytes(4, "big") + int(bits, 2).to_bytes(len(bits) // 8, "big")
@@ -165,33 +163,15 @@ def encoder_tableau(c: Circuit, x_ancillas: Iterable[int] = ()) -> CliffordTable
     n = t.n
     for q in set(x_ancillas):
         t._check_qubit(q)
-        t.x[q], t.z[q], t.x[n + q], t.z[n + q] = 0, 1 << q, 1 << q, 0
+        t.rows[q], t.rows[n + q] = 1 << n + q, 1 << q
     for control, target in c.gates:
         t.cnot(control, target)
     return t
 
 
 # ---------------------------------------------------------------------------
-# Canonical form of a stabilizer row set
+# Printed rows
 # ---------------------------------------------------------------------------
-
-
-def canonical_rows(rows: Iterable[int]) -> list[int]:
-    """GF(2) reduced row echelon form of row masks x | z << n, sorted by
-    pivot.  Columns run X block then Z block, ascending qubit, so a pivot
-    is its row's lowest set bit; equal spans give equal lists, and
-    dependent rows are dropped."""
-    reduced: list[int] = []
-    for v in rows:
-        # a pivot column is clear in the other rows: one pass clears v's
-        for r in reduced:
-            if v & r & -r:
-                v ^= r
-        if v:
-            low = v & -v
-            reduced = [r ^ v if r & low else r for r in reduced]
-            reduced.append(v)
-    return sorted(reduced, key=lambda r: r & -r)
 
 
 def row_str(v: int, n: int) -> str:
@@ -233,9 +213,9 @@ class StabilizerCode:
             for h in self.generators[i + 1 :]:
                 if not g.commutes(h):
                     raise TableauError(f"generators do not commute: {g}, {h}")
-        if len(kernels.gf2_basis([(g.x << self.n) | g.z for g in self.generators])) != len(
-            self.generators
-        ):
+        rows = kernels.canonical_rows(g.x | g.z << self.n
+                                      for g in self.generators)
+        if len(rows) != len(self.generators):
             raise TableauError("generators are not independent over GF(2)")
 
 
@@ -274,9 +254,8 @@ def code_distance(
             f"brute-force distance limited to n <= {n_limit}, code has n={code.n}"
         )
     limit = code.n if max_weight is None else min(max_weight, code.n)
-    gx = [g.x for g in code.generators]
-    gz = [g.z for g in code.generators]
-    w = kernels.min_logical_weight(gx, gz, code.n, limit)
+    gens = [g.x | g.z << code.n for g in code.generators]
+    w = kernels.min_logical_weight(gens, code.n, limit)
     if w == 0:
         raise DistanceSearchError(
             f"search bound exceeded: no logical operator of weight <= {limit}"

@@ -67,10 +67,13 @@ def cnots_commute(g1: tuple[int, int], g2: tuple[int, int]) -> bool:
 
 
 def symplectic_ok(t) -> bool:
-    """The tableau's rows (X/Z bitmask lists t.x, t.z) form a symplectic
+    """The tableau's rows t.rows, each x | z << n, form a symplectic
     basis: row i anticommutes with row i + n and commutes with every
     other row."""
-    n, x, z = t.n, t.x, t.z
+    n, rows = t.n, t.rows
+    mask = (1 << n) - 1
+    x = [r & mask for r in rows]
+    z = [r >> n for r in rows]
     return all(((x[i] & z[j]).bit_count() + (z[i] & x[j]).bit_count()) % 2
                == (j == i + n)
                for i in range(2 * n) for j in range(i + 1, 2 * n))
@@ -87,6 +90,11 @@ class SignedTableau:
         self.x = [1 << i for i in range(n)] + [0] * n
         self.z = [0] * n + [1 << i for i in range(n)]
         self.r = [0] * (2 * n)
+
+    @property
+    def rows(self) -> list[int]:
+        """The rows as x | z << n, signs dropped."""
+        return [x | z << self.n for x, z in zip(self.x, self.z)]
 
     def cnot(self, a: int, b: int) -> SignedTableau:
         x, z, r = self.x, self.z, self.r
@@ -134,9 +142,9 @@ class SignedTableau:
 
 
 def logical_slices(lists, n: int) -> tuple[list[int], list[int]]:
-    """(sl, ws) of per-weight logical lists, one bit per logical in list
-    order: bit i of sl[q] (Z on qubit q, X at q + n) and of ws[w] says
-    logical i has that letter or weight w."""
+    """(sl, ws) of per-weight lists of logical rows x | z << n, one bit per
+    logical in list order: bit i of sl[q] (X on qubit q, Z at q + n) and
+    of ws[w] says logical i has that letter or weight w."""
     sl = [0] * (2 * n)
     ws = [0]
     bit = 1
@@ -152,7 +160,7 @@ def logical_slices(lists, n: int) -> tuple[list[int], list[int]]:
 
 
 def slice_logicals(sl: list[int], ws: list[int], n: int) -> list[list[int]]:
-    """The sorted per-weight vector lists, (x << n) | z, that slices hold."""
+    """The sorted per-weight lists of rows x | z << n that slices hold."""
     lists = []
     for m in ws[1:]:
         found = []
@@ -164,18 +172,24 @@ def slice_logicals(sl: list[int], ws: list[int], n: int) -> list[list[int]]:
     return lists
 
 
-def reference_move_scores(gx, gz, n: int, target_d: int,
+def cnot_moved(gens: list[int], n: int, a: int, b: int) -> list[int]:
+    """Rows x | z << n conjugated by CNOT a -> b: X on a spreads to b, Z on
+    b spreads to a."""
+    return [g ^ (g >> a & 1) << b ^ (g >> b + n & 1) << a + n for g in gens]
+
+
+def reference_move_scores(gens, n: int, target_d: int,
                           directed) -> list[tuple[int, ...]]:
     """Violation profile of the generators after each move in directed,
     scored from a fresh walk of the current logicals up to target_d: on
     {a, b} a logical's weight stays 1 or 2 and moves by one where it
     flips."""
     sl, ws = logical_slices(
-        kernels.logicals_by_weight(gx, gz, n, target_d), n)
+        kernels.logicals_by_weight(gens, n, target_d), n)
     scores = []
     for a, b in directed:
         # X on a spreads to b, Z on b spreads to a
-        xa, za, xb, zb = sl[a + n], sl[a], sl[b + n], sl[b]
+        xa, za, xb, zb = sl[a], sl[a + n], sl[b], sl[b + n]
         was = (xa | za) & (xb | zb)
         now = (xa | za ^ zb) & (xb ^ xa | zb)
         up, down = now & ~was, was & ~now
@@ -192,12 +206,12 @@ def reference_hillclimb(sub: random.Random, cfg, directed, x_set):
     plateaus, stopping as soon as the profile is clean."""
     n = cfg.n
     t = encoder_tableau(Circuit.from_pairs(n, ()), x_set)
-    gx, gz = t.x[n + cfg.k:], t.z[n + cfg.k:]
+    gens = t.rows[n + cfg.k:]
     gates = []
     target = (0,) * (cfg.target_d - 1)
-    cur = tuple(kernels.pauli_weight_profile(gx, gz, n, cfg.target_d - 1))
+    cur = tuple(kernels.pauli_weight_profile(gens, n, cfg.target_d - 1))
     while cur != target and len(gates) < cfg.max_gates:
-        scores = reference_move_scores(gx, gz, n, cfg.target_d, directed)
+        scores = reference_move_scores(gens, n, cfg.target_d, directed)
         best = min(scores)
         if best < cur:
             ties = [i for i, s in enumerate(scores) if s == best]
@@ -205,8 +219,7 @@ def reference_hillclimb(sub: random.Random, cfg, directed, x_set):
         else:
             i = sub.randrange(len(directed))
         a, b = directed[i]
-        gx = [x ^ (x >> a & 1) << b for x in gx]
-        gz = [z ^ (z >> b & 1) << a for z in gz]
+        gens = cnot_moved(gens, n, a, b)
         gates.append((a, b))
         cur = scores[i]
     return gates
@@ -315,7 +328,7 @@ def pauli_group_distance_oracle(code: StabilizerCode) -> int:
     """Exhaustive scan of the full Pauli group in weight order."""
     n = code.n
     span = set()
-    vecs = [(g.x << n) | g.z for g in code.generators]
+    vecs = [g.x | g.z << n for g in code.generators]
     for mask in range(1 << len(vecs)):
         v = 0
         for i, g in enumerate(vecs):
@@ -338,7 +351,7 @@ def pauli_group_distance_oracle(code: StabilizerCode) -> int:
                         pz |= 1 << q
                     else:
                         pz |= 1 << q
-                if ((px << n) | pz) in span:
+                if (px | pz << n) in span:
                     continue
                 ok = True
                 for g in code.generators:
@@ -358,7 +371,7 @@ _ORACLE_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 def pauli_canonical_rows(rows: list[Pauli]) -> tuple[Pauli, ...]:
     """RREF over GF(2) of Pauli rows, column by column: X block, then Z
-    block, ascending qubit; the reference for tableau.canonical_rows."""
+    block, ascending qubit; the reference for kernels.canonical_rows."""
     n = rows[0].n
 
     def bit(p: Pauli, col: int) -> int:
@@ -384,9 +397,3 @@ def pauli_row_text(p: Pauli) -> str:
     """'+' then one letter per qubit, e.g. '+IXYZ'."""
     return "+" + "".join(_ORACLE_LETTER[((p.x >> q) & 1, (p.z >> q) & 1)]
                          for q in range(p.n))
-
-
-def stabilizer_masks(t) -> list[int]:
-    """A tableau's stabilizer rows n..2n-1 as masks x | z << n."""
-    n = t.n
-    return [x | z << n for x, z in zip(t.x[n:], t.z[n:])]

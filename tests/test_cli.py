@@ -609,15 +609,11 @@ def test_canon_digest(capsys):
     assert printed == encoder_tableau(load_circuit(path)).digest()
 
 
-# stdout of the commands below, pinned byte for byte; a CNOT circuit maps
-# the Z rows' span onto itself, so its canonical rows are the Z_i
-CANON_ROWS_STDOUT = {
-    "host_a.txt": "fffa870ae0eab12e51be3e7591776e6bd255adb6be46611cafb623b737d57b3a\n"
-                  "+ZIII\n+IZII\n+IIZI\n+IIIZ\n",
-    "host_b.txt": "eee457ac8f98f95945bce9923e10fbc8611c143423c1c3f0d3a58bae2f376f72\n"
-                  "+ZII\n+IZI\n+IIZ\n",
-    "host_c.txt": "53b63c18fd10bb04df2058a0cdb8192030d3085cc3d257c0f2f5430c812096da\n"
-                  "+ZIIII\n+IZIII\n+IIZII\n+IIIZI\n+IIIIZ\n",
+# stdout of the commands below, pinned byte for byte
+CANON_STDOUT = {
+    "host_a.txt": "fffa870ae0eab12e51be3e7591776e6bd255adb6be46611cafb623b737d57b3a\n",
+    "host_b.txt": "eee457ac8f98f95945bce9923e10fbc8611c143423c1c3f0d3a58bae2f376f72\n",
+    "host_c.txt": "53b63c18fd10bb04df2058a0cdb8192030d3085cc3d257c0f2f5430c812096da\n",
 }
 STATS_HOSTS_STDOUT = """{
   "code_parameters": {
@@ -649,10 +645,10 @@ STATS_GEN_STDOUT = """{
 """
 
 
-@pytest.mark.parametrize("name", sorted(CANON_ROWS_STDOUT))
-def test_canon_rows_stdout(capsys, name):
-    assert run_cli(["canon", HOSTS / name, "--rows"]) == 0
-    assert capsys.readouterr().out == CANON_ROWS_STDOUT[name]
+@pytest.mark.parametrize("name", sorted(CANON_STDOUT))
+def test_canon_stdout(capsys, name):
+    assert run_cli(["canon", HOSTS / name]) == 0
+    assert capsys.readouterr().out == CANON_STDOUT[name]
 
 
 def test_stats_stdout(tmp_path, capsys):

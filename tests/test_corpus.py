@@ -33,6 +33,7 @@ from gadgetminer.tableau import encoder_code
 from conftest import (
     STEANE_PAIRS,
     STEANE_X_ANCILLAS,
+    cnot_moved,
     logical_slices,
     pauli_group_distance_oracle,
     reference_hillclimb,
@@ -226,19 +227,13 @@ def test_generate_random_method():
         assert e.distance >= 2
 
 
-def _moved(gx, gz, a, b):
-    return ([x ^ (x >> a & 1) << b for x in gx],
-            [z ^ (z >> b & 1) << a for z in gz])
-
-
 def _random_generator_set(rng, n):
     # commuting or not, with a dependent generator mixed in half the time
     m = rng.randrange(0, n + 1)
-    gx, gz = random_generators(rng, n, m)
+    gens = random_generators(rng, n, m)
     if m >= 2 and rng.random() < 0.5:
-        gx.append(gx[0] ^ gx[1])
-        gz.append(gz[0] ^ gz[1])
-    return gx, gz
+        gens.append(gens[0] ^ gens[1])
+    return gens
 
 
 def test_move_scores_match_moved_profiles():
@@ -247,19 +242,19 @@ def test_move_scores_match_moved_profiles():
     for _ in range(60):
         n = rng.randrange(2, 9)
         d = rng.randrange(1, 6)
-        gx, gz = _random_generator_set(rng, n)
+        gens = _random_generator_set(rng, n)
         directed = [(a, b) for a in range(n) for b in range(n) if a != b]
-        sl, ws = logical_slices(kernels.logicals_by_weight(gx, gz, n, d), n)
+        sl, ws = logical_slices(kernels.logicals_by_weight(gens, n, d), n)
         scores, ups, downs = _move_scores(sl, ws, n, directed)
         assert len(scores) == len(ups) == len(downs) == len(directed)
         for (a, b), score in zip(directed, scores):
             assert list(score) == kernels.pauli_weight_profile(
-                *_moved(gx, gz, a, b), n, d - 1)
+                cnot_moved(gens, n, a, b), n, d - 1)
         # the brute-force oracle on one move per set, where it is cheap
         if n <= 6:
             i = rng.randrange(len(directed))
             assert list(scores[i]) == brute_force_profile(
-                *_moved(gx, gz, *directed[i]), n, d - 1)
+                cnot_moved(gens, n, *directed[i]), n, d - 1)
 
 
 def test_carried_logicals_match_fresh_walks():
@@ -270,17 +265,19 @@ def test_carried_logicals_match_fresh_walks():
     for _ in range(40):
         n = rng.randrange(2, 8)
         d = rng.randrange(1, 6)
-        gx, gz = _random_generator_set(rng, n)
+        gens = _random_generator_set(rng, n)
         sl, ws = [0] * (2 * n), [0] * (d + 1)
-        for w, found in enumerate(kernels.logicals_by_weight(gx, gz, n, d), 1):
+        for w, found in enumerate(kernels.logicals_by_weight(gens, n, d), 1):
             _list_logicals(sl, ws, n, w, found)
         for _ in range(6):
             a, b = rng.sample(range(n), 2)
             _, (up,), (down,) = _move_scores(sl, ws, n, [(a, b)])
-            gx, gz = _apply_move(gx, gz, sl, ws, n, a, b, up, down)
+            moved = cnot_moved(gens, n, a, b)
+            _apply_move(gens, sl, ws, n, a, b, up, down)
+            assert gens == moved
             assert slice_logicals(sl, ws, n) == [
                 sorted(found)
-                for found in kernels.logicals_by_weight(gx, gz, n, d)]
+                for found in kernels.logicals_by_weight(gens, n, d)]
             live = 0
             for m in ws:
                 live |= m
@@ -359,7 +356,7 @@ def test_generate_walks_once_per_proposal(monkeypatch, method, n, d):
     # some proposals were rejected or duplicates
     assert len(proposals) > len(corpus)
     assert len(walks) == len(proposals)
-    assert all(args[3] == cfg.n for args in walks)
+    assert all(args[2] == cfg.n for args in walks)
     for e in corpus.entries:
         assert e.distance == pauli_group_distance_oracle(
             encoder_code(e.circuit, e.k, e.x_ancillas))
@@ -377,7 +374,7 @@ def test_generate_k0_walk_stays_below_target(monkeypatch):
     assert len(corpus) == 3
     assert all(e.distance is None for e in corpus.entries)
     assert walks
-    assert all(args[3] < cfg.target_d for args in walks)
+    assert all(args[2] < cfg.target_d for args in walks)
 
 
 def test_generate_n_bound():
@@ -465,6 +462,25 @@ def test_load_rejects_tampering(tmp_path):
     with pytest.raises(CorpusError) as exc_info:
         load_corpus(out)
     assert "digest mismatch" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("bad", ["sub/evil", "../x"])
+def test_save_rejects_path_names(tmp_path, bad):
+    # an ingested JSON circuit's name becomes its entry name, and an entry
+    # file sits at <directory>/<name>.txt: a path there would write into a
+    # subdirectory or out of the corpus, and load_corpus rejects it
+    (tmp_path / "in").mkdir()
+    save_circuit(Circuit.from_pairs(2, [(0, 1)], name="good"),
+                 tmp_path / "in" / "a.json")
+    save_circuit(Circuit.from_pairs(2, [(1, 0)], name=bad),
+                 tmp_path / "in" / "b.json")
+    corpus = ingest([tmp_path / "in"])
+    assert [e.name for e in corpus.entries] == ["good", bad]
+    out = tmp_path / "corpus" / "out"
+    with pytest.raises(CorpusError, match="is not a plain file name"):
+        save_corpus(corpus, out)
+    # nothing was written, the valid entry's file included
+    assert not (tmp_path / "corpus").exists()
 
 
 def _config_without(key):

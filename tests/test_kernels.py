@@ -8,28 +8,27 @@ from itertools import combinations, product
 from gadgetminer import kernels
 
 
-def random_generators(rng: random.Random, n: int, m: int):
-    """m commuting-free random mask pairs; kernels do not require the
-    generators to commute or be independent, only the span logic."""
+def random_generators(rng: random.Random, n: int, m: int) -> list[int]:
+    """m commuting-free random rows x | z << n, X halves drawn first;
+    kernels do not require the generators to commute or be independent,
+    only the span logic."""
     gx = [rng.getrandbits(n) for _ in range(m)]
     gz = [rng.getrandbits(n) for _ in range(m)]
-    return gx, gz
+    return [x | z << n for x, z in zip(gx, gz)]
 
 
-def five_qubit_masks():
-    # XZZXI and cyclic shifts; bit q = qubit q
-    gens = [("XZZXI"), ("IXZZX"), ("XIXZZ"), ("ZXIXZ")]
-    gx, gz = [], []
-    for word in gens:
+def five_qubit_rows() -> list[int]:
+    # XZZXI and cyclic shifts; bit q is X on qubit q, bit q + 5 Z on it
+    rows = []
+    for word in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"):
         x = z = 0
         for q, ch in enumerate(word):
             if ch in "XY":
                 x |= 1 << q
             if ch in "ZY":
                 z |= 1 << q
-        gx.append(x)
-        gz.append(z)
-    return gx, gz
+        rows.append(x | z << 5)
+    return rows
 
 
 def in_span(v: int, vecs) -> bool:
@@ -45,11 +44,12 @@ def in_span(v: int, vecs) -> bool:
     return v == 0
 
 
-def brute_force_logicals(gx, gz, n: int, max_weight: int) -> list[list[int]]:
+def brute_force_logicals(gens, n: int, max_weight: int) -> list[list[int]]:
     """Reference for logicals_by_weight: visit every weight-w Pauli, test
-    commutation with each generator, then span membership.  Vectors are
-    (x << n) | z, sorted per weight."""
-    vecs = [(x << n) | z for x, z in zip(gx, gz)]
+    commutation with each generator, then span membership.  Rows are
+    x | z << n, sorted per weight."""
+    mask = (1 << n) - 1
+    halves = [(g & mask, g >> n) for g in gens]
     lists = []
     for w in range(1, max_weight + 1):
         found = []
@@ -60,22 +60,22 @@ def brute_force_logicals(gx, gz, n: int, max_weight: int) -> list[list[int]]:
                     px |= xb << q
                     pz |= zb << q
                 if any(((px & z).bit_count() + (pz & x).bit_count()) & 1
-                       for x, z in zip(gx, gz)):
+                       for x, z in halves):
                     continue
-                if in_span((px << n) | pz, vecs):
+                if in_span(px | pz << n, gens):
                     continue
-                found.append((px << n) | pz)
+                found.append(px | pz << n)
         lists.append(sorted(found))
     return lists
 
 
-def brute_force_profile(gx, gz, n: int, max_weight: int) -> list[int]:
+def brute_force_profile(gens, n: int, max_weight: int) -> list[int]:
     """Reference for pauli_weight_profile."""
-    return [len(found) for found in brute_force_logicals(gx, gz, n, max_weight)]
+    return [len(found) for found in brute_force_logicals(gens, n, max_weight)]
 
 
-def brute_force_min_weight(gx, gz, n: int, max_weight: int) -> int:
-    profile = brute_force_profile(gx, gz, n, max_weight)
+def brute_force_min_weight(gens, n: int, max_weight: int) -> int:
+    profile = brute_force_profile(gens, n, max_weight)
     return next((w for w, c in enumerate(profile, 1) if c), 0)
 
 
@@ -84,23 +84,23 @@ def test_backend_identifier():
 
 
 def test_min_logical_weight_five_qubit():
-    gx, gz = five_qubit_masks()
-    assert kernels.min_logical_weight(gx, gz, 5, 5) == 3
-    assert kernels.min_logical_weight(gx, gz, 5, 2) == 0  # bound too low
+    gens = five_qubit_rows()
+    assert kernels.min_logical_weight(gens, 5, 5) == 3
+    assert kernels.min_logical_weight(gens, 5, 2) == 0  # bound too low
 
 
 def test_weight_profile_five_qubit():
-    gx, gz = five_qubit_masks()
-    profile = kernels.pauli_weight_profile(gx, gz, 5, 3)
+    gens = five_qubit_rows()
+    profile = kernels.pauli_weight_profile(gens, 5, 3)
     assert profile[0] == 0 and profile[1] == 0
     assert profile[2] == 30  # 2k * binom-type count for the perfect code
-    assert profile == brute_force_profile(gx, gz, 5, 3)
+    assert profile == brute_force_profile(gens, 5, 3)
 
 
 def test_empty_generator_set():
     # with nothing to commute with, any weight-1 Pauli is logical
-    assert kernels.min_logical_weight([], [], 4, 3) == 1
-    assert kernels.pauli_weight_profile([], [], 2, 2) == [6, 9]
+    assert kernels.min_logical_weight([], 4, 3) == 1
+    assert kernels.pauli_weight_profile([], 2, 2) == [6, 9]
 
 
 def test_canonical_encoding_hand_case():
@@ -130,18 +130,17 @@ def test_scan_parity_random():
     for _ in range(40):
         n = rng.randrange(1, 9)
         m = rng.randrange(0, n + 1)
-        gx, gz = random_generators(rng, n, m)
+        gens = random_generators(rng, n, m)
         if m >= 2 and rng.random() < 0.5:
             # a dependent generator: the span test must still be exact
-            gx.append(gx[0] ^ gx[1])
-            gz.append(gz[0] ^ gz[1])
+            gens.append(gens[0] ^ gens[1])
         w = rng.randrange(1, n + 1)
-        ref = brute_force_logicals(gx, gz, n, w)
+        ref = brute_force_logicals(gens, n, w)
         assert [sorted(found) for found in
-                kernels.logicals_by_weight(gx, gz, n, w)] == ref
-        assert kernels.pauli_weight_profile(gx, gz, n, w) == \
+                kernels.logicals_by_weight(gens, n, w)] == ref
+        assert kernels.pauli_weight_profile(gens, n, w) == \
             [len(found) for found in ref]
-        assert kernels.min_logical_weight(gx, gz, n, w) == \
+        assert kernels.min_logical_weight(gens, n, w) == \
             next((i for i, found in enumerate(ref, 1) if found), 0)
 
 
@@ -151,22 +150,22 @@ def test_logicals_entering_matches_brute_force():
     rng = random.Random(4321)
     for _ in range(30):
         n = rng.randrange(2, 7)
-        gx, gz = random_generators(rng, n, rng.randrange(0, n + 1))
+        gens = random_generators(rng, n, rng.randrange(0, n + 1))
         a, b = rng.sample(range(n), 2)
         w = rng.randrange(1, n + 2)
-        heads = {1 << a + n, 1 << a + n | 1 << a, 1 << b, 1 << b + n | 1 << b}
+        # X_a, Y_a, Z_b, Y_b
+        heads = {1 << a, 1 << a | 1 << a + n, 1 << b + n, 1 << b | 1 << b + n}
         pair = (1 << a | 1 << b) * ((1 << n) + 1)
-        ref = [v for v in brute_force_logicals(gx, gz, n, w)[w - 1]
+        ref = [v for v in brute_force_logicals(gens, n, w)[w - 1]
                if v & pair in heads]
-        assert sorted(kernels.logicals_entering(gx, gz, n, w, a, b)) == ref
+        assert sorted(kernels.logicals_entering(gens, n, w, a, b)) == ref
 
 
 def test_scan_parity_wide_inputs():
     # masks wider than a machine word
     n = 36
-    gz = [1 << q for q in range(32)]
-    gx = [0] * 32
-    assert kernels.min_logical_weight(gx, gz, n, 1) == \
-        brute_force_min_weight(gx, gz, n, 1) == 1
-    assert kernels.pauli_weight_profile(gx, gz, n, 1) == \
-        brute_force_profile(gx, gz, n, 1)
+    gens = [1 << q + n for q in range(32)]  # Z on qubits 0..31
+    assert kernels.min_logical_weight(gens, n, 1) == \
+        brute_force_min_weight(gens, n, 1) == 1
+    assert kernels.pauli_weight_profile(gens, n, 1) == \
+        brute_force_profile(gens, n, 1)
