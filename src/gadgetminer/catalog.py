@@ -38,10 +38,9 @@ class GadgetSpec:
     def cx_count(self) -> int:
         return len(self.gates)
 
-    def as_circuit(self, name: str | None = None) -> Circuit:
-        return Circuit.from_pairs(
-            self.qubits_touched, self.gates,
-            name=self.name if name is None else name)
+    def as_circuit(self) -> Circuit:
+        return Circuit.from_pairs(self.qubits_touched, self.gates,
+                                  name=self.name)
 
 
 def _family_gates(family: str, generation: int) -> tuple[tuple[int, int], ...]:

@@ -176,14 +176,17 @@ def serialize_circuit_json(c: Circuit) -> str:
 
 
 def load_circuit(path: str | Path) -> Circuit:
-    """Load a circuit file, dispatching on the .json extension."""
+    """Load a UTF-8 circuit file, dispatching on the .json extension.  A
+    file that does not decode or parse raises CircuitParseError with the
+    path prefixed: this is the one place a read error gets its file name
+    (an OSError names the file itself)."""
     path = Path(path)
-    data = path.read_text(encoding="utf-8")
-    name = path.stem
+    parse = (parse_circuit_json if path.suffix.lower() == ".json"
+             else parse_circuit)
     try:
-        if path.suffix.lower() == ".json":
-            return parse_circuit_json(data, name=name)
-        return parse_circuit(data, name=name)
+        return parse(path.read_text(encoding="utf-8"), name=path.stem)
+    except UnicodeDecodeError as exc:
+        raise CircuitParseError(f"{path}: {exc}") from None
     except CircuitParseError as exc:
         raise CircuitParseError(f"{path}: {exc}", exc.line) from None
 

@@ -58,10 +58,6 @@ def _default_output() -> str:
     return os.environ.get(OUTPUT_ENV, "gadgetminer_out")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _collect_circuits(paths) -> tuple[list[Circuit], list[dict]]:
     """Circuits from files, corpus directories, or plain directories of
     circuit files, in input order, with unique names, and the path and
@@ -84,7 +80,9 @@ def _collect_circuits(paths) -> tuple[list[Circuit], list[dict]]:
             circuits.extend(load_circuit(f) for f in members)
         else:
             raise CorpusError(f"{p}: no such file or directory")
-    inputs = [{"path": str(f), "sha256": _sha256(f)} for f in files]
+    inputs = [{"path": str(f),
+               "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
+              for f in files]
     names: set[str] = set()
     named = [Circuit(c.n_qubits, c.gates,
                      name=unique_name(c.name or f"circuit_{i:04d}", names))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import kernels
@@ -141,33 +141,19 @@ class GeneratorConfig:
             raise CorpusError("connectivity does not connect all qubits")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "target_d": self.target_d,
-            "connectivity": [list(p) for p in self.connectivity],
-            "connectivity_name": self.connectivity_name,
-            "max_gates": self.max_gates,
-            "attempts": self.attempts,
-            "seed": self.seed,
-            "method": self.method,
-            "count": self.count,
-        }
+        """Every field by name; the connectivity pairs become lists."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["connectivity"] = [list(p) for p in self.connectivity]
+        return obj
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> GeneratorConfig:
-        return cls(
-            n=obj["n"],
-            k=obj["k"],
-            target_d=obj["target_d"],
-            connectivity=tuple((a, b) for a, b in obj["connectivity"]),
-            connectivity_name=obj.get("connectivity_name", ""),
-            max_gates=obj["max_gates"],
-            attempts=obj["attempts"],
-            seed=obj["seed"],
-            method=obj["method"],
-            count=obj["count"],
-        )
+        """Inverse of to_json_dict.  Every key is required (a missing one
+        raises KeyError) except connectivity_name, which reads as ""."""
+        obj = {"connectivity_name": "", **obj}
+        kw = {f.name: obj[f.name] for f in fields(cls)}
+        kw["connectivity"] = tuple((a, b) for a, b in kw["connectivity"])
+        return cls(**kw)
 
 
 @dataclass(frozen=True)
@@ -219,7 +205,7 @@ def circuit_files(path) -> list[Path]:
     p = Path(path)
     if p.is_dir():
         return sorted(f for f in p.iterdir()
-                      if f.is_file() and f.suffix in CIRCUIT_SUFFIXES)
+                      if f.is_file() and f.suffix.lower() in CIRCUIT_SUFFIXES)
     return [p]
 
 
@@ -236,7 +222,8 @@ def unique_name(name: str, taken: set[str]) -> str:
 
 def ingest(paths) -> Corpus:
     """Parse circuit files (or directories of them), deduplicating by
-    tableau digest.  Duplicates produce warnings, not errors."""
+    tableau digest.  Duplicates produce warnings, not errors; a file that
+    cannot be read is a CorpusError whose message names it once."""
     corpus = Corpus()
     seen: dict[str, str] = {}
     names: set[str] = set()
@@ -244,7 +231,7 @@ def ingest(paths) -> Corpus:
         try:
             circuit = load_circuit(path)
         except (OSError, ValueError) as exc:
-            raise CorpusError(f"{path}: {exc}") from exc
+            raise CorpusError(str(exc)) from exc
         digest = entry_digest(circuit)
         if digest in seen:
             corpus.warnings.append(
@@ -389,12 +376,12 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
     a per-attempt stream split off the seed, then keeps the circuit iff no
     logical operator of weight < target_d exists.  One encoder tableau per
     attempt gives the generators, whose single logical walk finds the
-    exact distance, and the dedup digest."""
+    exact distance, and the dedup digest.  A k = 0 code runs no walk: its
+    n independent commuting generators span every Pauli that commutes with
+    them, so it has no logical and no distance."""
     if cfg.n > 15:
         raise CorpusError(
             f"generation needs brute-force distance checks, n={cfg.n} > 15")
-    if not cfg.connectivity and cfg.n > 1:
-        raise CorpusError("empty connectivity")
     directed = []
     for a, b in cfg.connectivity:
         directed.append((a, b))
@@ -413,12 +400,10 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
         gates = propose(sub, cfg, directed, x_set)
         circuit = Circuit.from_pairs(cfg.n, gates)
         t = encoder_tableau(circuit, x_set)
-        gens = _generator_masks(t, cfg.n, cfg.k)
-        # with logicals the walk stops at the exact distance; with none
-        # (k = 0) a bound of n would list all 4^n Paulis
-        bound = cfg.n if cfg.k else cfg.target_d - 1
-        distance = kernels.min_logical_weight(gens, cfg.n, bound) or None
-        if distance is not None:
+        distance = None
+        if cfg.k:
+            distance = kernels.min_logical_weight(
+                _generator_masks(t, cfg.n, cfg.k), cfg.n, cfg.n)
             best_distance = max(best_distance, distance)
             if distance < cfg.target_d:
                 continue
@@ -456,7 +441,11 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
 
 def corpus_stats(corpus: Corpus) -> dict:
     """Per-corpus CX-count aggregates, mean canonical generator weight
-    (pooled over all entries' generators), and a code-parameter histogram."""
+    (pooled over all entries' generators), and a code-parameter histogram.
+
+    An ingested circuit always adds generators of weight 1: its k and |+>
+    ancillas are unknown, so its state is taken as the image of |0...0>,
+    and CNOTs map the Z span of |0...0> onto itself."""
     if not corpus.entries:
         raise CorpusError("empty corpus")
     counts = [e.circuit.cx_count for e in corpus.entries]

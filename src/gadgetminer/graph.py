@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .circuit import Circuit
 
 NODE_LABELS = ("c", "t")
-EDGE_KINDS = ("cnot", "time")
 
 
 class GraphError(ValueError):

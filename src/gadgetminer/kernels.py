@@ -190,10 +190,11 @@ def canonical_encoding(labels: list[int], slots: list[int]) -> bytes:
     parts = []
     for root in range(len(labels)):
         if not seen[root]:
-            comp = _slot_walk(root, labels, slots)[1]
+            enc, comp = _slot_walk(root, labels, slots)
             for u in comp:
                 seen[u] = True
-            parts.append(min(_slot_walk(s, labels, slots)[0] for s in comp))
+            parts.append(min([enc] + [_slot_walk(s, labels, slots)[0]
+                                      for s in comp[1:]]))
     return b"".join(sorted(parts))
 
 

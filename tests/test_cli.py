@@ -423,6 +423,38 @@ def test_mine_missing_input(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_mine_reads_upper_case_suffixes(tmp_path):
+    (tmp_path / "d").mkdir()
+    save_circuit(Circuit.from_pairs(3, REF_3Q6_PAIRS, name="h"),
+                 tmp_path / "d" / "a.JSON")
+    rc = run_cli(["mine", "--input", tmp_path / "d", "--gadget-cnots", 2,
+                  "--output", tmp_path / "out"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [f["path"] for f in manifest["inputs"]] == [
+        str(tmp_path / "d" / "a.JSON")]
+
+
+def test_read_errors_name_the_file_once(tmp_path, capsys):
+    d = tmp_path / "d"
+    d.mkdir()
+    bad = d / "bad.txt"
+    bad.write_text("qubits 3\ncx 0 1\ncx 1 9\n")
+    assert run_cli(["stats", d]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: qubit index out of range at line 3 "
+        "(circuit has 3 qubits)\n")
+    bad.write_bytes(b"\xffqubits 3\n")
+    for argv in (["stats", d],
+                 ["mine", "--input", d, "--gadget-cnots", 2,
+                  "--output", tmp_path / "out"]):
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: 'utf-8' codec can't decode byte 0xff in "
+            "position 0: invalid start byte\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_mine_names_repeated_circuits_apart(tmp_path):
     for d in ("a", "b"):
         (tmp_path / d).mkdir()

@@ -28,7 +28,7 @@ from gadgetminer.corpus import (
     _move_scores,
     _propose_hillclimb,
 )
-from gadgetminer.tableau import encoder_code
+from gadgetminer.tableau import encoder_code, encoder_tableau
 
 from conftest import (
     STEANE_PAIRS,
@@ -106,7 +106,17 @@ def test_generator_config_json_round_trip():
     cfg = GeneratorConfig(n=5, k=1, target_d=3,
                           connectivity=connectivity_pairs("nnn", 5),
                           connectivity_name="nnn", seed=99, count=7)
-    assert GeneratorConfig.from_json_dict(cfg.to_json_dict()) == cfg
+    obj = cfg.to_json_dict()
+    assert obj == {"n": 5, "k": 1, "target_d": 3,
+                   "connectivity": [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3],
+                                    [2, 4], [3, 4]],
+                   "connectivity_name": "nnn", "max_gates": 25,
+                   "attempts": 2000, "seed": 99, "method": "hillclimb",
+                   "count": 7}
+    assert GeneratorConfig.from_json_dict(obj) == cfg
+    # manifests written before connectivity_name existed still load
+    del obj["connectivity_name"]
+    assert GeneratorConfig.from_json_dict(obj).connectivity_name == ""
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +372,9 @@ def test_generate_walks_once_per_proposal(monkeypatch, method, n, d):
             encoder_code(e.circuit, e.k, e.x_ancillas))
 
 
-def test_generate_k0_walk_stays_below_target(monkeypatch):
-    # a code with no logicals has no distance to stop the walk at, so a
-    # bound of n would list all 4^n Paulis
+def test_generate_k0_runs_no_walk(monkeypatch):
+    # n commuting generators on n qubits span every Pauli that commutes
+    # with them: a k = 0 code has no logical to walk for
     walks = []
     _recording(monkeypatch, kernels, "min_logical_weight", walks)
     cfg = GeneratorConfig(n=6, k=0, target_d=4,
@@ -373,8 +383,11 @@ def test_generate_k0_walk_stays_below_target(monkeypatch):
     corpus = generate_encoders(cfg)
     assert len(corpus) == 3
     assert all(e.distance is None for e in corpus.entries)
-    assert walks
-    assert all(args[2] < cfg.target_d for args in walks)
+    assert not walks
+    for e in corpus.entries:
+        gens = corpus_module._generator_masks(
+            encoder_tableau(e.circuit, e.x_ancillas), cfg.n, 0)
+        assert kernels.min_logical_weight(gens, cfg.n, cfg.n) == 0
 
 
 def test_generate_n_bound():
