@@ -342,7 +342,10 @@ def _propose_random(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
 def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
     """Greedy gate appension scored by the violation profile, with a random
     kick on plateaus.  Stops as soon as the profile is clean.  One walk
-    lists the logicals up to target_d; each move carries the list on."""
+    lists the logicals up to target_d; each move carries the list on.
+    A k = 0 code has no logicals, so its profile is clean at the start."""
+    if not cfg.k:
+        return []
     n, d = cfg.n, cfg.target_d
     t = encoder_tableau(Circuit.from_pairs(n, ()), x_set)
     gens = _generator_masks(t, n, cfg.k)

@@ -16,14 +16,16 @@ Filter pipeline, in order:
 
 extract_candidate and the passes_* filters work on a host graph and its
 candidate graphs and are the reference; mine_circuit runs the same tests
-on bitmasks of a circuit's gates and returns each kept set as its gates,
-with no graph (see its docstring).
+on bitmasks of a circuit's gates.  Its walk applies the taint and closure
+test to each set it visits and holds only the sets that pass, the
+stationarity test runs on those, and each kept set is returned as its
+gates, with no graph (see its docstring).
 """
 
 from __future__ import annotations
 
 import math
-import time as _time
+from time import monotonic
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -38,6 +40,9 @@ from .graph import (
     is_closed,
     is_connected,
 )
+
+# a run with a deadline reads the clock once per this many visited sets
+DEADLINE_STRIDE = 100
 
 
 @dataclass(frozen=True)
@@ -218,32 +223,41 @@ def _closed_untainted(chosen: int, lines) -> bool:
     return True
 
 
-def _connected_sets(nbrs: list[int], root: int, size: int) -> list[int]:
-    """Every timeline-connected set of size gates whose least gate is root,
-    once each, as masks in no fixed order (ESU: Wernicke 2006, "Efficient
-    detection of network motifs")."""
-    if size == 1:
-        return [1 << root]
-    found: list[int] = []
-    above = -1 << (root + 1)  # the gates after root
-    first = nbrs[root] & above
-    _extend(nbrs, above, found, 1 << root, first, first | 1 << root, size - 1)
-    return found
+class _Budget:
+    """_closed_untainted for a run with a deadline: it counts the sets it
+    tests and reads the clock before every DEADLINE_STRIDE-th one; past
+    the deadline it raises TimeoutError, which cuts the walk."""
+
+    def __init__(self, deadline: float):
+        self.deadline = deadline
+        self.visited = 0
+
+    def __call__(self, chosen: int, lines) -> bool:
+        if (not self.visited % DEADLINE_STRIDE
+                and monotonic() >= self.deadline):
+            raise TimeoutError
+        self.visited += 1
+        return _closed_untainted(chosen, lines)
 
 
-def _extend(nbrs, above, found, chosen, ext, seen, left) -> None:
-    """Append to found each set that adds left gates from ext to chosen.
-    Not a closure: a recursive closure is a reference cycle, which would
-    keep found alive until the cyclic collector runs."""
+def _walk(nbrs, above, keep, arg, found, chosen, ext, seen, left) -> int:
+    """Reach once each timeline-connected set that adds left gates from
+    ext to chosen, and append to found, as masks in no fixed order, those
+    for which keep(set, arg) holds; return how many were reached (ESU:
+    Wernicke 2006, "Efficient detection of network motifs").  Not a
+    closure: a recursive closure is a reference cycle, which would keep
+    found alive until the cyclic collector runs."""
+    reached = 0 if left > 1 else ext.bit_count()
     while ext:
         low = ext & -ext
         ext ^= low
-        if left == 1:
+        if left > 1:
+            new = nbrs[low.bit_length() - 1] & above & ~seen
+            reached += _walk(nbrs, above, keep, arg, found, chosen | low,
+                             ext | new, seen | new, left - 1)
+        elif keep(chosen | low, arg):
             found.append(chosen | low)
-            continue
-        new = nbrs[low.bit_length() - 1] & above & ~seen
-        _extend(nbrs, above, found, chosen | low, ext | new, seen | new,
-                left - 1)
+    return reached
 
 
 def mine_circuit(
@@ -264,44 +278,56 @@ def mine_circuit(
     (index, control, target) tuples, which are read only for sets that
     pass the first two.  A kept set is returned as a MinedCandidate.
     subsets_total is the binomial search-space size; subsets_examined
-    counts the sets visited.  The deadline is checked before each root; a
-    candidate cap stops the run only when a further set would be
-    visited."""
+    counts the sets visited.
+
+    The walk tests each set as it reaches it and holds only those that are
+    closed and untainted, so memory follows the kept sets, not the visited
+    ones.  With a deadline, the clock is read before the first set and
+    then once every DEADLINE_STRIDE sets; the root cut there gives the
+    sets kept and the count visited before the cut.  A candidate cap stops
+    the run only when a further set would be visited: the root where it
+    is reached is walked again to count its sets up to the cap-th kept
+    one."""
     if c_g < 1:
         raise ValueError(f"subset size {c_g} must be >= 1")
     limits = limits or MiningLimits()
-    if c_g > circuit.cx_count:
-        return MiningResult()
     gates = gate_tuples(circuit)
     nbrs, lines = _gate_masks(circuit)
     cap = limits.max_candidates
+    keep = (_closed_untainted if limits.deadline is None
+            else _Budget(limits.deadline))
     result = MiningResult(subsets_total=math.comb(len(gates), c_g))
     kept = result.candidates
     for root in range(len(gates) - c_g + 1):
-        if (limits.deadline is not None
-                and _time.monotonic() >= limits.deadline):
+        above, bit = -1 << (root + 1), 1 << root  # above: the gates after root
+        found: list[int] = []
+        try:
+            visited = _walk(nbrs, above, keep, lines, found, 0, bit, bit, c_g)
+        except TimeoutError:
+            # the root is cut: it gives the sets visited and kept so far
+            visited = keep.visited - result.subsets_examined
             result.truncated, result.reason = True, "time_budget"
-            break
-        sets = _connected_sets(nbrs, root, c_g)
         passed = []
-        for chosen in sets:
-            if _closed_untainted(chosen, lines):
-                idx = _indices(chosen)
-                if _stationary([gates[i] for i in idx]):
-                    passed.append(idx)
+        for chosen in found:
+            idx = _indices(chosen)
+            if _stationary([gates[i] for i in idx]):
+                passed.append(idx)
         passed.sort()
-        visited = len(sets)
         if cap is not None and len(kept) + len(passed) >= cap:
             # the cap is reached at this root: the run stops before the
             # set after the cap-th kept one, in ascending tuple order
             del passed[cap - len(kept):]
-            visited = (sum(idx <= passed[-1] for idx in map(_indices, sets))
-                       if passed else 0)
-            result.truncated = visited < len(sets)
+            if not result.truncated:
+                upto: list[int] = []
+                if passed:
+                    _walk(nbrs, above, lambda m, last: _indices(m) <= last,
+                          passed[-1], upto, 0, bit, bit, c_g)
+                if len(upto) < visited:
+                    result.truncated, result.reason = True, "max_candidates"
+                visited = len(upto)
         result.subsets_examined += visited
         kept += (MinedCandidate(circuit.name, tuple(gates[i] for i in idx))
                  for idx in passed)
         if result.truncated:
-            result.reason = "max_candidates"
             break
     return result

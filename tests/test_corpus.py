@@ -374,16 +374,19 @@ def test_generate_walks_once_per_proposal(monkeypatch, method, n, d):
 
 def test_generate_k0_runs_no_walk(monkeypatch):
     # n commuting generators on n qubits span every Pauli that commutes
-    # with them: a k = 0 code has no logical to walk for
-    walks = []
+    # with them: a k = 0 code has no logical to walk for, and the hill
+    # climb, with nothing to lower, proposes the empty circuit unwalked
+    walks, listings = [], []
     _recording(monkeypatch, kernels, "min_logical_weight", walks)
+    _recording(monkeypatch, kernels, "logicals_by_weight", listings)
     cfg = GeneratorConfig(n=6, k=0, target_d=4,
                           connectivity=connectivity_pairs("nn", 6),
                           attempts=20, count=3, seed=2)
     corpus = generate_encoders(cfg)
     assert len(corpus) == 3
     assert all(e.distance is None for e in corpus.entries)
-    assert not walks
+    assert not walks and not listings
+    assert all(e.circuit.cx_count == 0 for e in corpus.entries)
     for e in corpus.entries:
         gens = corpus_module._generator_masks(
             encoder_tableau(e.circuit, e.x_ancillas), cfg.n, 0)

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from gadgetminer import cli
+from gadgetminer import cli, mining
 from gadgetminer.circuit import Circuit, save_circuit
 from gadgetminer.cli import main
 from gadgetminer.graph import CircuitGraph, circuit_to_graph
@@ -192,14 +192,17 @@ def test_mine_matches_exhaustive_oracle():
             assert not res.truncated
             # the count does not depend on how the gates are numbered
             pairs = _timeline_pairs(c)
-            assert res.subsets_examined == sum(
-                _timeline_connected(pairs, s)
-                for s in combinations(range(c.cx_count), c_g))
+            connected = [s for s in combinations(range(c.cx_count), c_g)
+                         if _timeline_connected(pairs, s)]
+            assert res.subsets_examined == len(connected)
             for cap in range(len(want) + 1):
                 capped = mine_circuit(c, c_g,
                                       MiningLimits(max_candidates=cap))
                 assert [x.graph for x in capped.candidates] == [
                     x.graph for x in want[:cap]]
+                # a capped run examines the sets up to the cap-th kept one
+                assert capped.subsets_examined == (
+                    connected.index(want[cap - 1].layers) + 1 if cap else 0)
                 if cap < len(want):
                     assert capped.truncated
                     assert capped.reason == "max_candidates"
@@ -254,7 +257,9 @@ def test_mine_result_pickle_holds_no_graph():
 
 def test_mining_frees_visited_sets_without_the_cyclic_collector():
     """The 6,826 visited masks are garbage once mine_circuit returns, with
-    no reference cycle holding them (a recursive closure would be one)."""
+    no reference cycle holding them (a recursive closure would be one).
+    The walk holds only the sets that pass the taint and closure test, so
+    the peak does not grow with the 101,383 sets visited at C_g = 9."""
     rng = random.Random(3)
     c = Circuit(4, [tuple(rng.sample(range(4), 2)) for _ in range(120)])
     gc.collect()
@@ -265,10 +270,14 @@ def test_mining_frees_visited_sets_without_the_cyclic_collector():
         assert res.subsets_examined == 6826
         del res
         live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert mine_circuit(c, 9).subsets_examined == 101_383
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         gc.enable()
     assert live < 100_000
+    assert peak < 100_000
 
 
 def test_oversized_subset_returns_empty():
@@ -290,6 +299,35 @@ def test_max_candidates_truncation(ref_circuit):
     assert two.truncated and len(two.candidates) == 2
     exact = mine_circuit(ref_circuit, 2, MiningLimits(max_candidates=3))
     assert not exact.truncated and len(exact.candidates) == 3
+
+
+def test_time_budget_cuts_inside_a_root(monkeypatch):
+    """The clock is read once every DEADLINE_STRIDE sets, inside a root
+    too.  With a clock that reads the number of sets tested, the run
+    stops within one stride of the deadline, in the middle of root 0's
+    823 sets, and the cut root gives the kept sets among those tested."""
+    bonds = [(i, (i + 1) % 8) for i in range(8)]
+    ring = Circuit.from_pairs(8, (bonds[0::2] + bonds[1::2]) * 2)
+    tested, reads = [], []
+    closed = mining._closed_untainted
+    monkeypatch.setattr(mining, "_closed_untainted",
+                        lambda m, lines: tested.append(m) or closed(m, lines))
+    full = mine_circuit(ring, 8)
+    assert sum(m & 1 for m in tested) == 823
+    tested.clear()
+    monkeypatch.setattr(mining, "monotonic",
+                        lambda: reads.append(1) or len(tested))
+    deadline = 250
+    res = mine_circuit(ring, 8, MiningLimits(deadline=deadline))
+    assert res.truncated and res.reason == "time_budget"
+    assert res.subsets_examined == len(tested)
+    assert deadline <= len(tested) <= deadline + mining.DEADLINE_STRIDE
+    assert len(reads) <= len(tested) // mining.DEADLINE_STRIDE + 1
+    assert all(m & 1 for m in tested)  # root 0's sets only
+    masks = set(tested)
+    kept = [x for x in full.candidates
+            if sum(1 << i for i in x.layers) in masks]
+    assert len(kept) > 1 and res.candidates == kept
 
 
 def test_time_budget_truncation():
