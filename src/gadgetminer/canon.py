@@ -20,7 +20,7 @@ from time import monotonic
 
 from . import kernels
 from .graph import CircuitGraph, graph_to_json_dict
-from .mining import MinedCandidate
+from .mining import DEADLINE_STRIDE, MinedCandidate
 
 CERT_VERSION = b"GM2"
 # the node count and walk positions are stored one byte each
@@ -28,8 +28,6 @@ MAX_CERT_NODES = 64
 CSV_HEADER = "certificate_prefix,C_g,N_r,n_qubits_touched"
 _LABEL_CODE = {"c": 0, "t": 1}
 _SLOT_NAMES = ("cnot-out", "cnot-in", "time-out", "time-in")
-# grouping reads the clock once per this many candidates
-DEADLINE_STRIDE = 100
 
 
 class CertificateSizeError(ValueError):

@@ -52,6 +52,8 @@ class Circuit:
         if type(n) is not int or n < 1:
             raise CircuitError(
                 f"n_qubits must be a positive integer, got {n!r}")
+        if not isinstance(self.name, str):
+            raise CircuitError(f"name must be a string, got {self.name!r}")
         gates = []
         for i, gate in enumerate(self.gates):
             try:
@@ -155,14 +157,15 @@ def serialize_circuit(c: Circuit) -> str:
 
 def parse_circuit_json(text: str | bytes, name: str = "") -> Circuit:
     """Parse the JSON form; an embedded "name" wins over the argument.
-    Circuit rejects a qubit count or index that is not a JSON integer."""
+    Circuit rejects a name that is not a JSON string and a qubit count or
+    index that is not a JSON integer."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitParseError(f"invalid JSON: {exc}", exc.lineno) from None
     try:
         return Circuit(obj["qubits"], obj["gates"],
-                       name=str(obj.get("name", name)))
+                       name=obj.get("name", name))
     except (KeyError, TypeError) as exc:
         raise CircuitParseError(f"bad circuit JSON structure: {exc!r}") from None
     except CircuitError as exc:

@@ -47,7 +47,7 @@ from .corpus import (
     unique_name,
 )
 from .graph import gate_tuples
-from .mining import MiningLimits, mine_circuit
+from .mining import mine_circuit
 from .tableau import encoder_tableau
 
 OUTPUT_ENV = "GADGETMINER_OUTPUT"
@@ -70,6 +70,8 @@ def _collect_circuits(paths) -> tuple[list[Circuit], list[dict]]:
         p = Path(raw)
         if (p / MANIFEST_NAME).is_file():
             corp = load_corpus(p)
+            if not corp.entries:
+                raise CorpusError(f"{p}: no corpus entries")
             files.extend(corp.files)
             circuits.extend(corp.circuits())
         elif p.exists():
@@ -95,12 +97,12 @@ class WorkerError(RuntimeError):
 
 
 def _mine_one(payload):
-    """Mine one circuit against the run's deadline, or return None when
-    the deadline has already passed."""
-    circuit, c_g, limits = payload
-    if limits.deadline is not None and time.monotonic() >= limits.deadline:
+    """Mine one (circuit, c_g, cap, deadline) payload against the run's
+    deadline, or return None when the deadline has already passed."""
+    circuit, c_g, cap, deadline = payload
+    if deadline is not None and time.monotonic() >= deadline:
         return None
-    return mine_circuit(circuit, c_g, limits)
+    return mine_circuit(circuit, c_g, cap, deadline)
 
 
 def _run_share(fn, items, start: int, step: int, fd: int):
@@ -200,17 +202,21 @@ def cmd_mine(args) -> int:
     if args.time_budget is not None and not 0 <= args.time_budget < math.inf:
         raise ValueError("--time-budget must be a finite number >= 0")
     circuits, inputs = _collect_circuits(args.input)
-    limits = MiningLimits()
-    # each circuit keeps at most cap + 1 candidates: that many prove the
-    # run is over the cap, and the cut below keeps the first cap in input
-    # order, which every circuit's own prefix of cap + 1 still contains
-    if args.max_candidates is not None:
-        limits.max_candidates = args.max_candidates + 1
+    # a report beside an input would replace a corpus's manifest, or turn
+    # a circuit directory into a corpus that fails to load
+    outdir = Path(args.output)
+    read_dirs = {Path(i["path"]).parent for i in inputs}
+    if outdir.resolve() in {d.resolve() for d in read_dirs}:
+        raise ValueError(f"--output {outdir} holds input files")
+    # each circuit keeps at most cap = --max-candidates + 1 candidates:
+    # that many prove the run is over, and the cut below keeps the first
+    # --max-candidates in input order, which every circuit's prefix holds
+    cap = None if args.max_candidates is None else args.max_candidates + 1
     # one absolute deadline for the whole run; the monotonic clock is
     # system-wide, so forked workers compare against the same clock
-    if args.time_budget is not None:
-        limits.deadline = started + args.time_budget
-    payloads = [(c, args.gadget_cnots, limits) for c in circuits]
+    deadline = (None if args.time_budget is None
+                else started + args.time_budget)
+    payloads = [(c, args.gadget_cnots, cap, deadline) for c in circuits]
     workers = min(args.jobs, len(payloads))
     if workers > 1 and hasattr(os, "fork"):
         results = _fork_map(_mine_one, payloads, workers)
@@ -225,7 +231,7 @@ def cmd_mine(args) -> int:
     if args.max_candidates is not None and len(candidates) > args.max_candidates:
         candidates = candidates[: args.max_candidates]
         reasons.append("max_candidates")
-    classes = group_candidates(candidates, limits.deadline)
+    classes = group_candidates(candidates, deadline)
     # grouping stops certifying at the deadline; the rest go unreported
     certified = sum(cls.n_r for cls in classes)
     if (skipped or certified < len(candidates)
@@ -234,7 +240,6 @@ def cmd_mine(args) -> int:
     del candidates[certified:]
     truncated = bool(reasons)
     gadgets = identify_gadgets(classes, args.min_repeats)
-    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     report = json.dumps(classes_to_json_obj(gadgets), indent=2,
                         sort_keys=True) + "\n"

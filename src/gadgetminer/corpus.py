@@ -64,8 +64,12 @@ def connectivity_pairs(kind: str, n: int,
     elif kind == "file":
         if path is None:
             raise CorpusError("connectivity kind 'file' needs a path")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
         pairs = []
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -253,19 +257,12 @@ def ingest(paths) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def _generator_masks(tableau, n: int, k: int) -> list[int]:
-    """Rows x | z << n of the encoded state's stabilizer generators.
-
-    The tableau must come from encoder_tableau, whose initial rows fold the
-    |+> preparations in; the state stabilizer is then the image of Z_j for
-    every ancilla wire, i.e. stabilizer row n+j regardless of basis."""
-    return tableau.rows[n + k:]
-
-
 def _canonical_generators(e: CorpusEntry) -> list[int]:
-    """Canonical rows of the state an entry's encoder prepares."""
+    """Canonical rows of the state an entry's encoder prepares: the
+    images of ancilla wires k..n-1, encoder_tableau's stabilizer rows
+    n + k onwards."""
     t = encoder_tableau(e.circuit, e.x_ancillas)
-    return kernels.canonical_rows(_generator_masks(t, t.n, e.k))
+    return kernels.canonical_rows(t.rows[t.n + e.k:])
 
 
 def _list_logicals(sl: list[int], ws: list[int], n: int, w: int,
@@ -341,14 +338,15 @@ def _propose_random(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
 
 def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
     """Greedy gate appension scored by the violation profile, with a random
-    kick on plateaus.  Stops as soon as the profile is clean.  One walk
-    lists the logicals up to target_d; each move carries the list on.
+    kick on plateaus.  Stops as soon as the profile is clean.  The climb
+    starts from the generators the empty circuit prepares, X_q for a |+>
+    ancilla q and Z_q for the others; one walk lists the logicals up to
+    target_d, and each move carries the generators and the list on.
     A k = 0 code has no logicals, so its profile is clean at the start."""
     if not cfg.k:
         return []
     n, d = cfg.n, cfg.target_d
-    t = encoder_tableau(Circuit.from_pairs(n, ()), x_set)
-    gens = _generator_masks(t, n, cfg.k)
+    gens = [1 << q if q in x_set else 1 << q + n for q in range(cfg.k, n)]
     sl = [0] * (2 * n)
     ws = [0] * (d + 1)
     for w, found in enumerate(kernels.logicals_by_weight(gens, n, d), 1):
@@ -406,7 +404,7 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
         distance = None
         if cfg.k:
             distance = kernels.min_logical_weight(
-                _generator_masks(t, cfg.n, cfg.k), cfg.n, cfg.n)
+                t.rows[cfg.n + cfg.k:], cfg.n, cfg.n)
             best_distance = max(best_distance, distance)
             if distance < cfg.target_d:
                 continue
@@ -571,8 +569,8 @@ def load_corpus(directory: str | Path) -> Corpus:
     if not manifest_path.is_file():
         raise CorpusError(f"{directory} has no {MANIFEST_NAME}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorpusError(f"{manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CorpusError(f"{manifest_path}: not a JSON object")
@@ -588,9 +586,10 @@ def load_corpus(directory: str | Path) -> Corpus:
                 f"{directory}: bad config: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise CorpusError(f"{directory}: bad config: {exc}") from exc
-    entries = manifest.get("entries", [])
+    # a mine manifest has the same format_version but no entries
+    entries = manifest.get("entries")
     if not isinstance(entries, list):
-        raise CorpusError(f"{manifest_path}: entries is not a list")
+        raise CorpusError(f"{manifest_path}: entries is missing or not a list")
     corpus = Corpus(config=config, files=[manifest_path])
     for obj in entries:
         try:

@@ -41,7 +41,8 @@ from .graph import (
     is_connected,
 )
 
-# a run with a deadline reads the clock once per this many visited sets
+# a run with a deadline reads the clock once per this many visited sets,
+# and canon.group_candidates once per this many candidates
 DEADLINE_STRIDE = 100
 
 
@@ -75,12 +76,6 @@ class MinedCandidate(NamedTuple):
     @property
     def graph(self) -> CircuitGraph:
         return gates_graph(self.source_circuit, self.gates)
-
-
-@dataclass
-class MiningLimits:
-    max_candidates: int | None = None
-    deadline: float | None = None  # a time.monotonic() value
 
 
 @dataclass
@@ -263,7 +258,8 @@ def _walk(nbrs, above, keep, arg, found, chosen, ext, seen, left) -> int:
 def mine_circuit(
     circuit: Circuit,
     c_g: int,
-    limits: MiningLimits | None = None,
+    max_candidates: int | None = None,
+    deadline: float | None = None,
 ) -> MiningResult:
     """Run the full pipeline over the size-c_g gate subsets of the circuit
     that can pass it.
@@ -282,20 +278,17 @@ def mine_circuit(
 
     The walk tests each set as it reaches it and holds only those that are
     closed and untainted, so memory follows the kept sets, not the visited
-    ones.  With a deadline, the clock is read before the first set and
-    then once every DEADLINE_STRIDE sets; the root cut there gives the
-    sets kept and the count visited before the cut.  A candidate cap stops
-    the run only when a further set would be visited: the root where it
-    is reached is walked again to count its sets up to the cap-th kept
-    one."""
+    ones.  With a deadline (a time.monotonic value), the clock is read
+    before the first set and then once every DEADLINE_STRIDE sets; the
+    root cut there gives the sets kept and the count visited before the
+    cut.  A max_candidates cap stops the run only when a further set
+    would be visited: the root where it is reached is walked again to
+    count its sets up to the cap-th kept one."""
     if c_g < 1:
         raise ValueError(f"subset size {c_g} must be >= 1")
-    limits = limits or MiningLimits()
     gates = gate_tuples(circuit)
     nbrs, lines = _gate_masks(circuit)
-    cap = limits.max_candidates
-    keep = (_closed_untainted if limits.deadline is None
-            else _Budget(limits.deadline))
+    keep = _closed_untainted if deadline is None else _Budget(deadline)
     result = MiningResult(subsets_total=math.comb(len(gates), c_g))
     kept = result.candidates
     for root in range(len(gates) - c_g + 1):
@@ -313,10 +306,11 @@ def mine_circuit(
             if _stationary([gates[i] for i in idx]):
                 passed.append(idx)
         passed.sort()
-        if cap is not None and len(kept) + len(passed) >= cap:
+        if (max_candidates is not None
+                and len(kept) + len(passed) >= max_candidates):
             # the cap is reached at this root: the run stops before the
             # set after the cap-th kept one, in ascending tuple order
-            del passed[cap - len(kept):]
+            del passed[max_candidates - len(kept):]
             if not result.truncated:
                 upto: list[int] = []
                 if passed:

@@ -120,13 +120,37 @@ def test_control_equals_target_message():
     '{"qubits": 2, "gates": [1]}',
     '{"qubits": 2, "gates": [[0, 1, 0]]}',
     '[2]',
+    '"c"',
+    'null',
+    '{"name": null, "qubits": 2, "gates": [[0, 1]]}',
+    '{"name": ["x"], "qubits": 2, "gates": [[0, 1]]}',
+    '{"name": 3, "qubits": 2, "gates": [[0, 1]]}',
 ], ids=["float-qubits", "bool-qubits", "string-qubits", "float-gate",
-        "bool-gate", "string-gate", "int-gate", "triple-gate", "not-object"])
+        "bool-gate", "string-gate", "int-gate", "triple-gate", "not-object",
+        "string-not-object", "null-not-object", "null-name", "list-name",
+        "int-name"])
 def test_json_rejects_non_integers(text):
-    """Only JSON integers are qubit counts and qubit indices: nothing is
-    coerced."""
+    """Only JSON integers are qubit counts and qubit indices, and only a
+    JSON string is a name: nothing is coerced ("name": null is not
+    "None")."""
     with pytest.raises(CircuitParseError):
         parse_circuit_json(text)
+
+
+def test_json_name_is_a_string_or_the_stem(tmp_path):
+    """An absent name falls back to the file stem; a name that is not a
+    string is an error that names the file."""
+    p = tmp_path / "stem.json"
+    p.write_text('{"qubits": 2, "gates": [[0, 1]]}')
+    assert load_circuit(p).name == "stem"
+    assert parse_circuit_json('{"name": "", "qubits": 2, "gates": []}',
+                              name="arg").name == ""
+    p.write_text('{"name": null, "qubits": 2, "gates": [[0, 1]]}')
+    with pytest.raises(CircuitParseError) as exc_info:
+        load_circuit(p)
+    assert str(exc_info.value) == f"{p}: name must be a string, got None"
+    with pytest.raises(CircuitError):
+        Circuit(2, (), name=None)
 
 
 def test_json_round_trip():

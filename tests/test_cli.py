@@ -31,6 +31,7 @@ from gadgetminer.circuit import (
     load_circuit,
     save_circuit,
 )
+from gadgetminer.corpus import Corpus, save_corpus
 from gadgetminer.graph import circuit_to_graph
 from gadgetminer.mining import mine_circuit
 from gadgetminer.tableau import encoder_tableau
@@ -355,10 +356,10 @@ def test_mine_worker_exception_is_the_serial_error(tmp_path, monkeypatch,
     worker fails later in input order but sooner in its own share."""
     mine = cli.mine_circuit
 
-    def failing(circuit, c_g, limits):
+    def failing(circuit, c_g, cap, deadline):
         if circuit.name in ("host_b", "host_c"):
             raise ValueError(f"cannot mine {circuit.name}")
-        return mine(circuit, c_g, limits)
+        return mine(circuit, c_g, cap, deadline)
 
     monkeypatch.setattr(cli, "mine_circuit", failing)
     errors = []
@@ -377,7 +378,7 @@ def test_mine_worker_without_result_is_an_error(tmp_path, monkeypatch,
                                                 capsys):
     """A worker that exits without writing its share is an explicit
     error naming its exit status, not a partial report."""
-    def dying(circuit, c_g, limits):
+    def dying(circuit, c_g, cap, deadline):
         os._exit(3)
 
     monkeypatch.setattr(cli, "mine_circuit", dying)
@@ -420,6 +421,86 @@ def test_mine_missing_input(tmp_path, capsys):
                   "--gadget-cnots", 2, "--output", tmp_path / "out"])
     assert rc == 1
     assert "no circuit files" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _snapshot(directory: Path) -> dict[str, bytes]:
+    return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+
+def test_mine_rejects_output_holding_its_inputs(tmp_path, capsys):
+    """An --output directory that directly holds a file the run reads is
+    rejected before anything is mined or written: a gen corpus keeps its
+    manifest, a circuit directory gains no report, and the check sees
+    through another spelling of the directory."""
+    corpus_dir = tmp_path / "c2"
+    assert run_cli(["gen", "--n", 4, "--k", 1, "--d", 2, "--count", 2,
+                    "--attempts", 300, "--seed", 9,
+                    "--output", corpus_dir]) == 0
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    for f in HOSTS.iterdir():
+        (plain / f.name).write_bytes(f.read_bytes())
+    before = {d: _snapshot(d) for d in (corpus_dir, plain)}
+    capsys.readouterr()
+    for inputs, out in (([corpus_dir], corpus_dir),
+                        ([plain], plain),
+                        ([plain], tmp_path / "x" / ".." / "plain"),
+                        ([plain / "host_a.txt"], plain),
+                        ([HOSTS, corpus_dir], corpus_dir)):
+        assert run_cli(["mine", "--input", *inputs, "--gadget-cnots", 2,
+                        "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --output {out} holds input files\n")
+    assert {d: _snapshot(d) for d in (corpus_dir, plain)} == before
+    assert run_cli(["stats", corpus_dir]) == 0
+
+
+def test_mine_rejects_a_corpus_without_entries(tmp_path, capsys):
+    """A mine output directory is not a corpus, and a corpus with no
+    entries is rejected as a directory with no circuit files is."""
+    mined = tmp_path / "mined"
+    assert run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,
+                    "--output", mined]) == 0
+    capsys.readouterr()
+    assert run_cli(["mine", "--input", mined, "--gadget-cnots", 2,
+                    "--output", tmp_path / "again"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {mined / 'manifest.json'}: entries is missing or not a "
+        "list\n")
+    empty = tmp_path / "empty"
+    save_corpus(Corpus(), empty)
+    assert run_cli(["mine", "--input", empty, "--gadget-cnots", 2,
+                    "--output", tmp_path / "again"]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: no corpus entries\n"
+    assert not (tmp_path / "again").exists()
+
+
+def test_non_utf8_connectivity_and_manifest_name_their_file(tmp_path,
+                                                            capsys):
+    decode = "'utf-8' codec can't decode byte 0xff in position 0: " \
+        "invalid start byte"
+    conn = tmp_path / "conn.txt"
+    conn.write_bytes(b"\xff0 1\n")
+    assert run_cli(["gen", "--n", 2, "--k", 1, "--d", 1, "--connectivity",
+                    "file", "--connectivity-file", conn,
+                    "--output", tmp_path / "g"]) == 1
+    assert capsys.readouterr().err == f"error: {conn}: {decode}\n"
+    assert not (tmp_path / "g").exists()
+    corpus_dir = tmp_path / "corpus"
+    assert run_cli(["gen", "--n", 4, "--k", 1, "--d", 2, "--count", 2,
+                    "--attempts", 300, "--seed", 9,
+                    "--output", corpus_dir]) == 0
+    manifest = corpus_dir / "manifest.json"
+    manifest.write_bytes(b"\xff" + manifest.read_bytes())
+    before = _snapshot(corpus_dir)
+    capsys.readouterr()
+    for argv in (["stats", corpus_dir],
+                 ["mine", "--input", corpus_dir, "--gadget-cnots", 2,
+                  "--output", tmp_path / "out"]):
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: {decode}\n"
+    assert _snapshot(corpus_dir) == before
     assert not (tmp_path / "out").exists()
 
 

@@ -75,6 +75,11 @@ def test_connectivity_file(tmp_path):
     p.write_text("0 1\na b\n")
     with pytest.raises(CorpusError, match=r"bad connectivity line 2: 'a b'"):
         connectivity_pairs("file", 3, p)
+    # read as UTF-8 whatever the locale, and a decode error names the file
+    p.write_bytes(b"0 1\n\xff\n")
+    with pytest.raises(CorpusError) as exc_info:
+        connectivity_pairs("file", 3, p)
+    assert str(exc_info.value).startswith(f"{p}: 'utf-8' codec")
 
 
 @pytest.mark.parametrize("line", ["0 1_0", "+1 2", "-0 1", "1 \u0662"],
@@ -388,8 +393,7 @@ def test_generate_k0_runs_no_walk(monkeypatch):
     assert not walks and not listings
     assert all(e.circuit.cx_count == 0 for e in corpus.entries)
     for e in corpus.entries:
-        gens = corpus_module._generator_masks(
-            encoder_tableau(e.circuit, e.x_ancillas), cfg.n, 0)
+        gens = encoder_tableau(e.circuit, e.x_ancillas).rows[cfg.n:]
         assert kernels.min_logical_weight(gens, cfg.n, cfg.n) == 0
 
 
@@ -525,6 +529,10 @@ def test_load_rejects_bad_format(tmp_path):
     damages = [
         (lambda m: m.update(format_version=99), None),
         (lambda m: [m], None),
+        # a mine manifest: the same format_version, and no entries
+        (lambda m: {k: v for k, v in m.items() if k != "entries"},
+         r"manifest\.json: entries is missing"),
+        (lambda m: m.update(entries={}), "entries is missing or not a list"),
         (lambda m: m.update(config=_config_without("seed")),
          "bad config: missing key 'seed'"),
         (config_with(seed="7"), None),

@@ -19,7 +19,6 @@ from gadgetminer.circuit import Circuit, save_circuit
 from gadgetminer.cli import main
 from gadgetminer.graph import CircuitGraph, circuit_to_graph
 from gadgetminer.mining import (
-    MiningLimits,
     contract_timelines,
     extract_candidate,
     mine_circuit,
@@ -196,8 +195,7 @@ def test_mine_matches_exhaustive_oracle():
                          if _timeline_connected(pairs, s)]
             assert res.subsets_examined == len(connected)
             for cap in range(len(want) + 1):
-                capped = mine_circuit(c, c_g,
-                                      MiningLimits(max_candidates=cap))
+                capped = mine_circuit(c, c_g, max_candidates=cap)
                 assert [x.graph for x in capped.candidates] == [
                     x.graph for x in want[:cap]]
                 # a capped run examines the sets up to the cap-th kept one
@@ -240,7 +238,7 @@ def test_mine_result_pickle_holds_no_graph():
     """What a --jobs worker pickles back is the mining result and its
     candidates' gate tuples: no graph, node or edge objects."""
     c = random_circuit(random.Random(3), 3, 20)
-    res = cli._mine_one((c, 4, MiningLimits()))
+    res = cli._mine_one((c, 4, None, None))
     assert res.candidates
     classes = []
 
@@ -290,14 +288,14 @@ def test_oversized_subset_returns_empty():
 
 
 def test_max_candidates_truncation(ref_circuit):
-    res = mine_circuit(ref_circuit, 2, MiningLimits(max_candidates=1))
+    res = mine_circuit(ref_circuit, 2, max_candidates=1)
     assert res.truncated and res.reason == "max_candidates"
     assert len(res.candidates) == 1
     assert res.subsets_examined < res.subsets_total
     # the second keep arrives mid-scan, the third only on the last subset
-    two = mine_circuit(ref_circuit, 2, MiningLimits(max_candidates=2))
+    two = mine_circuit(ref_circuit, 2, max_candidates=2)
     assert two.truncated and len(two.candidates) == 2
-    exact = mine_circuit(ref_circuit, 2, MiningLimits(max_candidates=3))
+    exact = mine_circuit(ref_circuit, 2, max_candidates=3)
     assert not exact.truncated and len(exact.candidates) == 3
 
 
@@ -318,7 +316,7 @@ def test_time_budget_cuts_inside_a_root(monkeypatch):
     monkeypatch.setattr(mining, "monotonic",
                         lambda: reads.append(1) or len(tested))
     deadline = 250
-    res = mine_circuit(ring, 8, MiningLimits(deadline=deadline))
+    res = mine_circuit(ring, 8, deadline=deadline)
     assert res.truncated and res.reason == "time_budget"
     assert res.subsets_examined == len(tested)
     assert deadline <= len(tested) <= deadline + mining.DEADLINE_STRIDE
@@ -333,7 +331,7 @@ def test_time_budget_cuts_inside_a_root(monkeypatch):
 def test_time_budget_truncation():
     rng = random.Random(8)
     c = random_circuit(rng, 6, 24)
-    res = mine_circuit(c, 4, MiningLimits(deadline=time.monotonic()))
+    res = mine_circuit(c, 4, deadline=time.monotonic())
     assert res.truncated and res.reason == "time_budget"
     # the deadline is checked before the first set is visited
     assert res.subsets_examined == 0
