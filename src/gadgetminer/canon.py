@@ -7,8 +7,9 @@ candidate satisfies: each node then has four slots (cnot out/in, time
 out/in) holding at most one neighbour each, and kernels.canonical_encoding
 walks them from every start node.  A certificate is CERT_VERSION, the
 node count and that encoding, which determines the labelled graph up to
-isomorphism.  A mined candidate is certified from its gate list, whose
-slot table is read off the gates, so grouping builds no graph.
+isomorphism.  A CircuitGraph and a gate list (through graph.gate_edges)
+both reach the slot table as node labels and edges by position, so
+grouping mined candidates builds no graph.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cache
 from time import monotonic
 
 from . import kernels
-from .graph import CircuitGraph, graph_to_json_dict
+from .graph import CircuitGraph, gate_edges, graph_to_json_dict
 from .mining import DEADLINE_STRIDE, MinedCandidate
 
 CERT_VERSION = b"GM2"
@@ -40,51 +41,33 @@ class CertificateShapeError(ValueError):
 
 def certificate(graph) -> bytes:
     """Canonical byte string of a CircuitGraph, or of the graph
-    (graph.gates_graph) of (index, control, target) gates in
-    ascending index order; equal certificates iff isomorphic graphs
-    (matching labels and all edge kinds/directions).  A node with two
-    edges of one kind and direction raises CertificateShapeError."""
-    if not isinstance(graph, CircuitGraph):
-        return _gates_certificate(graph)
-    n = len(graph)
-    _check_size(n)
-    # slots[4*i + k]: node i's neighbour in slot k (_SLOT_NAMES), or -1
-    slots = [-1] * (4 * n)
-    first = {nd.id: 4 * i for i, nd in enumerate(graph.nodes)}
-    for k, edges in ((0, graph.cnot_edges), (2, graph.time_edges)):
-        for e in edges:
-            out, into = first[e.src] + k, first[e.dst] + k + 1
-            if slots[out] >= 0 or slots[into] >= 0:
-                i = out if slots[out] >= 0 else into
-                raise CertificateShapeError(
-                    f"node at position {i // 4} has two "
-                    f"{_SLOT_NAMES[i % 4]} edges")
-            slots[out], slots[into] = into // 4, out // 4
-    return _certificate(tuple(nd.label for nd in graph.nodes), tuple(slots))
-
-
-def _gates_certificate(gates) -> bytes:
-    """certificate of a gate list, from the slot table its graph has: gate
-    j's control is node 2j and its target node 2j + 1, and time slots
-    chain each qubit's nodes in gate order."""
-    n = 2 * len(gates)
-    _check_size(n)
-    slots = [-1] * (4 * n)
-    last: dict[int, int] = {}  # qubit -> its latest node
-    for j, (_, control, target) in enumerate(gates):
-        c, t = 2 * j, 2 * j + 1
-        slots[4 * c], slots[4 * t + 1] = t, c
-        for node, q in ((c, control), (t, target)):
-            if q in last:
-                slots[4 * last[q] + 2], slots[4 * node + 3] = node, last[q]
-            last[q] = node
-    return _certificate(("c", "t") * len(gates), tuple(slots))
-
-
-def _check_size(n: int) -> None:
+    (graph.gate_edges) of (index, control, target) gates in ascending
+    index order; equal certificates iff isomorphic graphs (matching
+    labels and all edge kinds/directions).  A node with two edges of one
+    kind and direction raises CertificateShapeError."""
+    if isinstance(graph, CircuitGraph):
+        labels = tuple(nd.label for nd in graph.nodes)
+        pos = {nd.id: i for i, nd in enumerate(graph.nodes)}
+        edges = [(pos[e.src], pos[e.dst], e.kind) for e in graph.edges]
+    else:
+        labels = ("c", "t") * len(graph)
+        edges = gate_edges(graph)
+    n = len(labels)
     if n > MAX_CERT_NODES:
         raise CertificateSizeError(
             f"graph has {n} nodes, certificate bound is {MAX_CERT_NODES}")
+    # slots[4*i + k]: node i's neighbour in slot k (_SLOT_NAMES), or -1
+    slots = [-1] * (4 * n)
+    for src, dst, kind in edges:
+        k = 0 if kind == "cnot" else 2
+        out, into = 4 * src + k, 4 * dst + k + 1
+        if slots[out] >= 0 or slots[into] >= 0:
+            i = out if slots[out] >= 0 else into
+            raise CertificateShapeError(
+                f"node at position {i // 4} has two "
+                f"{_SLOT_NAMES[i % 4]} edges")
+        slots[out], slots[into] = dst, src
+    return _certificate(labels, tuple(slots))
 
 
 @cache

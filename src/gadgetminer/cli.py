@@ -22,7 +22,6 @@ from pathlib import Path
 from . import __version__, kernels
 from .canon import (
     MAX_CERT_NODES,
-    CertificateSizeError,
     certificate,
     certificate_digest,
     classes_to_csv,
@@ -33,8 +32,8 @@ from .canon import (
 from .catalog import FAMILIES, CatalogError, all_gadgets, build_gadget
 from .circuit import Circuit, load_circuit, serialize_circuit
 from .corpus import (
+    FORMAT_VERSION,
     MANIFEST_NAME,
-    CorpusError,
     GenerationError,
     GeneratorConfig,
     circuit_files,
@@ -51,7 +50,6 @@ from .mining import mine_circuit
 from .tableau import encoder_tableau
 
 OUTPUT_ENV = "GADGETMINER_OUTPUT"
-FORMAT_VERSION = 1
 
 
 def _default_output() -> str:
@@ -70,18 +68,12 @@ def _collect_circuits(paths) -> tuple[list[Circuit], list[dict]]:
         p = Path(raw)
         if (p / MANIFEST_NAME).is_file():
             corp = load_corpus(p)
-            if not corp.entries:
-                raise CorpusError(f"{p}: no corpus entries")
             files.extend(corp.files)
             circuits.extend(corp.circuits())
-        elif p.exists():
+        else:
             members = circuit_files(p)
-            if not members:
-                raise CorpusError(f"{p}: no circuit files")
             files.extend(members)
             circuits.extend(load_circuit(f) for f in members)
-        else:
-            raise CorpusError(f"{p}: no such file or directory")
     inputs = [{"path": str(f),
                "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
               for f in files]
@@ -408,8 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, GenerationError, CatalogError,
-            CertificateSizeError, WorkerError, ValueError, OSError) as exc:
+    except (GenerationError, WorkerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,8 @@ can prepare the same code.
 
 Corpus directory layout: one circuit text file per entry plus
 manifest.json carrying digests, per-entry code data, the generator config
-and seed, and the format version.
+and seed, and FORMAT_VERSION, which mine manifests carry too.
+circuit_files and load_corpus hold the input rules every command shares.
 
 All generator randomness flows through random.Random (Mersenne Twister)
 seeded with the config's 64-bit seed, so corpora are reproducible
@@ -77,10 +78,11 @@ def connectivity_pairs(kind: str, n: int,
                 a, b = map(parse_decimal, line.split())
             except ValueError:
                 raise CorpusError(
-                    f"bad connectivity line {lineno}: {raw!r}") from None
+                    f"{path}: bad connectivity line {lineno}: {raw!r}"
+                ) from None
             if a == b or not (0 <= a < n and 0 <= b < n):
-                raise CorpusError(
-                    f"bad connectivity pair ({a}, {b}) at line {lineno}")
+                raise CorpusError(f"{path}: bad connectivity pair "
+                                  f"({a}, {b}) at line {lineno}")
             pairs.append((min(a, b), max(a, b)))
     else:
         raise CorpusError(f"unknown connectivity kind {kind!r}")
@@ -205,11 +207,17 @@ def entry_digest(circuit: Circuit, x_ancillas=()) -> str:
 
 
 def circuit_files(path) -> list[Path]:
-    """The circuit files of a directory in name order, or the path itself."""
+    """The circuit files of a directory in name order, or the path itself.
+    A missing path or a directory without circuit files is a CorpusError."""
     p = Path(path)
     if p.is_dir():
-        return sorted(f for f in p.iterdir()
-                      if f.is_file() and f.suffix.lower() in CIRCUIT_SUFFIXES)
+        files = sorted(f for f in p.iterdir()
+                       if f.is_file() and f.suffix.lower() in CIRCUIT_SUFFIXES)
+        if not files:
+            raise CorpusError(f"{p}: no circuit files")
+        return files
+    if not p.exists():
+        raise CorpusError(f"{p}: no such file or directory")
     return [p]
 
 
@@ -487,9 +495,19 @@ def _plain_file_name(name: str, file: str) -> str:
 def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
     """Write one circuit text file per entry plus manifest.json.  Output is
     byte-identical for identical corpora.  An entry name that is not a
-    plain file name raises CorpusError before any file is written."""
+    plain file name, or a directory holding anything but manifest.json
+    and this corpus's entry files, raises CorpusError before any file is
+    written: a new manifest would hide the other files, or leave stale
+    entries beside it."""
     files = [_plain_file_name(e.name, f"{e.name}.txt") for e in corpus.entries]
     directory = Path(directory)
+    if directory.is_dir():
+        own = {MANIFEST_NAME, *files}
+        foreign = sorted(f.name for f in directory.iterdir()
+                         if f.name not in own)
+        if foreign:
+            raise CorpusError(
+                f"{directory}: {foreign[0]!r} is not a file of this corpus")
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for e, filename in zip(corpus.entries, files):
@@ -563,7 +581,8 @@ def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Read a corpus directory, re-verifying every entry's digest."""
+    """Read a corpus directory, re-verifying every entry's digest.  A
+    manifest without entries is a CorpusError."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -590,6 +609,8 @@ def load_corpus(directory: str | Path) -> Corpus:
     entries = manifest.get("entries")
     if not isinstance(entries, list):
         raise CorpusError(f"{manifest_path}: entries is missing or not a list")
+    if not entries:
+        raise CorpusError(f"{directory}: no corpus entries")
     corpus = Corpus(config=config, files=[manifest_path])
     for obj in entries:
         try:

@@ -3,7 +3,8 @@
 Every CNOT endpoint becomes a node labeled "c" (control) or "t" (target);
 a "cnot" edge runs control -> target within a gate, and "time" edges chain
 consecutive endpoints on each qubit in gate order.  A node's layer is its
-gate's index.  Spectator qubits never produce nodes.
+gate's index.  Spectator qubits never produce nodes.  gate_edges defines
+these edges once, for gates_graph and canon.certificate.
 """
 
 from __future__ import annotations
@@ -131,21 +132,31 @@ def gate_tuples(circuit: Circuit) -> list[tuple[int, int, int]]:
     return [(i, c, t) for i, (c, t) in enumerate(circuit.gates)]
 
 
+def gate_edges(gates) -> list[tuple[int, int, str]]:
+    """The edges of the graph of (index, control, target) gates in
+    ascending index order, as (src, dst, kind) by position: gate j's
+    control is position 2j and its target 2j + 1, a "cnot" edge joins
+    them, and "time" edges chain each qubit's endpoints in gate order."""
+    edges, last, node = [], {}, 0  # last: qubit -> its latest position
+    for _, control, target in gates:
+        edges.append((node, node + 1, "cnot"))
+        for q in (control, target):
+            if q in last:
+                edges.append((last[q], node, "time"))
+            last[q] = node
+            node += 1
+    return edges
+
+
 def gates_graph(source: str, gates) -> CircuitGraph:
     """The graph of (index, control, target) gates in ascending index
-    order: per gate i a control node 2i and a target node 2i+1, both at
-    layer i, their cnot edge, and time edges chaining the endpoints on
-    each qubit in index order."""
-    nodes, edges, last = [], [], {}  # last: qubit -> its latest node id
-    for i, control, target in gates:
-        c = GraphNode(2 * i, control, i, "c")
-        t = GraphNode(2 * i + 1, target, i, "t")
-        nodes += (c, t)
-        edges.append(GraphEdge(c.id, t.id, "cnot"))
-        for nd in (c, t):
-            if nd.qubit in last:
-                edges.append(GraphEdge(last[nd.qubit], nd.id, "time"))
-            last[nd.qubit] = nd.id
+    order: the edges of gate_edges, with gate i's control and target
+    nodes numbered 2i and 2i + 1, both at layer i."""
+    nodes = [GraphNode(2 * i + end, q, i, label)
+             for i, control, target in gates
+             for end, q, label in ((0, control, "c"), (1, target, "t"))]
+    edges = [GraphEdge(nodes[s].id, nodes[d].id, kind)
+             for s, d, kind in gate_edges(gates)]
     return CircuitGraph(nodes, edges, source_circuit=source)
 
 

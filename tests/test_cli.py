@@ -476,6 +476,73 @@ def test_mine_rejects_a_corpus_without_entries(tmp_path, capsys):
     assert not (tmp_path / "again").exists()
 
 
+@pytest.mark.parametrize("case", ["no-entries", "empty-dir", "missing"])
+def test_stats_and_mine_print_the_same_input_error(tmp_path, capsys, case):
+    """stats and mine read their inputs under the same corpus rules, so a
+    corpus without entries, a directory without circuit files and a
+    missing path give each command the same one-line error."""
+    p = tmp_path / case
+    if case == "no-entries":
+        save_corpus(Corpus(), p)
+        want = f"{p}: no corpus entries"
+    elif case == "empty-dir":
+        p.mkdir()
+        want = f"{p}: no circuit files"
+    else:
+        want = f"{p}: no such file or directory"
+    for argv in (["stats", p],
+                 ["mine", "--input", p, "--gadget-cnots", 2,
+                  "--output", tmp_path / "out"]):
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_rejects_an_output_holding_other_files(tmp_path, capsys):
+    """gen writes into a directory only if it holds nothing but this
+    corpus's files: a new manifest would hide circuit files from mine,
+    leave a larger corpus's entries behind unlisted, or sit beside a
+    mine report.  Writing the same corpus again is allowed."""
+    gen = ["gen", "--n", 4, "--k", 1, "--d", 2, "--attempts", 300,
+           "--seed", 9]
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    for f in HOSTS.iterdir():
+        (plain / f.name).write_bytes(f.read_bytes())
+    stale = tmp_path / "stale"
+    assert run_cli([*gen, "--count", 4, "--output", stale]) == 0
+    mined = tmp_path / "mined"
+    assert run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,
+                    "--output", mined]) == 0
+    dirs = (plain, stale, mined)
+    before = {d: _snapshot(d) for d in dirs}
+    assert len(before[stale]) == 5
+    capsys.readouterr()
+    for out, first in zip(dirs, ("host_a.txt", "enc_0002.txt",
+                                 "report.json")):
+        assert run_cli([*gen, "--count", 2, "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: {first!r} is not a file of this corpus\n")
+    assert {d: _snapshot(d) for d in dirs} == before
+    assert run_cli([*gen, "--count", 4, "--output", stale]) == 0
+    assert _snapshot(stale) == before[stale]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("0 1\n0 5\n", "bad connectivity pair (0, 5) at line 2"),
+    ("a b\n", "bad connectivity line 1: 'a b'"),
+], ids=["pair", "line"])
+def test_connectivity_errors_name_the_file(tmp_path, capsys, text, error):
+    conn = tmp_path / "conn.txt"
+    conn.write_text(text)
+    assert run_cli(["gen", "--n", 3, "--connectivity", "file",
+                    "--connectivity-file", conn,
+                    "--output", tmp_path / "g"]) == 1
+    assert capsys.readouterr().err == f"error: {conn}: {error}\n"
+    assert conn.read_text() == text
+    assert not (tmp_path / "g").exists()
+
+
 def test_non_utf8_connectivity_and_manifest_name_their_file(tmp_path,
                                                             capsys):
     decode = "'utf-8' codec can't decode byte 0xff in position 0: " \
