@@ -30,20 +30,19 @@ from .canon import (
     identify_gadgets,
 )
 from .catalog import FAMILIES, CatalogError, all_gadgets, build_gadget
-from .circuit import Circuit, load_circuit, serialize_circuit
+from .circuit import load_circuit, serialize_circuit
 from .corpus import (
     FORMAT_VERSION,
-    MANIFEST_NAME,
     GenerationError,
     GeneratorConfig,
-    circuit_files,
+    check_output,
     connectivity_pairs,
     corpus_stats,
+    distinct,
+    encoder_name,
     generate_encoders,
-    ingest,
-    load_corpus,
+    read_inputs,
     save_corpus,
-    unique_name,
 )
 from .graph import gate_tuples
 from .mining import mine_circuit
@@ -54,34 +53,6 @@ OUTPUT_ENV = "GADGETMINER_OUTPUT"
 
 def _default_output() -> str:
     return os.environ.get(OUTPUT_ENV, "gadgetminer_out")
-
-
-def _collect_circuits(paths) -> tuple[list[Circuit], list[dict]]:
-    """Circuits from files, corpus directories, or plain directories of
-    circuit files, in input order, with unique names, and the path and
-    sha256 of every file read, hashed before any output is written.
-    Plain files and directories are read literally (no dedup: mining
-    counts repeats)."""
-    circuits: list[Circuit] = []
-    files: list[Path] = []
-    for raw in paths:
-        p = Path(raw)
-        if (p / MANIFEST_NAME).is_file():
-            corp = load_corpus(p)
-            files.extend(corp.files)
-            circuits.extend(corp.circuits())
-        else:
-            members = circuit_files(p)
-            files.extend(members)
-            circuits.extend(load_circuit(f) for f in members)
-    inputs = [{"path": str(f),
-               "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
-              for f in files]
-    names: set[str] = set()
-    named = [Circuit(c.n_qubits, c.gates,
-                     name=unique_name(c.name or f"circuit_{i:04d}", names))
-             for i, c in enumerate(circuits)]
-    return named, inputs
 
 
 class WorkerError(RuntimeError):
@@ -193,13 +164,15 @@ def cmd_mine(args) -> int:
     # NaN fails every comparison, so it is rejected here too
     if args.time_budget is not None and not 0 <= args.time_budget < math.inf:
         raise ValueError("--time-budget must be a finite number >= 0")
-    circuits, inputs = _collect_circuits(args.input)
-    # a report beside an input would replace a corpus's manifest, or turn
-    # a circuit directory into a corpus that fails to load
+    corpus = read_inputs(args.input)
     outdir = Path(args.output)
-    read_dirs = {Path(i["path"]).parent for i in inputs}
-    if outdir.resolve() in {d.resolve() for d in read_dirs}:
-        raise ValueError(f"--output {outdir} holds input files")
+    check_output(outdir, ("report.json", "summary.csv"), corpus.files,
+                 kind="report")
+    # hashed before any output is written
+    inputs = [{"path": str(f),
+               "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
+              for f in corpus.files]
+    circuits = corpus.circuits()
     # each circuit keeps at most cap = --max-candidates + 1 candidates:
     # that many prove the run is over, and the cut below keeps the first
     # --max-candidates in input order, which every circuit's prefix holds
@@ -285,6 +258,10 @@ def cmd_gen(args) -> int:
         method=args.method,
         count=args.count,
     )
+    # refused before the search: the run writes the manifest and, as an
+    # attempt keeps at most one encoder, the first min(count, attempts)
+    check_output(args.output, (f"{encoder_name(i)}.txt"
+                               for i in range(min(cfg.count, cfg.attempts))))
     corpus = generate_encoders(cfg)
     outdir = save_corpus(corpus, args.output)
     for w in corpus.warnings:
@@ -308,11 +285,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    p = Path(args.corpus)
-    if (p / MANIFEST_NAME).is_file():
-        corp = load_corpus(p)
-    else:
-        corp = ingest([p])
+    corp = distinct(read_inputs([args.corpus]))
     for w in corp.warnings:
         print(f"warning: {w}", file=sys.stderr)
     stats = corpus_stats(corp)

@@ -1,8 +1,9 @@
-"""Circuit corpora: ingestion, encoder generation, statistics, disk format.
+"""Circuit corpora: input reading, encoder generation, statistics, disk format.
 
-A corpus is an ordered list of entries deduplicated by the tableau digest
-of the encoding unitary (with basis-flip prefixes for |+> ancillas), which
-identifies exactly the circuits implementing the same Clifford map.  The
+A corpus is an ordered list of entries.  An entry's digest, the tableau
+digest of the encoding unitary (with basis-flip prefixes for |+>
+ancillas), identifies exactly the circuits implementing the same
+Clifford map; generation and distinct keep one entry per digest.  The
 manifest also stores each entry's canonical digest, of the reduced row
 echelon form of the stabilizer rows: it identifies the code the encoder
 prepares, a coarser key than the tableau digest, as different encoders
@@ -11,7 +12,8 @@ can prepare the same code.
 Corpus directory layout: one circuit text file per entry plus
 manifest.json carrying digests, per-entry code data, the generator config
 and seed, and FORMAT_VERSION, which mine manifests carry too.
-circuit_files and load_corpus hold the input rules every command shares.
+read_inputs reads the inputs of mine and stats, and check_output holds
+the rule for every output directory.
 
 All generator randomness flows through random.Random (Mersenne Twister)
 seeded with the config's 64-bit seed, so corpora are reproducible
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import kernels
@@ -164,7 +166,7 @@ class GeneratorConfig:
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One deduplicated circuit with its dedup digest and code data.
+    """One circuit with its code data.
 
     k counts the logical (non-ancilla) qubits, 0 when unknown; x_ancillas
     lists ancillas prepared in |+> instead of |0>; distance is the exact
@@ -172,17 +174,22 @@ class CorpusEntry:
 
     name: str
     circuit: Circuit
-    digest: str
     origin: str
     k: int = 0
     x_ancillas: tuple[int, ...] = ()
     distance: int | None = None
 
+    @property
+    def digest(self) -> str:
+        """The dedup key, entry_digest of the circuit and its |+> ancillas."""
+        return entry_digest(self.circuit, self.x_ancillas)
+
 
 @dataclass
 class Corpus:
-    """Entries in order; files lists what load_corpus read: the manifest,
-    then the file each entry names."""
+    """Entries in order; files lists every file read, in reading order:
+    a circuit file, or a corpus's manifest and then the file each of its
+    entries names."""
 
     entries: list[CorpusEntry] = field(default_factory=list)
     config: GeneratorConfig | None = None
@@ -202,7 +209,7 @@ def entry_digest(circuit: Circuit, x_ancillas=()) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Ingestion
+# Inputs
 # ---------------------------------------------------------------------------
 
 
@@ -221,43 +228,50 @@ def circuit_files(path) -> list[Path]:
     return [p]
 
 
-def unique_name(name: str, taken: set[str]) -> str:
-    """name, or the first of name_1, name_2, ... not in taken; the result
-    is added to taken."""
-    base, i = name, 1
-    while name in taken:
-        name = f"{base}_{i}"
-        i += 1
-    taken.add(name)
-    return name
-
-
-def ingest(paths) -> Corpus:
-    """Parse circuit files (or directories of them), deduplicating by
-    tableau digest.  Duplicates produce warnings, not errors; a file that
-    cannot be read is a CorpusError whose message names it once."""
+def read_inputs(paths) -> Corpus:
+    """Circuit files, directories of circuit files and corpus directories
+    (those holding a manifest), read literally in input order, so repeats
+    stay; a circuit file becomes an ingested entry.  A nameless circuit
+    is named circuit_NNNN by its position, and a name an earlier entry
+    took gets the first free suffix _1, _2, ..."""
     corpus = Corpus()
-    seen: dict[str, str] = {}
-    names: set[str] = set()
-    for path in [f for raw in paths for f in circuit_files(raw)]:
-        try:
-            circuit = load_circuit(path)
-        except (OSError, ValueError) as exc:
-            raise CorpusError(str(exc)) from exc
-        digest = entry_digest(circuit)
-        if digest in seen:
-            corpus.warnings.append(
-                f"duplicate circuit {path} matches entry {seen[digest]!r}")
-            continue
-        name = unique_name(circuit.name or path.stem, names)
-        seen[digest] = name
-        corpus.entries.append(CorpusEntry(
-            name=name,
-            circuit=Circuit(circuit.n_qubits, circuit.gates, name=name),
-            digest=digest,
-            origin="ingested",
-        ))
+    taken: set[str] = set()
+    for raw in paths:
+        p = Path(raw)
+        if (p / MANIFEST_NAME).is_file():
+            part = load_corpus(p)
+            entries, files = part.entries, part.files
+        else:
+            files = circuit_files(p)
+            entries = [CorpusEntry(c.name, c, "ingested")
+                       for c in map(load_circuit, files)]
+        corpus.files += files
+        for e in entries:
+            name = base = e.name or f"circuit_{len(corpus.entries):04d}"
+            i = 1
+            while name in taken:
+                name = f"{base}_{i}"
+                i += 1
+            taken.add(name)
+            corpus.entries.append(replace(e, name=name, circuit=Circuit(
+                e.circuit.n_qubits, e.circuit.gates, name=name)))
     return corpus
+
+
+def distinct(corpus: Corpus) -> Corpus:
+    """corpus without each entry whose digest an earlier entry has, with
+    one warning per entry dropped."""
+    seen: dict[str, str] = {}
+    kept, warnings = [], list(corpus.warnings)
+    for e in corpus.entries:
+        digest = e.digest
+        if digest in seen:
+            warnings.append(f"duplicate circuit {e.name!r} matches entry "
+                            f"{seen[digest]!r}")
+        else:
+            seen[digest] = e.name
+            kept.append(e)
+    return replace(corpus, entries=kept, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +279,19 @@ def ingest(paths) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_generators(e: CorpusEntry) -> list[int]:
-    """Canonical rows of the state an entry's encoder prepares: the
-    images of ancilla wires k..n-1, encoder_tableau's stabilizer rows
-    n + k onwards."""
-    t = encoder_tableau(e.circuit, e.x_ancillas)
-    return kernels.canonical_rows(t.rows[t.n + e.k:])
+def encoder_name(index: int) -> str:
+    """The name of the index-th encoder generate_encoders keeps."""
+    return f"enc_{index:04d}"
 
 
-def _list_logicals(sl: list[int], ws: list[int], n: int, w: int,
-                   logicals) -> None:
+def _canonical_generators(t, k: int) -> list[int]:
+    """Canonical rows of the state an encoder with k logical qubits and
+    tableau t prepares: the images of ancilla wires k..n-1,
+    encoder_tableau's stabilizer rows n + k onwards."""
+    return kernels.canonical_rows(t.rows[t.n + k:])
+
+
+def _list_logicals(sl: list[int], ws: list[int], w: int, logicals) -> None:
     """Give each weight-w logical a bit no listed logical holds and set it
     in ws[w] and, per letter, in sl: bit i of sl[q] (X on qubit q, Z at
     q + n, as in the logical's row) and of ws[w] says that listed logical
@@ -334,8 +351,7 @@ def _apply_move(gens: list[int], sl: list[int], ws: list[int], n: int,
         keep = ~gone
         sl[:] = [s & keep for s in sl]
     kernels.cnot_rows(gens, n, a, b)
-    _list_logicals(sl, ws, n, top,
-                   kernels.logicals_entering(gens, n, top, a, b))
+    _list_logicals(sl, ws, top, kernels.logicals_entering(gens, n, top, a, b))
 
 
 def _propose_random(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
@@ -358,7 +374,7 @@ def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set
     sl = [0] * (2 * n)
     ws = [0] * (d + 1)
     for w, found in enumerate(kernels.logicals_by_weight(gens, n, d), 1):
-        _list_logicals(sl, ws, n, w, found)
+        _list_logicals(sl, ws, w, found)
     gates: list[tuple[int, int]] = []
     target = (0,) * (d - 1)
     cur = tuple(m.bit_count() for m in ws[1:d])
@@ -420,11 +436,10 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
         if digest in seen:
             continue
         seen.add(digest)
-        name = f"enc_{len(corpus.entries):04d}"
+        name = encoder_name(len(corpus.entries))
         corpus.entries.append(CorpusEntry(
             name=name,
             circuit=Circuit(cfg.n, circuit.gates, name=name),
-            digest=digest,
             origin="generated",
             k=cfg.k,
             x_ancillas=tuple(sorted(x_set)),
@@ -463,7 +478,8 @@ def corpus_stats(corpus: Corpus) -> dict:
     for e in corpus.entries:
         n = e.circuit.n_qubits
         pooled.extend(((v | v >> n) & ((1 << n) - 1)).bit_count()
-                      for v in _canonical_generators(e))
+                      for v in _canonical_generators(
+                          encoder_tableau(e.circuit, e.x_ancillas), e.k))
         d = "?" if e.distance is None else str(e.distance)
         label = f"[[{n},{e.k},{d}]]"
         hist[label] = hist.get(label, 0) + 1
@@ -492,32 +508,47 @@ def _plain_file_name(name: str, file: str) -> str:
     return file
 
 
+def check_output(directory, files, reads=(), kind: str = "corpus") -> None:
+    """The one rule for an output directory: it must be new, empty, or
+    hold only manifest.json and files (iterated only then), and none of
+    reads, the files the command reads.  Otherwise raise CorpusError
+    naming the directory, before any work: outputs there would replace an
+    input, hide other files from a later read, or sit beside stale ones.
+    kind names the command's output in the message."""
+    real = Path(directory).resolve()
+    held = sorted(real.iterdir()) if real.is_dir() else []
+    if not held:
+        return
+    read = {Path(p).resolve() for p in reads}
+    if any(f.resolve() in read for f in held):
+        raise CorpusError(f"--output {directory} holds input files")
+    own = {MANIFEST_NAME, *files}
+    foreign = [f.name for f in held if f.name not in own]
+    if foreign:
+        raise CorpusError(
+            f"{directory}: {foreign[0]!r} is not a file of this {kind}")
+
+
 def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
     """Write one circuit text file per entry plus manifest.json.  Output is
     byte-identical for identical corpora.  An entry name that is not a
-    plain file name, or a directory holding anything but manifest.json
-    and this corpus's entry files, raises CorpusError before any file is
-    written: a new manifest would hide the other files, or leave stale
-    entries beside it."""
+    plain file name, or a directory check_output refuses, raises
+    CorpusError before any file is written.  One encoder tableau per entry
+    gives both of its manifest digests."""
     files = [_plain_file_name(e.name, f"{e.name}.txt") for e in corpus.entries]
+    check_output(directory, files)
     directory = Path(directory)
-    if directory.is_dir():
-        own = {MANIFEST_NAME, *files}
-        foreign = sorted(f.name for f in directory.iterdir()
-                         if f.name not in own)
-        if foreign:
-            raise CorpusError(
-                f"{directory}: {foreign[0]!r} is not a file of this corpus")
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for e, filename in zip(corpus.entries, files):
         (directory / filename).write_text(serialize_circuit(e.circuit))
+        t = encoder_tableau(e.circuit, e.x_ancillas)
         entries.append({
             "name": e.name,
             "file": filename,
-            "digest": e.digest,
-            "canonical_digest": rows_digest(_canonical_generators(e),
-                                            e.circuit.n_qubits),
+            "digest": t.digest(),
+            "canonical_digest": rows_digest(_canonical_generators(t, e.k),
+                                            t.n),
             "origin": e.origin,
             "n": e.circuit.n_qubits,
             "k": e.k,
@@ -569,13 +600,12 @@ def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
     entry = CorpusEntry(
         name=name,
         circuit=Circuit(circuit.n_qubits, circuit.gates, name=name),
-        digest=digest,
         origin=origin,
         k=k,
         x_ancillas=tuple(x_anc),
         distance=distance,
     )
-    if entry_digest(entry.circuit, entry.x_ancillas) != digest:
+    if entry.digest != digest:
         raise ValueError(f"digest mismatch for entry {name!r}")
     return entry, path
 

@@ -528,6 +528,60 @@ def test_gen_rejects_an_output_holding_other_files(tmp_path, capsys):
     assert _snapshot(stale) == before[stale]
 
 
+def test_mine_rejects_an_output_holding_other_files(tmp_path, capsys):
+    """mine writes report.json, summary.csv and manifest.json into a
+    directory only if it holds nothing else: a report beside a gen corpus
+    would replace the corpus's manifest.  Mining again into a mine output
+    directory is allowed and writes the same bytes."""
+    corpus_dir = tmp_path / "enc"
+    assert run_cli(["gen", "--n", 4, "--k", 1, "--d", 2, "--count", 2,
+                    "--attempts", 300, "--seed", 9,
+                    "--output", corpus_dir]) == 0
+    stray = tmp_path / "stray"
+    stray.mkdir()
+    (stray / "notes.md").write_text("mine output goes here\n")
+    dirs = (corpus_dir, stray)
+    before = {d: _snapshot(d) for d in dirs}
+    capsys.readouterr()
+    for out, first in zip(dirs, ("enc_0000.txt", "notes.md")):
+        assert run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,
+                        "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: {first!r} is not a file of this report\n")
+    assert {d: _snapshot(d) for d in dirs} == before
+    assert run_cli(["stats", corpus_dir]) == 0
+    mined = tmp_path / "mined"
+    runs = []
+    for _ in range(2):
+        assert run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,
+                        "--output", mined]) == 0
+        runs.append(_snapshot(mined))
+        runs[-1]["manifest.json"] = _mine_manifest(mined)
+    assert runs[0] == runs[1]
+    assert sorted(runs[0]) == ["manifest.json", "report.json", "summary.csv"]
+
+
+def test_gen_rejects_its_output_before_the_search(tmp_path, capsys,
+                                                  monkeypatch):
+    """The files a gen run could write are known before its search (the
+    manifest and the entry files below --count), so a directory holding
+    anything else is refused without searching."""
+    def no_search(cfg):
+        raise AssertionError("generate_encoders was called")
+
+    monkeypatch.setattr(cli, "generate_encoders", no_search)
+    out = tmp_path / "h"
+    out.mkdir()
+    for f in HOSTS.iterdir():
+        (out / f.name).write_bytes(f.read_bytes())
+    before = _snapshot(out)
+    assert run_cli(["gen", "--n", 12, "--k", 1, "--d", 4, "--seed", 3,
+                    "--attempts", 40, "--count", 40, "--output", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out}: 'host_a.txt' is not a file of this corpus\n")
+    assert _snapshot(out) == before
+
+
 @pytest.mark.parametrize("text, error", [
     ("0 1\n0 5\n", "bad connectivity pair (0, 5) at line 2"),
     ("a b\n", "bad connectivity line 1: 'a b'"),

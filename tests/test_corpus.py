@@ -9,7 +9,7 @@ import pytest
 
 from gadgetminer import corpus as corpus_module
 from gadgetminer import kernels
-from gadgetminer.circuit import Circuit, save_circuit
+from gadgetminer.circuit import Circuit, CircuitParseError, save_circuit
 from gadgetminer.corpus import (
     Corpus,
     CorpusEntry,
@@ -18,10 +18,11 @@ from gadgetminer.corpus import (
     GeneratorConfig,
     connectivity_pairs,
     corpus_stats,
+    distinct,
     entry_digest,
     generate_encoders,
-    ingest,
     load_corpus,
+    read_inputs,
     save_corpus,
     _apply_move,
     _list_logicals,
@@ -151,22 +152,74 @@ def test_ingest_dedup_and_naming(tmp_path):
     save_circuit(c1, tmp_path / "a.txt")
     save_circuit(c2, tmp_path / "b.txt")
     save_circuit(c1, tmp_path / "c.txt")  # duplicate of a
-    corpus = ingest([tmp_path])
+    corpus = distinct(read_inputs([tmp_path]))
     assert [e.name for e in corpus.entries] == ["a", "b"]
-    assert len(corpus.warnings) == 1 and "c.txt" in corpus.warnings[0]
+    assert len(corpus.warnings) == 1 and "'c'" in corpus.warnings[0]
     assert all(e.origin == "ingested" for e in corpus.entries)
     # explicit file list, name collision resolved by suffix
     other = tmp_path / "sub"
     other.mkdir()
     save_circuit(c2, other / "a.txt")
-    corpus2 = ingest([tmp_path / "a.txt", other / "a.txt"])
+    corpus2 = distinct(read_inputs([tmp_path / "a.txt", other / "a.txt"]))
     assert [e.name for e in corpus2.entries] == ["a", "a_1"]
 
 
-def test_ingest_bad_file(tmp_path):
-    (tmp_path / "bad.txt").write_text("qubits 2\ncx 0 7\n")
-    with pytest.raises(CorpusError):
-        ingest([tmp_path])
+def test_read_inputs_bad_file_names_it(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("qubits 2\ncx 0 7\n")
+    with pytest.raises(CircuitParseError) as exc_info:
+        read_inputs([tmp_path])
+    assert str(exc_info.value).startswith(f"{bad}: ")
+
+
+def test_read_inputs_names_and_files_in_input_order(tmp_path):
+    """A corpus and circuit files read as mine reads them: entries and
+    files in input order, a nameless circuit named by its position, and a
+    taken name suffixed."""
+    corpus_dir = save_corpus(steane_corpus(), tmp_path / "corpus")
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    save_circuit(Circuit.from_pairs(7, STEANE_PAIRS), plain / "steane.txt")
+    save_circuit(Circuit.from_pairs(2, [(0, 1)]), plain / "z.json")
+    single = tmp_path / "one.txt"
+    save_circuit(Circuit.from_pairs(2, [(1, 0)]), single)
+    corpus = read_inputs([corpus_dir, plain, single, corpus_dir])
+    assert [e.name for e in corpus.entries] == [
+        "steane", "steane_1", "circuit_0002", "one", "steane_2"]
+    assert [e.circuit.name for e in corpus.entries] == [
+        e.name for e in corpus.entries]
+    # a corpus entry keeps its code data, and a circuit file has none
+    steane = corpus.entries[0]
+    assert (steane.k, steane.x_ancillas, steane.distance) == (
+        1, STEANE_X_ANCILLAS, 3)
+    assert [(e.origin, e.k, e.x_ancillas, e.distance)
+            for e in corpus.entries[1:4]] == [("ingested", 0, (), None)] * 3
+    corpus_files = [corpus_dir / "manifest.json", corpus_dir / "steane.txt"]
+    assert corpus.files == [*corpus_files, plain / "steane.txt",
+                            plain / "z.json", single, *corpus_files]
+    # repeats stay
+    assert corpus.entries[4].circuit.gates == steane.circuit.gates
+
+
+def test_distinct_keeps_the_first_of_a_repeat_across_inputs(tmp_path):
+    """A circuit file and a corpus entry of one unitary are one circuit:
+    whichever is read first is kept, and the other is named in a
+    warning."""
+    entry = CorpusEntry("c", Circuit.from_pairs(4, [(0, 1), (2, 3)], name="c"),
+                        "generated")
+    corpus_dir = save_corpus(Corpus([entry]), tmp_path / "corpus")
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    # disjoint gates commute: the entry's unitary
+    save_circuit(Circuit.from_pairs(4, [(2, 3), (0, 1)]), plain / "p.txt")
+    save_circuit(Circuit.from_pairs(4, [(0, 1)]), plain / "q.txt")
+    kept = distinct(read_inputs([corpus_dir, plain]))
+    assert [(e.name, e.origin) for e in kept.entries] == [
+        ("c", "generated"), ("q", "ingested")]
+    assert kept.warnings == ["duplicate circuit 'p' matches entry 'c'"]
+    kept = distinct(read_inputs([plain, corpus_dir]))
+    assert [e.name for e in kept.entries] == ["p", "q"]
+    assert kept.warnings == ["duplicate circuit 'c' matches entry 'p'"]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +336,7 @@ def test_carried_logicals_match_fresh_walks():
         gens = _random_generator_set(rng, n)
         sl, ws = [0] * (2 * n), [0] * (d + 1)
         for w, found in enumerate(kernels.logicals_by_weight(gens, n, d), 1):
-            _list_logicals(sl, ws, n, w, found)
+            _list_logicals(sl, ws, w, found)
         for _ in range(6):
             a, b = rng.sample(range(n), 2)
             _, (up,), (down,) = _move_scores(sl, ws, n, [(a, b)])
@@ -414,7 +467,6 @@ def steane_corpus() -> Corpus:
     entry = CorpusEntry(
         name="steane",
         circuit=c,
-        digest=entry_digest(c, STEANE_X_ANCILLAS),
         origin="ingested",
         k=1,
         x_ancillas=STEANE_X_ANCILLAS,
@@ -435,7 +487,7 @@ def test_corpus_stats_steane():
 def test_corpus_stats_unknown_distance():
     c = Circuit.from_pairs(2, [(0, 1)], name="c")
     corpus = Corpus(entries=[CorpusEntry(
-        name="c", circuit=c, digest=entry_digest(c), origin="ingested")])
+        name="c", circuit=c, origin="ingested")])
     stats = corpus_stats(corpus)
     assert stats["code_parameters"] == {"[[2,0,?]]": 1}
     with pytest.raises(CorpusError):
@@ -494,7 +546,7 @@ def test_save_rejects_path_names(tmp_path, bad):
                  tmp_path / "in" / "a.json")
     save_circuit(Circuit.from_pairs(2, [(1, 0)], name=bad),
                  tmp_path / "in" / "b.json")
-    corpus = ingest([tmp_path / "in"])
+    corpus = distinct(read_inputs([tmp_path / "in"]))
     assert [e.name for e in corpus.entries] == ["good", bad]
     out = tmp_path / "corpus" / "out"
     with pytest.raises(CorpusError, match="is not a plain file name"):

@@ -1,5 +1,7 @@
-"""Every module under src/ and tests/ uses each name it imports: an import
-left behind by a change is dead code that still costs start-up time."""
+"""Every module under src/ and tests/ uses each name it imports, and every
+function under src/ reads each parameter it takes: an import or a
+parameter left behind by a change is dead code, and an import still
+costs start-up time."""
 
 from __future__ import annotations
 
@@ -7,6 +9,13 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# parameters taken only to match a call shared with other functions
+UNREAD_BY_DESIGN = {
+    # propose(sub, cfg, directed, x_set) serves both proposal methods, and
+    # only the hill climb starts from the |+> ancillas
+    "src/gadgetminer/corpus.py: _propose_random(x_set)",
+}
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -22,6 +31,25 @@ def unused_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.Name):
             used.add(node.id)
     return sorted(bound - used)
+
+
+def unused_parameters(tree: ast.Module) -> list[str]:
+    """"function(parameter)" for each parameter of a function or lambda in
+    the tree that its body never reads."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        found += [f"{name}({p.arg})" for p in params if p.arg not in read]
+    return found
 
 
 def test_unused_imports_are_found():
@@ -41,3 +69,29 @@ def test_no_module_imports_a_name_it_never_uses():
         found += [f"{path.relative_to(ROOT)}: {name}"
                   for name in unused_imports(tree)]
     assert found == []
+
+
+def test_unused_parameters_are_found():
+    # a parameter only assigned is not read, and one read only in a
+    # nested function is
+    tree = ast.parse("def f(a, b, *args, c, **kw):\n"
+                     "    b = 1\n"
+                     "    def g(d):\n"
+                     "        return a\n"
+                     "    return c, (lambda e, f: f)\n"
+                     "class K:\n"
+                     "    def m(self, x):\n"
+                     "        return x\n")
+    assert sorted(unused_parameters(tree)) == [
+        "f(args)", "f(b)", "f(kw)", "g(d)", "lambda(e)", "m(self)"]
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    found = []
+    for path in sorted(ROOT.glob("src/**/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.relative_to(ROOT)}: {name}"
+                  for name in unused_parameters(tree)]
+    assert sorted(set(found) - UNREAD_BY_DESIGN) == []
+    # an exemption whose function reads the parameter, or is gone, goes too
+    assert UNREAD_BY_DESIGN <= set(found)
