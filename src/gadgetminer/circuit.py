@@ -30,11 +30,8 @@ class CircuitError(ValueError):
 
 
 class CircuitParseError(CircuitError):
-    """Malformed circuit file; carries the 1-based offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
+    """Malformed circuit file; the message names the 1-based offending
+    line where there is one."""
 
 
 @dataclass(frozen=True)
@@ -91,14 +88,12 @@ def parse_decimal(field: str) -> int:
     return int(field)
 
 
-def parse_circuit(text: str | bytes, name: str = "") -> Circuit:
+def parse_circuit(text: str, name: str = "") -> Circuit:
     """Parse the line format: the i-th gate line is gate i.
 
-    Raises CircuitParseError with the 1-based line number on malformed lines,
+    Raises CircuitParseError, naming the 1-based line, on malformed lines,
     out-of-range qubit indices, or control == target.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     n_qubits = None
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,41 +104,33 @@ def parse_circuit(text: str | bytes, name: str = "") -> Circuit:
         if n_qubits is None:
             if len(fields) != 2 or fields[0] != "qubits":
                 raise CircuitParseError(
-                    f"expected 'qubits <N>' header at line {lineno}, got {raw!r}",
-                    lineno,
-                )
+                    f"expected 'qubits <N>' header at line {lineno}, got {raw!r}")
             try:
                 n_qubits = parse_decimal(fields[1])
             except ValueError:
                 raise CircuitParseError(
-                    f"malformed qubit count at line {lineno}", lineno
-                ) from None
+                    f"malformed qubit count at line {lineno}") from None
             if n_qubits < 1:
                 raise CircuitParseError(
-                    f"qubit count must be positive at line {lineno}", lineno
-                )
+                    f"qubit count must be positive at line {lineno}")
             continue
         if len(fields) != 3 or fields[0] != "cx":
             raise CircuitParseError(
-                f"malformed gate line at line {lineno}: {raw!r}", lineno
-            )
+                f"malformed gate line at line {lineno}: {raw!r}")
         try:
             c, t = parse_decimal(fields[1]), parse_decimal(fields[2])
         except ValueError:
             raise CircuitParseError(
-                f"malformed qubit index at line {lineno}: {raw!r}", lineno
-            ) from None
+                f"malformed qubit index at line {lineno}: {raw!r}") from None
         if c == t:
-            raise CircuitParseError(f"control equals target at line {lineno}", lineno)
+            raise CircuitParseError(f"control equals target at line {lineno}")
         if not (0 <= c < n_qubits and 0 <= t < n_qubits):
             raise CircuitParseError(
                 f"qubit index out of range at line {lineno} "
-                f"(circuit has {n_qubits} qubits)",
-                lineno,
-            )
+                f"(circuit has {n_qubits} qubits)")
         pairs.append((c, t))
     if n_qubits is None:
-        raise CircuitParseError("missing 'qubits <N>' header", None)
+        raise CircuitParseError("missing 'qubits <N>' header")
     return Circuit(n_qubits, pairs, name=name)
 
 
@@ -155,14 +142,14 @@ def serialize_circuit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_circuit_json(text: str | bytes, name: str = "") -> Circuit:
+def parse_circuit_json(text: str, name: str = "") -> Circuit:
     """Parse the JSON form; an embedded "name" wins over the argument.
     Circuit rejects a name that is not a JSON string and a qubit count or
     index that is not a JSON integer."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CircuitParseError(f"invalid JSON: {exc}", exc.lineno) from None
+        raise CircuitParseError(f"invalid JSON: {exc}") from None
     try:
         return Circuit(obj["qubits"], obj["gates"],
                        name=obj.get("name", name))
@@ -188,10 +175,8 @@ def load_circuit(path: str | Path) -> Circuit:
              else parse_circuit)
     try:
         return parse(path.read_text(encoding="utf-8"), name=path.stem)
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, CircuitParseError) as exc:
         raise CircuitParseError(f"{path}: {exc}") from None
-    except CircuitParseError as exc:
-        raise CircuitParseError(f"{path}: {exc}", exc.line) from None
 
 
 def save_circuit(c: Circuit, path: str | Path) -> None:

@@ -33,6 +33,7 @@ from .catalog import FAMILIES, CatalogError, all_gadgets, build_gadget
 from .circuit import load_circuit, serialize_circuit
 from .corpus import (
     FORMAT_VERSION,
+    MANIFEST_NAME,
     GenerationError,
     GeneratorConfig,
     check_output,
@@ -49,6 +50,8 @@ from .mining import mine_circuit
 from .tableau import encoder_tableau
 
 OUTPUT_ENV = "GADGETMINER_OUTPUT"
+# the files mine writes beside its manifest
+REPORT_FILES = ("report.json", "summary.csv")
 
 
 def _default_output() -> str:
@@ -166,8 +169,7 @@ def cmd_mine(args) -> int:
         raise ValueError("--time-budget must be a finite number >= 0")
     corpus = read_inputs(args.input)
     outdir = Path(args.output)
-    check_output(outdir, ("report.json", "summary.csv"), corpus.files,
-                 kind="report")
+    check_output(outdir, REPORT_FILES, corpus.files, kind="report")
     # hashed before any output is written
     inputs = [{"path": str(f),
                "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
@@ -208,8 +210,8 @@ def cmd_mine(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     report = json.dumps(classes_to_json_obj(gadgets), indent=2,
                         sort_keys=True) + "\n"
-    (outdir / "report.json").write_text(report)
-    (outdir / "summary.csv").write_text(classes_to_csv(gadgets))
+    for name, text in zip(REPORT_FILES, (report, classes_to_csv(gadgets))):
+        (outdir / name).write_text(text)
     manifest = {
         "format_version": FORMAT_VERSION,
         "command": "mine",
@@ -232,7 +234,7 @@ def cmd_mine(args) -> int:
         "truncation_reasons": reasons,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
-    (outdir / "manifest.json").write_text(
+    (outdir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"mined {len(circuits)} circuits: {len(candidates)} candidates, "
           f"{len(classes)} classes, {len(gadgets)} gadgets "

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 from . import kernels
@@ -179,9 +180,10 @@ class CorpusEntry:
     x_ancillas: tuple[int, ...] = ()
     distance: int | None = None
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """The dedup key, entry_digest of the circuit and its |+> ancillas."""
+        """The dedup key, entry_digest of the circuit and its |+> ancillas,
+        computed once: distinct reuses the digest load_corpus verified."""
         return entry_digest(self.circuit, self.x_ancillas)
 
 
@@ -233,7 +235,8 @@ def read_inputs(paths) -> Corpus:
     (those holding a manifest), read literally in input order, so repeats
     stay; a circuit file becomes an ingested entry.  A nameless circuit
     is named circuit_NNNN by its position, and a name an earlier entry
-    took gets the first free suffix _1, _2, ..."""
+    took gets the first free suffix _1, _2, ...; an entry whose name is
+    free is kept as it was read."""
     corpus = Corpus()
     taken: set[str] = set()
     for raw in paths:
@@ -253,8 +256,9 @@ def read_inputs(paths) -> Corpus:
                 name = f"{base}_{i}"
                 i += 1
             taken.add(name)
-            corpus.entries.append(replace(e, name=name, circuit=Circuit(
-                e.circuit.n_qubits, e.circuit.gates, name=name)))
+            if name != e.name:
+                e = replace(e, name=name, circuit=replace(e.circuit, name=name))
+            corpus.entries.append(e)
     return corpus
 
 
@@ -354,12 +358,6 @@ def _apply_move(gens: list[int], sl: list[int], ws: list[int], n: int,
     _list_logicals(sl, ws, top, kernels.logicals_entering(gens, n, top, a, b))
 
 
-def _propose_random(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
-    # one qubit has no pair: the empty circuit, as the hill climb proposes
-    return [directed[sub.randrange(len(directed))]
-            for _ in range(cfg.max_gates if directed else 0)]
-
-
 def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
     """Greedy gate appension scored by the violation profile, with a random
     kick on plateaus.  Stops as soon as the profile is clean.  The climb
@@ -398,7 +396,8 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
     distinct ones meet the target distance or attempts run out.
 
     Each attempt draws its own |+>-ancilla subset and gate randomness from
-    a per-attempt stream split off the seed, then keeps the circuit iff no
+    a per-attempt stream split off the seed, proposes max_gates random
+    directed pairs or a hill climb's circuit, and keeps the circuit iff no
     logical operator of weight < target_d exists.  One encoder tableau per
     attempt gives the generators, whose single logical walk finds the
     exact distance, and the dedup digest.  A k = 0 code runs no walk: its
@@ -412,8 +411,6 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
         directed.append((a, b))
         directed.append((b, a))
     directed.sort()
-    propose = (_propose_random if cfg.method == "random"
-               else _propose_hillclimb)
     rng = random.Random(cfg.seed)
     corpus = Corpus(config=cfg)
     seen: set[str] = set()
@@ -422,7 +419,13 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
     for attempt in range(cfg.attempts):
         sub = random.Random(rng.getrandbits(63))
         x_set = frozenset(q for q in ancillas if sub.random() < 0.5)
-        gates = propose(sub, cfg, directed, x_set)
+        if cfg.method == "hillclimb":
+            gates = _propose_hillclimb(sub, cfg, directed, x_set)
+        else:
+            # one qubit has no pair: the empty circuit, as the hill
+            # climb proposes
+            gates = [directed[sub.randrange(len(directed))]
+                     for _ in range(cfg.max_gates if directed else 0)]
         circuit = Circuit.from_pairs(cfg.n, gates)
         t = encoder_tableau(circuit, x_set)
         distance = None
@@ -509,13 +512,16 @@ def _plain_file_name(name: str, file: str) -> str:
 
 
 def check_output(directory, files, reads=(), kind: str = "corpus") -> None:
-    """The one rule for an output directory: it must be new, empty, or
-    hold only manifest.json and files (iterated only then), and none of
-    reads, the files the command reads.  Otherwise raise CorpusError
-    naming the directory, before any work: outputs there would replace an
-    input, hide other files from a later read, or sit beside stale ones.
-    kind names the command's output in the message."""
+    """The one rule for an output directory: it must be a directory or
+    new with no file among its parents, and empty, or hold only
+    manifest.json and files (iterated only then) and none of reads, the
+    files the command reads.  Otherwise raise CorpusError naming the
+    directory, before any work: it could not be written, or outputs there
+    would replace an input, hide other files from a later read, or sit
+    beside stale ones.  kind names the command's output in the message."""
     real = Path(directory).resolve()
+    if any(p.exists() and not p.is_dir() for p in (real, *real.parents)):
+        raise CorpusError(f"--output {directory} is not a directory")
     held = sorted(real.iterdir()) if real.is_dir() else []
     if not held:
         return

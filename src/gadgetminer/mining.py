@@ -81,7 +81,7 @@ class MinedCandidate(NamedTuple):
 @dataclass
 class MiningResult:
     candidates: list[MinedCandidate] = field(default_factory=list)
-    truncated: bool = False
+    # why the walk stopped early, "time_budget" or "max_candidates", or ""
     reason: str = ""
     subsets_total: int = 0
     subsets_examined: int = 0
@@ -299,7 +299,7 @@ def mine_circuit(
         except TimeoutError:
             # the root is cut: it gives the sets visited and kept so far
             visited = keep.visited - result.subsets_examined
-            result.truncated, result.reason = True, "time_budget"
+            result.reason = "time_budget"
         passed = []
         for chosen in found:
             idx = _indices(chosen)
@@ -311,17 +311,17 @@ def mine_circuit(
             # the cap is reached at this root: the run stops before the
             # set after the cap-th kept one, in ascending tuple order
             del passed[max_candidates - len(kept):]
-            if not result.truncated:
+            if not result.reason:
                 upto: list[int] = []
                 if passed:
                     _walk(nbrs, above, lambda m, last: _indices(m) <= last,
                           passed[-1], upto, 0, bit, bit, c_g)
                 if len(upto) < visited:
-                    result.truncated, result.reason = True, "max_candidates"
+                    result.reason = "max_candidates"
                 visited = len(upto)
         result.subsets_examined += visited
         kept += (MinedCandidate(circuit.name, tuple(gates[i] for i in idx))
                  for idx in passed)
-        if result.truncated:
+        if result.reason:
             break
     return result

@@ -24,6 +24,7 @@ from gadgetminer.canon import (
     identify_gadgets,
 )
 from gadgetminer import canon, cli
+from gadgetminer import corpus as corpus_module
 from gadgetminer.catalog import all_gadgets
 from gadgetminer.cli import main
 from gadgetminer.circuit import (
@@ -582,6 +583,30 @@ def test_gen_rejects_its_output_before_the_search(tmp_path, capsys,
     assert _snapshot(out) == before
 
 
+def _no_search(*args):
+    raise AssertionError("the search ran")
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--n", 12, "--k", 1, "--d", 4, "--seed", 3, "--attempts", 40,
+     "--count", 40],
+    ["mine", "--input", HOSTS, "--gadget-cnots", 2],
+], ids=["gen", "mine"])
+def test_an_output_at_or_under_a_file_is_refused_before_the_search(
+        tmp_path, capsys, monkeypatch, command):
+    """An --output that is a file, or lies under one, cannot be written,
+    so it is refused before any search."""
+    monkeypatch.setattr(cli, "generate_encoders", _no_search)
+    monkeypatch.setattr(cli, "mine_circuit", _no_search)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "sub"):
+        assert run_cli([*command, "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --output {out} is not a directory\n")
+    assert afile.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("text, error", [
     ("0 1\n0 5\n", "bad connectivity pair (0, 5) at line 2"),
     ("a b\n", "bad connectivity line 1: 'a b'"),
@@ -894,6 +919,23 @@ def test_stats_stdout(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["stats", tmp_path / "enc"]) == 0
     assert capsys.readouterr().out == STATS_GEN_STDOUT
+
+
+def test_stats_digests_each_corpus_entry_once(tmp_path, monkeypatch):
+    """The digest load_corpus verifies is the one distinct compares."""
+    assert run_cli(["gen", "--n", 5, "--k", 1, "--d", 2, "--seed", 3,
+                    "--count", 5, "--output", tmp_path / "enc"]) == 0
+    calls = []
+    digest = corpus_module.entry_digest
+
+    def counted(*args):
+        calls.append(args)
+        return digest(*args)
+
+    monkeypatch.setattr(corpus_module, "entry_digest", counted)
+    assert run_cli(["stats", tmp_path / "enc"]) == 0
+    manifest = json.loads((tmp_path / "enc" / "manifest.json").read_text())
+    assert len(calls) == len(manifest["entries"]) == 5
 
 
 def test_canon_missing_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -199,6 +200,27 @@ def test_read_inputs_names_and_files_in_input_order(tmp_path):
                             plain / "z.json", single, *corpus_files]
     # repeats stay
     assert corpus.entries[4].circuit.gates == steane.circuit.gates
+
+
+def test_read_inputs_keeps_the_entries_whose_names_are_free(tmp_path,
+                                                           monkeypatch):
+    """read_inputs hands on load_corpus's entry objects, and with them
+    the digests load_corpus verified, unless it renames an entry; a
+    renamed entry's circuit carries the new name."""
+    corpus_dir = save_corpus(steane_corpus(), tmp_path / "corpus")
+    loaded = []
+    load = corpus_module.load_corpus
+
+    def recorded(directory):
+        loaded.append(load(directory))
+        return loaded[-1]
+
+    monkeypatch.setattr(corpus_module, "load_corpus", recorded)
+    first, second = read_inputs([corpus_dir, corpus_dir]).entries
+    assert first is loaded[0].entries[0]
+    assert (second.name, second.circuit.name) == ("steane_1", "steane_1")
+    assert second == replace(loaded[1].entries[0], name="steane_1",
+                             circuit=replace(first.circuit, name="steane_1"))
 
 
 def test_distinct_keeps_the_first_of_a_repeat_across_inputs(tmp_path):
@@ -412,9 +434,9 @@ def _recording(monkeypatch, module, attr, log):
                                           ("random", 4, 2)])
 def test_generate_walks_once_per_proposal(monkeypatch, method, n, d):
     # one walk bounded by n gives both the rejection and the exact
-    # distance of a kept encoder
+    # distance of a kept encoder; each proposal gets one encoder tableau
     proposals, walks = [], []
-    _recording(monkeypatch, corpus_module, f"_propose_{method}", proposals)
+    _recording(monkeypatch, corpus_module, "encoder_tableau", proposals)
     _recording(monkeypatch, kernels, "min_logical_weight", walks)
     cfg = GeneratorConfig(n=n, k=1, target_d=d,
                           connectivity=connectivity_pairs("all", n),

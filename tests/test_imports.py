@@ -1,7 +1,7 @@
 """Every module under src/ and tests/ uses each name it imports, and every
-function under src/ reads each parameter it takes: an import or a
-parameter left behind by a change is dead code, and an import still
-costs start-up time."""
+function under src/ reads each parameter it takes, with no exemption: an
+import or a parameter left behind by a change is dead code, and an
+import still costs start-up time."""
 
 from __future__ import annotations
 
@@ -9,14 +9,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# parameters taken only to match a call shared with other functions
-UNREAD_BY_DESIGN = {
-    # propose(sub, cfg, directed, x_set) serves both proposal methods, and
-    # only the hill climb starts from the |+> ancillas
-    "src/gadgetminer/corpus.py: _propose_random(x_set)",
-}
-
 
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names bound by an import in the tree and read nowhere in it.  An
@@ -92,6 +84,4 @@ def test_no_function_takes_a_parameter_it_never_reads():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.relative_to(ROOT)}: {name}"
                   for name in unused_parameters(tree)]
-    assert sorted(set(found) - UNREAD_BY_DESIGN) == []
-    # an exemption whose function reads the parameter, or is gone, goes too
-    assert UNREAD_BY_DESIGN <= set(found)
+    assert found == []

@@ -118,7 +118,7 @@ def test_mine_reference_circuit(ref_circuit):
     assert res.subsets_total == 15
     # the six pairs of gates consecutive on some qubit
     assert res.subsets_examined == 6
-    assert not res.truncated
+    assert not res.reason
     assert [c.layers for c in res.candidates] == [(0, 1), (2, 3), (4, 5)]
 
 
@@ -188,7 +188,7 @@ def test_mine_matches_exhaustive_oracle():
             res = mine_circuit(c, c_g)
             assert [(x.graph, x.layers) for x in res.candidates] == [
                 (x.graph, x.layers) for x in want]
-            assert not res.truncated
+            assert not res.reason
             # the count does not depend on how the gates are numbered
             pairs = _timeline_pairs(c)
             connected = [s for s in combinations(range(c.cx_count), c_g)
@@ -202,7 +202,6 @@ def test_mine_matches_exhaustive_oracle():
                 assert capped.subsets_examined == (
                     connected.index(want[cap - 1].layers) + 1 if cap else 0)
                 if cap < len(want):
-                    assert capped.truncated
                     assert capped.reason == "max_candidates"
 
 
@@ -282,7 +281,7 @@ def test_mining_frees_visited_sets_without_the_cyclic_collector():
 def test_oversized_subset_returns_empty():
     c = Circuit.from_pairs(2, [(0, 1)])
     res = mine_circuit(c, 5)
-    assert res.candidates == [] and not res.truncated
+    assert res.candidates == [] and not res.reason
     assert res.subsets_total == 0
     with pytest.raises(ValueError):
         mine_circuit(c, 0)
@@ -290,14 +289,14 @@ def test_oversized_subset_returns_empty():
 
 def test_max_candidates_truncation(ref_circuit):
     res = mine_circuit(ref_circuit, 2, max_candidates=1)
-    assert res.truncated and res.reason == "max_candidates"
+    assert res.reason == "max_candidates"
     assert len(res.candidates) == 1
     assert res.subsets_examined < res.subsets_total
     # the second keep arrives mid-scan, the third only on the last subset
     two = mine_circuit(ref_circuit, 2, max_candidates=2)
-    assert two.truncated and len(two.candidates) == 2
+    assert two.reason == "max_candidates" and len(two.candidates) == 2
     exact = mine_circuit(ref_circuit, 2, max_candidates=3)
-    assert not exact.truncated and len(exact.candidates) == 3
+    assert not exact.reason and len(exact.candidates) == 3
 
 
 def test_time_budget_cuts_inside_a_root(monkeypatch):
@@ -318,7 +317,7 @@ def test_time_budget_cuts_inside_a_root(monkeypatch):
                         lambda: reads.append(1) or len(tested))
     deadline = 250
     res = mine_circuit(ring, 8, deadline=deadline)
-    assert res.truncated and res.reason == "time_budget"
+    assert res.reason == "time_budget"
     assert res.subsets_examined == len(tested)
     assert deadline <= len(tested) <= deadline + mining.DEADLINE_STRIDE
     assert len(reads) <= len(tested) // mining.DEADLINE_STRIDE + 1
@@ -333,6 +332,6 @@ def test_time_budget_truncation():
     rng = random.Random(8)
     c = random_circuit(rng, 6, 24)
     res = mine_circuit(c, 4, deadline=time.monotonic())
-    assert res.truncated and res.reason == "time_budget"
+    assert res.reason == "time_budget"
     # the deadline is checked before the first set is visited
     assert res.subsets_examined == 0
