@@ -63,12 +63,8 @@ class WorkerError(RuntimeError):
 
 
 def _mine_one(payload):
-    """Mine one (circuit, c_g, cap, deadline) payload against the run's
-    deadline, or return None when the deadline has already passed."""
-    circuit, c_g, cap, deadline = payload
-    if deadline is not None and time.monotonic() >= deadline:
-        return None
-    return mine_circuit(circuit, c_g, cap, deadline)
+    """mine_circuit over one (circuit, c_g, cap, deadline) payload."""
+    return mine_circuit(*payload)
 
 
 def _run_share(fn, items, start: int, step: int, fd: int):
@@ -189,8 +185,9 @@ def cmd_mine(args) -> int:
         results = _fork_map(_mine_one, payloads, workers)
     else:
         results = [_mine_one(p) for p in payloads]
-    skipped = sum(res is None for res in results)
-    results = [res for res in results if res is not None]
+    # a circuit skipped for time tested no set before the deadline
+    skipped = sum(res.reason == "time_budget" and not res.subsets_examined
+                  for res in results)
     candidates = []
     for res in results:
         candidates.extend(res.candidates)
@@ -201,7 +198,7 @@ def cmd_mine(args) -> int:
     classes = group_candidates(candidates, deadline)
     # grouping stops certifying at the deadline; the rest go unreported
     certified = sum(cls.n_r for cls in classes)
-    if (skipped or certified < len(candidates)
+    if (certified < len(candidates)
             or any(res.reason == "time_budget" for res in results)):
         reasons.insert(0, "time_budget")
     del candidates[certified:]

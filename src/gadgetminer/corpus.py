@@ -136,6 +136,9 @@ class GeneratorConfig:
             raise CorpusError(f"need 0 <= k < n, got k={self.k} n={self.n}")
         if self.target_d < 1:
             raise CorpusError(f"target distance {self.target_d} must be >= 1")
+        if type(self.connectivity_name) is not str:
+            raise CorpusError("connectivity_name must be a string, got "
+                              f"{self.connectivity_name!r}")
         if self.method not in ("random", "hillclimb"):
             raise CorpusError(f"unknown method {self.method!r}")
         if self.max_gates < 1 or self.attempts < 1 or self.count < 1:
@@ -629,9 +632,10 @@ def load_corpus(directory: str | Path) -> Corpus:
         raise CorpusError(f"{manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CorpusError(f"{manifest_path}: not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise CorpusError(
-            f"unsupported corpus format {manifest.get('format_version')!r}")
+    version = manifest.get("format_version")
+    # True and 1.0 equal 1 but are not the version written
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CorpusError(f"unsupported corpus format {version!r}")
     config = None
     if manifest.get("config"):
         try:

@@ -41,8 +41,8 @@ from .graph import (
     is_connected,
 )
 
-# a run with a deadline reads the clock once per this many visited sets,
-# and canon.group_candidates once per this many candidates
+# mine_circuit reads the clock once per this many tested sets, and
+# canon.group_candidates once per this many candidates
 DEADLINE_STRIDE = 100
 
 
@@ -218,41 +218,43 @@ def _closed_untainted(chosen: int, lines) -> bool:
     return True
 
 
-class _Budget:
-    """_closed_untainted for a run with a deadline: it counts the sets it
-    tests and reads the clock before every DEADLINE_STRIDE-th one; past
-    the deadline it raises TimeoutError, which cuts the walk."""
+class _Keep:
+    """The walk's one keep test: test(set) is _closed_untainted(set,
+    lines), and tested counts the sets it has tested.  It reads the clock
+    before every DEADLINE_STRIDE-th set, the first included; past the
+    deadline (a time.monotonic value, math.inf for none) it raises
+    TimeoutError, which cuts the walk.  The walk calls the bound method:
+    calling the instance through __call__ costs more per set."""
 
-    def __init__(self, deadline: float):
+    def __init__(self, lines, deadline: float):
+        self.lines = lines
         self.deadline = deadline
-        self.visited = 0
+        self.tested = 0
 
-    def __call__(self, chosen: int, lines) -> bool:
-        if (not self.visited % DEADLINE_STRIDE
+    def test(self, chosen: int) -> bool:
+        if (not self.tested % DEADLINE_STRIDE
                 and monotonic() >= self.deadline):
             raise TimeoutError
-        self.visited += 1
-        return _closed_untainted(chosen, lines)
+        self.tested += 1
+        return _closed_untainted(chosen, self.lines)
 
 
-def _walk(nbrs, above, keep, arg, found, chosen, ext, seen, left) -> int:
+def _walk(nbrs, above, keep, found, chosen, ext, seen, left) -> None:
     """Reach once each timeline-connected set that adds left gates from
-    ext to chosen, and append to found, as masks in no fixed order, those
-    for which keep(set, arg) holds; return how many were reached (ESU:
-    Wernicke 2006, "Efficient detection of network motifs").  Not a
-    closure: a recursive closure is a reference cycle, which would keep
-    found alive until the cyclic collector runs."""
-    reached = 0 if left > 1 else ext.bit_count()
+    ext to chosen, test it with keep, and append to found, as masks in no
+    fixed order, those that pass (ESU: Wernicke 2006, "Efficient
+    detection of network motifs").  Not a closure: a recursive closure is
+    a reference cycle, which would keep found alive until the cyclic
+    collector runs."""
     while ext:
         low = ext & -ext
         ext ^= low
         if left > 1:
             new = nbrs[low.bit_length() - 1] & above & ~seen
-            reached += _walk(nbrs, above, keep, arg, found, chosen | low,
-                             ext | new, seen | new, left - 1)
-        elif keep(chosen | low, arg):
+            _walk(nbrs, above, keep, found, chosen | low, ext | new,
+                  seen | new, left - 1)
+        elif keep(chosen | low):
             found.append(chosen | low)
-    return reached
 
 
 def mine_circuit(
@@ -274,31 +276,33 @@ def mine_circuit(
     (index, control, target) tuples, which are read only for sets that
     pass the first two.  A kept set is returned as a MinedCandidate.
     subsets_total is the binomial search-space size; subsets_examined
-    counts the sets visited.
+    counts the sets tested, each once.
 
     The walk tests each set as it reaches it and holds only those that are
     closed and untainted, so memory follows the kept sets, not the visited
     ones.  With a deadline (a time.monotonic value), the clock is read
     before the first set and then once every DEADLINE_STRIDE sets; the
-    root cut there gives the sets kept and the count visited before the
-    cut.  A max_candidates cap stops the run only when a further set
-    would be visited: the root where it is reached is walked again to
-    count its sets up to the cap-th kept one."""
+    root cut there gives the sets kept among those tested before the cut.
+    A max_candidates cap ends the walk at a root boundary: a walk that
+    already keeps that many sets stops before the next root, and the
+    kept sets are then cut to the first max_candidates in tuple order."""
     if c_g < 1:
         raise ValueError(f"subset size {c_g} must be >= 1")
     gates = gate_tuples(circuit)
     nbrs, lines = _gate_masks(circuit)
-    keep = _closed_untainted if deadline is None else _Budget(deadline)
+    keep = _Keep(lines, math.inf if deadline is None else deadline)
     result = MiningResult(subsets_total=math.comb(len(gates), c_g))
     kept = result.candidates
     for root in range(len(gates) - c_g + 1):
+        if max_candidates is not None and len(kept) >= max_candidates:
+            result.reason = "max_candidates"
+            break
         above, bit = -1 << (root + 1), 1 << root  # above: the gates after root
         found: list[int] = []
         try:
-            visited = _walk(nbrs, above, keep, lines, found, 0, bit, bit, c_g)
+            _walk(nbrs, above, keep.test, found, 0, bit, bit, c_g)
         except TimeoutError:
-            # the root is cut: it gives the sets visited and kept so far
-            visited = keep.visited - result.subsets_examined
+            # the root is cut: it gives the sets kept among those tested
             result.reason = "time_budget"
         passed = []
         for chosen in found:
@@ -306,22 +310,12 @@ def mine_circuit(
             if _stationary([gates[i] for i in idx]):
                 passed.append(idx)
         passed.sort()
-        if (max_candidates is not None
-                and len(kept) + len(passed) >= max_candidates):
-            # the cap is reached at this root: the run stops before the
-            # set after the cap-th kept one, in ascending tuple order
-            del passed[max_candidates - len(kept):]
-            if not result.reason:
-                upto: list[int] = []
-                if passed:
-                    _walk(nbrs, above, lambda m, last: _indices(m) <= last,
-                          passed[-1], upto, 0, bit, bit, c_g)
-                if len(upto) < visited:
-                    result.reason = "max_candidates"
-                visited = len(upto)
-        result.subsets_examined += visited
         kept += (MinedCandidate(circuit.name, tuple(gates[i] for i in idx))
                  for idx in passed)
         if result.reason:
             break
+    if max_candidates is not None and len(kept) > max_candidates:
+        del kept[max_candidates:]
+        result.reason = result.reason or "max_candidates"
+    result.subsets_examined = keep.tested
     return result

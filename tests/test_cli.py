@@ -256,6 +256,19 @@ def test_mine_time_budget_with_chunked_pool(tmp_path):
     assert elapsed < 0.3 + 2.0
 
 
+def test_mine_time_budget_skips_no_circuit_with_nothing_to_mine(tmp_path):
+    """A one-gate circuit has no 2-gate set to test, so a spent budget
+    skips nothing and truncates nothing."""
+    save_circuit(Circuit.from_pairs(2, [(0, 1)]), tmp_path / "one.txt")
+    rc = run_cli(["mine", "--input", tmp_path / "one.txt",
+                  "--gadget-cnots", 2, "--time-budget", 0,
+                  "--output", tmp_path / "out"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["circuits_skipped"] == 0
+    assert manifest["truncation_reasons"] == []
+
+
 def test_mine_time_budget_covers_grouping(tmp_path, monkeypatch):
     """Two rounds of a 12-qubit brickwork ring give 322 candidates at
     C_g = 12.  Mining fits in the budget, but the clock grouping reads is

@@ -602,6 +602,9 @@ def test_load_rejects_bad_format(tmp_path):
     # (damage, pattern the error message must match, or None)
     damages = [
         (lambda m: m.update(format_version=99), None),
+        # equal to 1 in Python, but not the version written
+        (lambda m: m.update(format_version=True), "unsupported corpus format"),
+        (lambda m: m.update(format_version=1.0), "unsupported corpus format"),
         (lambda m: [m], None),
         # a mine manifest: the same format_version, and no entries
         (lambda m: {k: v for k, v in m.items() if k != "entries"},
@@ -612,6 +615,8 @@ def test_load_rejects_bad_format(tmp_path):
         (config_with(seed="7"), None),
         (config_with(seed=7.5), "seed must be an integer"),
         (config_with(count=True), "count must be an integer"),
+        (config_with(connectivity_name=5),
+         "connectivity_name must be a string, got 5"),
         (config_with(connectivity=[[0, 1.0], [1, 2], [2, 3], [3, 4], [4, 5],
                                    [5, 6]]),
          r"bad connectivity pair \(0, 1\.0\)"),

@@ -1,11 +1,13 @@
-"""Every module under src/ and tests/ uses each name it imports, and every
-function under src/ reads each parameter it takes, with no exemption: an
-import or a parameter left behind by a change is dead code, and an
-import still costs start-up time."""
+"""Every module under src/ and tests/ uses each name it imports, every
+function under src/ reads each parameter it takes, and every private name
+defined under src/ is read there, with no exemption: an import, a
+parameter or a private helper left behind by a change is dead code, and
+an import still costs start-up time."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,3 +87,63 @@ def test_no_function_takes_a_parameter_it_never_reads():
         found += [f"{path.relative_to(ROOT)}: {name}"
                   for name in unused_parameters(tree)]
     assert found == []
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read in the node, as a variable or as an
+    attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """"module: name" for each private name (one leading underscore) that
+    a module defines at its top level, as a function, class or constant,
+    or as a method of a top-level class, and that no module reads outside
+    the definition itself: a recursive call is not a read."""
+    read = sum(map(_reads, trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        defs = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs += [(f.name, f) for f in node.body
+                         if isinstance(f, ast.FunctionDef)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defs += [(t.id, node) for t in targets
+                         if isinstance(t, ast.Name)]
+        found += [f"{module}: {name}" for name, node in defs
+                  if name.startswith("_") and not name.startswith("__")
+                  and read[name] == _reads(node)[name]]
+    return sorted(found)
+
+
+def test_unread_private_names_are_found():
+    # _f only calls itself and _m is never called; _A, _B, _n and _K are
+    # read, and __init__ is not private
+    tree = ast.parse("_A = 1\n"
+                     "_B: int = _A\n"
+                     "def _f(n):\n"
+                     "    return _f(n - 1)\n"
+                     "class _K:\n"
+                     "    def __init__(self):\n"
+                     "        pass\n"
+                     "    def _m(self):\n"
+                     "        return self._n()\n"
+                     "    def _n(self):\n"
+                     "        return _B\n"
+                     "print(_K)\n")
+    assert unread_private_names({"m": tree}) == ["m: _f", "m: _m"]
+
+
+def test_every_private_name_under_src_is_read():
+    trees = {str(path.relative_to(ROOT)):
+             ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(ROOT.glob("src/**/*.py"))}
+    assert unread_private_names(trees) == []

@@ -198,9 +198,12 @@ def test_mine_matches_exhaustive_oracle():
                 capped = mine_circuit(c, c_g, max_candidates=cap)
                 assert [x.graph for x in capped.candidates] == [
                     x.graph for x in want[:cap]]
-                # a capped run examines the sets up to the cap-th kept one
-                assert capped.subsets_examined == (
-                    connected.index(want[cap - 1].layers) + 1 if cap else 0)
+                # a capped run ends at the root boundary after the cap-th
+                # kept set: it examines every set whose least gate is at
+                # most that set's
+                last = want[cap - 1].layers[0] if cap else -1
+                assert capped.subsets_examined == sum(
+                    s[0] <= last for s in connected)
                 if cap < len(want):
                     assert capped.reason == "max_candidates"
 
@@ -292,11 +295,27 @@ def test_max_candidates_truncation(ref_circuit):
     assert res.reason == "max_candidates"
     assert len(res.candidates) == 1
     assert res.subsets_examined < res.subsets_total
-    # the second keep arrives mid-scan, the third only on the last subset
+    # the second keep comes from root 2, the third from root 4, the last
+    # root: a cap of 2 stops before root 3, and a cap of 3 walks every root
     two = mine_circuit(ref_circuit, 2, max_candidates=2)
     assert two.reason == "max_candidates" and len(two.candidates) == 2
     exact = mine_circuit(ref_circuit, 2, max_candidates=3)
     assert not exact.reason and len(exact.candidates) == 3
+
+
+def test_capped_run_tests_each_set_once(monkeypatch):
+    """A cap ends the walk at a root boundary, with no second walk of the
+    root where it is reached: every set the run tests is counted once in
+    subsets_examined."""
+    bonds = [(i, (i + 1) % 12) for i in range(12)]
+    ring = Circuit.from_pairs(12, (bonds[0::2] + bonds[1::2]) * 2)
+    calls = []
+    closed = mining._closed_untainted
+    monkeypatch.setattr(mining, "_closed_untainted",
+                        lambda m, lines: calls.append(m) or closed(m, lines))
+    res = mine_circuit(ring, 12, max_candidates=50)
+    assert res.reason == "max_candidates" and len(res.candidates) == 50
+    assert len(calls) == len(set(calls)) == res.subsets_examined
 
 
 def test_time_budget_cuts_inside_a_root(monkeypatch):
