@@ -15,6 +15,7 @@ grouping mined candidates builds no graph.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cache
 from time import monotonic
@@ -114,20 +115,19 @@ class GadgetClass:
 
 
 def group_candidates(candidates,
-                     deadline: float | None = None) -> list[GadgetClass]:
+                     deadline: float = math.inf) -> list[GadgetClass]:
     """Group mined candidates by the certificate of their gates.  The
     representative is the first occurrence in input order; classes are
     sorted by descending N_r with certificate bytes breaking ties, so the
     output is deterministic for a deterministic input order.
 
-    With a deadline (a time.monotonic value), the clock is read after
-    every DEADLINE_STRIDE candidates; once past the deadline, grouping
+    The clock is read after every DEADLINE_STRIDE candidates; once past
+    the deadline (a time.monotonic value, math.inf for none), grouping
     stops, and the classes hold only a prefix of the candidates (a total
     N_r below len(candidates))."""
     by_cert: dict[bytes, GadgetClass] = {}
     for i, cand in enumerate(candidates):
-        if (deadline is not None and i and i % DEADLINE_STRIDE == 0
-                and monotonic() >= deadline):
+        if i and i % DEADLINE_STRIDE == 0 and monotonic() >= deadline:
             break
         try:
             cert = certificate(cand.gates)
@@ -135,17 +135,16 @@ def group_candidates(candidates,
             raise CertificateSizeError(
                 f"{exc} (candidate from {cand.source_circuit!r} "
                 f"layers {list(cand.layers)})") from exc
-        cls = by_cert.get(cert)
-        if cls is None:
-            by_cert[cert] = GadgetClass(cert, [cand])
+        if cert in by_cert:
+            by_cert[cert].occurrences.append(cand)
         else:
-            cls.occurrences.append(cand)
+            by_cert[cert] = GadgetClass(cert, [cand])
     classes = list(by_cert.values())
     classes.sort(key=lambda cls: (-cls.n_r, cls.certificate))
     return classes
 
 
-def identify_gadgets(classes, n_c: int = 1) -> list[GadgetClass]:
+def identify_gadgets(classes, n_c: int) -> list[GadgetClass]:
     """Keep classes repeated more often than the cutoff: N_r > n_c."""
     if n_c < 1:
         raise ValueError(f"repetition cutoff {n_c} must be >= 1")

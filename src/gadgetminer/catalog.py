@@ -68,8 +68,7 @@ def _family_gates(family: str, generation: int) -> tuple[tuple[int, int], ...]:
 @cache
 def build_gadget(family: str, generation: int) -> GadgetSpec:
     """Construct one catalog gadget; repeated calls return the same spec."""
-    if family not in FAMILIES:
-        raise CatalogError(f"unknown family {family!r}")
+    gates = _family_gates(family, generation)  # rejects an unknown family
     if generation < 1:
         raise CatalogError(f"generation {generation} must be >= 1")
     return GadgetSpec(
@@ -77,7 +76,7 @@ def build_gadget(family: str, generation: int) -> GadgetSpec:
         generation=generation,
         name=f"{family}{2 * generation}",
         qubits_touched=2 * generation,
-        gates=_family_gates(family, generation),
+        gates=gates,
     )
 
 

@@ -171,15 +171,15 @@ def cmd_mine(args) -> int:
                "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
               for f in corpus.files]
     circuits = corpus.circuits()
-    # each circuit keeps at most cap = --max-candidates + 1 candidates:
+    # no limit is math.inf.  Each circuit keeps at most cap + 1 candidates:
     # that many prove the run is over, and the cut below keeps the first
-    # --max-candidates in input order, which every circuit's prefix holds
-    cap = None if args.max_candidates is None else args.max_candidates + 1
+    # cap in input order, which every circuit's prefix holds
+    cap = math.inf if args.max_candidates is None else args.max_candidates
     # one absolute deadline for the whole run; the monotonic clock is
     # system-wide, so forked workers compare against the same clock
-    deadline = (None if args.time_budget is None
+    deadline = (math.inf if args.time_budget is None
                 else started + args.time_budget)
-    payloads = [(c, args.gadget_cnots, cap, deadline) for c in circuits]
+    payloads = [(c, args.gadget_cnots, cap + 1, deadline) for c in circuits]
     workers = min(args.jobs, len(payloads))
     if workers > 1 and hasattr(os, "fork"):
         results = _fork_map(_mine_one, payloads, workers)
@@ -192,8 +192,8 @@ def cmd_mine(args) -> int:
     for res in results:
         candidates.extend(res.candidates)
     reasons: list[str] = []
-    if args.max_candidates is not None and len(candidates) > args.max_candidates:
-        candidates = candidates[: args.max_candidates]
+    if len(candidates) > cap:
+        del candidates[cap:]
         reasons.append("max_candidates")
     classes = group_candidates(candidates, deadline)
     # grouping stops certifying at the deadline; the rest go unreported
@@ -341,12 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all", "nn", "nnn", "file"])
     p.add_argument("--connectivity-file", default=None,
                    help="pair-per-line file for --connectivity file")
-    p.add_argument("--method", default="hillclimb",
+    p.add_argument("--method", default=GeneratorConfig.method,
                    choices=["random", "hillclimb"])
-    p.add_argument("--attempts", type=int, default=2000)
-    p.add_argument("--max-gates", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20,
+    p.add_argument("--attempts", type=int, default=GeneratorConfig.attempts)
+    p.add_argument("--max-gates", type=int, default=GeneratorConfig.max_gates)
+    p.add_argument("--seed", type=int, default=GeneratorConfig.seed)
+    p.add_argument("--count", type=int, default=GeneratorConfig.count,
                    help="encoders to collect")
     p.add_argument("--output", default=_default_output())
     p.set_defaults(func=cmd_gen)

@@ -429,7 +429,8 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
             # climb proposes
             gates = [directed[sub.randrange(len(directed))]
                      for _ in range(cfg.max_gates if directed else 0)]
-        circuit = Circuit.from_pairs(cfg.n, gates)
+        circuit = Circuit.from_pairs(
+            cfg.n, gates, name=encoder_name(len(corpus.entries)))
         t = encoder_tableau(circuit, x_set)
         distance = None
         if cfg.k:
@@ -442,10 +443,9 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
         if digest in seen:
             continue
         seen.add(digest)
-        name = encoder_name(len(corpus.entries))
         corpus.entries.append(CorpusEntry(
-            name=name,
-            circuit=Circuit(cfg.n, circuit.gates, name=name),
+            name=circuit.name,
+            circuit=circuit,
             origin="generated",
             k=cfg.k,
             x_ancillas=tuple(sorted(x_set)),

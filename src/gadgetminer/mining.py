@@ -260,8 +260,8 @@ def _walk(nbrs, above, keep, found, chosen, ext, seen, left) -> None:
 def mine_circuit(
     circuit: Circuit,
     c_g: int,
-    max_candidates: int | None = None,
-    deadline: float | None = None,
+    max_candidates: float = math.inf,
+    deadline: float = math.inf,
 ) -> MiningResult:
     """Run the full pipeline over the size-c_g gate subsets of the circuit
     that can pass it.
@@ -280,21 +280,21 @@ def mine_circuit(
 
     The walk tests each set as it reaches it and holds only those that are
     closed and untainted, so memory follows the kept sets, not the visited
-    ones.  With a deadline (a time.monotonic value), the clock is read
-    before the first set and then once every DEADLINE_STRIDE sets; the
-    root cut there gives the sets kept among those tested before the cut.
-    A max_candidates cap ends the walk at a root boundary: a walk that
-    already keeps that many sets stops before the next root, and the
-    kept sets are then cut to the first max_candidates in tuple order."""
+    ones.  Each limit is math.inf for none.  The clock is read before the
+    first set and then once every DEADLINE_STRIDE sets; past the deadline
+    (a time.monotonic value) the root cut gives the sets kept among those
+    tested before the cut.  A max_candidates cap ends the walk at a root
+    boundary: a walk that already keeps that many sets stops before the
+    next root, and the kept sets are cut to the first max_candidates."""
     if c_g < 1:
         raise ValueError(f"subset size {c_g} must be >= 1")
     gates = gate_tuples(circuit)
     nbrs, lines = _gate_masks(circuit)
-    keep = _Keep(lines, math.inf if deadline is None else deadline)
+    keep = _Keep(lines, deadline)
     result = MiningResult(subsets_total=math.comb(len(gates), c_g))
     kept = result.candidates
     for root in range(len(gates) - c_g + 1):
-        if max_candidates is not None and len(kept) >= max_candidates:
+        if len(kept) >= max_candidates:
             result.reason = "max_candidates"
             break
         above, bit = -1 << (root + 1), 1 << root  # above: the gates after root
@@ -314,7 +314,7 @@ def mine_circuit(
                  for idx in passed)
         if result.reason:
             break
-    if max_candidates is not None and len(kept) > max_candidates:
+    if len(kept) > max_candidates:
         del kept[max_candidates:]
         result.reason = result.reason or "max_candidates"
     result.subsets_examined = keep.tested

@@ -23,6 +23,7 @@ Conventions (conjugation by CNOT with control c, target t):
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -240,7 +241,7 @@ def encoder_code(c: Circuit, k: int, x_ancillas: Iterable[int] = ()) -> Stabiliz
 
 
 def code_distance(
-    code: StabilizerCode, n_limit: int = 15, max_weight: int | None = None
+    code: StabilizerCode, n_limit: int = 15, max_weight: float = math.inf
 ) -> int:
     """Minimum weight over Paulis commuting with every generator but outside
     the generator span, by exhaustive search in increasing weight.
@@ -253,7 +254,7 @@ def code_distance(
         raise DistanceSearchError(
             f"brute-force distance limited to n <= {n_limit}, code has n={code.n}"
         )
-    limit = code.n if max_weight is None else min(max_weight, code.n)
+    limit = min(max_weight, code.n)
     gens = [g.x | g.z << code.n for g in code.generators]
     w = kernels.min_logical_weight(gens, code.n, limit)
     if w == 0:

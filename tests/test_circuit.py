@@ -79,6 +79,7 @@ def test_parse_comments_and_blanks():
     ("qubits 0\n", "qubit count"),
     ("qubits 2\nqubits 2\n", "line 2"),
     ("qubits 2\ncx 0\n", "line 2"),
+    ("# a comment\n", "missing 'qubits <N>' header"),
 ])
 def test_parse_errors_carry_line(text, fragment):
     with pytest.raises(CircuitParseError) as exc_info:
@@ -151,6 +152,14 @@ def test_json_name_is_a_string_or_the_stem(tmp_path):
     assert str(exc_info.value) == f"{p}: name must be a string, got None"
     with pytest.raises(CircuitError):
         Circuit(2, (), name=None)
+
+
+def test_json_file_that_is_not_json_names_the_file(tmp_path):
+    p = tmp_path / "line.json"
+    p.write_text("qubits 2\ncx 0 1\n")
+    with pytest.raises(CircuitParseError) as exc_info:
+        load_circuit(p)
+    assert str(exc_info.value).startswith(f"{p}: invalid JSON: ")
 
 
 def test_json_round_trip():

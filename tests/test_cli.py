@@ -848,6 +848,16 @@ def test_gen_failure_exit_code(tmp_path, capsys):
     assert "error:" in err and "20 attempts" in err
 
 
+@pytest.mark.parametrize("flag", ["--count", "--attempts", "--max-gates"])
+def test_gen_rejects_a_zero_budget(tmp_path, capsys, flag):
+    rc = run_cli(["gen", "--n", 5, "--k", 1, "--d", 2, flag, 0,
+                  "--output", tmp_path / "c"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: max_gates, attempts and count must be >= 1\n")
+    assert not (tmp_path / "c").exists()
+
+
 def test_catalog_listing(capsys):
     assert run_cli(["catalog"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -872,6 +882,11 @@ def test_catalog_circuit_output(tmp_path, capsys):
 def test_catalog_half_specified(capsys):
     assert run_cli(["catalog", "--family", "pl"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_catalog_unknown_family(capsys):
+    assert run_cli(["catalog", "--family", "xyz", "--generation", 1]) == 1
+    assert capsys.readouterr().err == "error: unknown family 'XYZ'\n"
 
 
 def test_canon_digest(capsys):
@@ -932,6 +947,16 @@ def test_stats_stdout(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["stats", tmp_path / "enc"]) == 0
     assert capsys.readouterr().out == STATS_GEN_STDOUT
+
+
+def test_stats_warns_of_a_duplicate_circuit(tmp_path, capsys):
+    for name in ("a", "b"):
+        save_circuit(Circuit.from_pairs(3, [(0, 1), (1, 2)]),
+                     tmp_path / f"{name}.txt")
+    assert run_cli(["stats", tmp_path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: duplicate circuit 'b' matches entry 'a'\n"
+    assert json.loads(captured.out)["size"] == 1
 
 
 def test_stats_digests_each_corpus_entry_once(tmp_path, monkeypatch):

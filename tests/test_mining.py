@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import math
 import pickle
 import random
 import time
@@ -240,7 +241,7 @@ def test_mine_result_pickle_holds_no_graph():
     """What a --jobs worker pickles back is the mining result and its
     candidates' gate tuples: no graph, node or edge objects."""
     c = random_circuit(random.Random(3), 3, 20)
-    res = cli._mine_one((c, 4, None, None))
+    res = cli._mine_one((c, 4, math.inf, math.inf))
     assert res.candidates
     classes = []
 
