@@ -14,8 +14,10 @@ Filter pipeline, in order:
      gate between them on any shared qubit) must not commute, otherwise
      the block can be slid apart and is not a rigid unit.
 
-extract_candidate and the passes_* filters work on a host graph and its
-candidate graphs and are the reference; mine_circuit runs the same tests
+extract_candidate and the passes_* filters apply these tests to a host
+graph and its candidate graphs.  No command calls them: they stay because
+the benchmark's checks import them and its tracer wraps the filters (the
+tests' oracle is tests/reference.py).  mine_circuit runs the same tests
 on bitmasks of a circuit's gates.  Its walk applies the taint and closure
 test to each set it visits and holds only the sets that pass, the
 stationarity test runs on those, and each kept set is returned as its

@@ -12,8 +12,9 @@ column.
 A corpus manifest's canonical rows are kernels.canonical_rows of the
 stabilizer rows, printed by row_str and hashed by rows_digest.  Pauli,
 StabilizerCode, encoder_code, code_distance and row_pauli are on no
-command's path: tests use them as oracles and the benchmark's tracer
-wraps them by name.
+command's path: they stay because the benchmark's tracer wraps the last
+three by name, and those take or return the first two (the tests'
+distance oracle is tests/reference.py).
 
 Conventions (conjugation by CNOT with control c, target t):
     X_c -> X_c X_t      X_t -> X_t

@@ -1,9 +1,9 @@
-"""Shared fixtures and test-local reference implementations."""
+"""Shared fixtures, input builders, and test-local references and readers;
+the brute-force oracles are in reference.py."""
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import pytest
 
@@ -19,7 +19,11 @@ STEANE_PAIRS = ((0, 1), (0, 2), (6, 0), (6, 1), (6, 3),
                 (5, 0), (5, 2), (5, 3), (4, 1), (4, 2), (4, 3))
 STEANE_X_ANCILLAS = (4, 5, 6)
 
-FIVE_QUBIT_GENERATORS = ("+XZZXI", "+IXZZX", "+XIXZZ", "+ZXIXZ")
+# the [[5,1,3]] code: XZZXI and its cyclic shifts as rows x | z << 5
+# (bit q is X on qubit q, bit q + 5 Z on it)
+FIVE_QUBIT_ROWS = tuple(
+    sum((ch in "XY") << q | (ch in "ZY") << q + 5 for q, ch in enumerate(word))
+    for word in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"))
 
 
 @pytest.fixture
@@ -34,7 +38,7 @@ def steane_circuit() -> Circuit:
 
 @pytest.fixture
 def five_qubit_code() -> StabilizerCode:
-    gens = tuple(Pauli.from_str(s) for s in FIVE_QUBIT_GENERATORS)
+    gens = tuple(Pauli(5, v & 31, v >> 5) for v in FIVE_QUBIT_ROWS)
     return StabilizerCode(5, 1, gens)
 
 
@@ -50,20 +54,28 @@ def random_circuit(rng: random.Random, n_qubits: int, n_gates: int,
     return Circuit.from_pairs(n_qubits, pairs, name=name)
 
 
+def random_generators(rng: random.Random, n: int, m: int) -> list[int]:
+    """m commuting-free random rows x | z << n, X halves drawn first;
+    kernels do not require the generators to commute or be independent,
+    only the span logic."""
+    gx = [rng.getrandbits(n) for _ in range(m)]
+    gz = [rng.getrandbits(n) for _ in range(m)]
+    return [x | z << n for x, z in zip(gx, gz)]
+
+
+def random_generator_set(rng: random.Random, n: int) -> list[int]:
+    """Up to n random_generators, commuting or not, with a dependent
+    generator mixed in half the time: the span test must still be exact."""
+    m = rng.randrange(0, n + 1)
+    gens = random_generators(rng, n, m)
+    if m >= 2 and rng.random() < 0.5:
+        gens.append(gens[0] ^ gens[1])
+    return gens
+
+
 # ---------------------------------------------------------------------------
-# Brute-force oracles (intentionally independent of the library internals)
+# Test-local references and readers
 # ---------------------------------------------------------------------------
-
-
-def cnots_commute(g1: tuple[int, int], g2: tuple[int, int]) -> bool:
-    """True iff the two CNOTs, given as (control, target) pairs, commute as
-    operators.
-
-    Shared-control, shared-target and disjoint pairs commute; the pair fails
-    to commute exactly when one gate's control sits on the other's target.
-    """
-    (c1, t1), (c2, t2) = g1, g2
-    return not (c1 == t2 or t1 == c2)
 
 
 def symplectic_ok(t) -> bool:
@@ -261,55 +273,6 @@ def random_labeled_graph(rng: random.Random, n: int,
     return CircuitGraph(nodes, edges)
 
 
-def graph_isomorphic_oracle(a, b) -> bool:
-    """Label-preserving isomorphism by backtracking over all consistent
-    node bijections, checking all four relations in both directions."""
-    if len(a) != len(b):
-        return False
-    an = a.nodes
-    bn = b.nodes
-    if sorted(nd.label for nd in an) != sorted(nd.label for nd in bn):
-        return False
-
-    def edge_set(g, kind):
-        idx = {nd.id: i for i, nd in enumerate(g.nodes)}
-        return {(idx[e.src], idx[e.dst])
-                for e in (g.cnot_edges if kind == "cnot" else g.time_edges)}
-
-    ac, at = edge_set(a, "cnot"), edge_set(a, "time")
-    bc, bt = edge_set(b, "cnot"), edge_set(b, "time")
-    if len(ac) != len(bc) or len(at) != len(bt):
-        return False
-    n = len(an)
-    mapping = [-1] * n
-    used = [False] * n
-
-    def consistent(i, j):
-        if an[i].label != bn[j].label:
-            return False
-        for p in range(i):
-            q = mapping[p]
-            for rel_a, rel_b in ((ac, bc), (at, bt)):
-                if (((i, p) in rel_a) != ((j, q) in rel_b)
-                        or ((p, i) in rel_a) != ((q, j) in rel_b)):
-                    return False
-        return True
-
-    def rec(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if not used[j] and consistent(i, j):
-                used[j] = True
-                mapping[i] = j
-                if rec(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return rec(0)
-
-
 def ordered_graph_key(graph) -> tuple:
     """(labels, slots) in node order, the argument tuple of
     canon._certificate: slots[4*i + k] is node i's neighbour along its
@@ -324,76 +287,10 @@ def ordered_graph_key(graph) -> tuple:
     return tuple(nd.label for nd in graph.nodes), tuple(slots)
 
 
-def pauli_group_distance_oracle(code: StabilizerCode) -> int:
-    """Exhaustive scan of the full Pauli group in weight order."""
-    n = code.n
-    span = set()
-    vecs = [g.x | g.z << n for g in code.generators]
-    for mask in range(1 << len(vecs)):
-        v = 0
-        for i, g in enumerate(vecs):
-            if (mask >> i) & 1:
-                v ^= g
-        span.add(v)
-    best = None
-    for w in range(1, n + 1):
-        for support in combinations(range(n), w):
-            for letters in range(3 ** w):
-                px = pz = 0
-                rem = letters
-                for q in support:
-                    letter = rem % 3
-                    rem //= 3
-                    if letter == 0:
-                        px |= 1 << q
-                    elif letter == 1:
-                        px |= 1 << q
-                        pz |= 1 << q
-                    else:
-                        pz |= 1 << q
-                if (px | pz << n) in span:
-                    continue
-                ok = True
-                for g in code.generators:
-                    if ((px & g.z).bit_count()
-                            + (pz & g.x).bit_count()) % 2 == 1:
-                        ok = False
-                        break
-                if ok:
-                    return w
-        if best is not None:
-            break
-    raise AssertionError("no logical operator found")
-
-
 _ORACLE_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 
-def pauli_canonical_rows(rows: list[Pauli]) -> tuple[Pauli, ...]:
-    """RREF over GF(2) of Pauli rows, column by column: X block, then Z
-    block, ascending qubit; the reference for kernels.canonical_rows."""
-    n = rows[0].n
-
-    def bit(p: Pauli, col: int) -> int:
-        return (p.x >> col) & 1 if col < n else (p.z >> (col - n)) & 1
-
-    def mul(p: Pauli, q: Pauli) -> Pauli:
-        return Pauli(n, p.x ^ q.x, p.z ^ q.z)
-
-    reduced: list[Pauli] = []
-    remaining = list(rows)
-    for col in range(2 * n):
-        pivot = next((i for i, p in enumerate(remaining) if bit(p, col)), None)
-        if pivot is None:
-            continue
-        row = remaining.pop(pivot)
-        remaining = [mul(p, row) if bit(p, col) else p for p in remaining]
-        reduced = [mul(p, row) if bit(p, col) else p for p in reduced]
-        reduced.append(row)
-    return tuple(reduced)
-
-
-def pauli_row_text(p: Pauli) -> str:
-    """'+' then one letter per qubit, e.g. '+IXYZ'."""
-    return "+" + "".join(_ORACLE_LETTER[((p.x >> q) & 1, (p.z >> q) & 1)]
-                         for q in range(p.n))
+def pauli_row_text(v: int, n: int) -> str:
+    """Row x | z << n as '+' then one letter per qubit, e.g. '+IXYZ'."""
+    return "+" + "".join(_ORACLE_LETTER[(v >> q & 1, v >> q + n & 1)]
+                         for q in range(n))

@@ -1,9 +1,11 @@
 """Acceptance gate: one test per release criterion, A1 through A8.
 
 Each test states its criterion in the docstring and fails loudly when the
-property or its runtime bound is violated.  Oracles here are deliberately
-written from scratch (permutation search, recompute-from-scratch pruning,
-direct commutation checks) so they share no shortcuts with the library.
+property or its runtime bound is violated.  The oracles are the
+brute-force references of reference.py (exhaustive mining, backtracking
+isomorphism search, recompute-from-scratch peeling, direct commutation
+checks, a full Pauli scan for distance), written from scratch so they
+share no shortcuts with the library.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ from gadgetminer.canon import certificate
 from gadgetminer.catalog import all_gadgets, build_gadget, plant
 from gadgetminer.circuit import Circuit, save_circuit
 from gadgetminer.cli import main
-from gadgetminer.graph import (
-    CircuitGraph,
-    GraphEdge,
-    GraphNode,
-    circuit_to_graph,
-)
+from gadgetminer.graph import circuit_to_graph
 from gadgetminer.mining import (
     extract_candidate,
     mine_circuit,
@@ -36,11 +33,10 @@ from gadgetminer.mining import (
 from gadgetminer.kernels import canonical_rows
 from gadgetminer.tableau import CliffordTableau, code_distance, encoder_tableau
 
+import reference
 from conftest import (
-    cnots_commute,
+    FIVE_QUBIT_ROWS,
     graph_from_json_dict,
-    graph_isomorphic_oracle,
-    pauli_group_distance_oracle,
     random_circuit,
     random_labeled_graph,
     symplectic_ok,
@@ -55,189 +51,6 @@ DISCOVERY_COUNT = 20
 
 PLANT_GADGETS = ("DCX2", "DCX4", "PL4", "PL6", "O4", "O6")
 GADGETS = {spec.name: spec for spec in all_gadgets()}
-
-
-# ---------------------------------------------------------------------------
-# Independent re-implementations used as oracles (no library internals)
-# ---------------------------------------------------------------------------
-
-
-def oracle_tainted(circuit: Circuit, chosen) -> bool:
-    """A candidate is tainted when an unchosen gate endpoint falls strictly
-    between two consecutive chosen endpoints on a shared qubit; a gate's
-    position in the circuit is its time."""
-    chosen_set = set(chosen)
-    per_qubit: dict[int, list[int]] = {}
-    for i in chosen:
-        for q in circuit.gates[i]:
-            per_qubit.setdefault(q, []).append(i)
-    for q, positions in per_qubit.items():
-        positions.sort()
-        for j, g in enumerate(circuit.gates):
-            if j in chosen_set or q not in g:
-                continue
-            for a, b in zip(positions, positions[1:]):
-                if a < j < b:
-                    return True
-    return False
-
-
-def oracle_candidate_graph(circuit: Circuit, chosen) -> CircuitGraph:
-    nodes = []
-    edges = []
-    per_qubit: dict[int, list[tuple[int, int]]] = {}
-    for i in chosen:
-        control, target = circuit.gates[i]
-        nodes.append(GraphNode(2 * i, control, i, "c"))
-        nodes.append(GraphNode(2 * i + 1, target, i, "t"))
-        edges.append(GraphEdge(2 * i, 2 * i + 1, "cnot"))
-        per_qubit.setdefault(control, []).append((i, 2 * i))
-        per_qubit.setdefault(target, []).append((i, 2 * i + 1))
-    for items in per_qubit.values():
-        items.sort()
-        for (_, a), (_, b) in zip(items, items[1:]):
-            edges.append(GraphEdge(a, b, "time"))
-    return CircuitGraph(nodes, edges, source_circuit=circuit.name)
-
-
-def oracle_closed(graph: CircuitGraph) -> bool:
-    """Recompute-from-scratch pruning fixpoint."""
-    keep = {nd.id for nd in graph.nodes}
-    while keep:
-        deg = {nid: 0 for nid in keep}
-        for e in graph.edges:
-            if e.src in keep and e.dst in keep:
-                deg[e.src] += 1
-                deg[e.dst] += 1
-        drop = {nid for nid, d in deg.items() if d <= 1}
-        if not drop:
-            break
-        keep -= drop
-    return bool(keep) and len(keep) == len(graph.nodes)
-
-
-def oracle_connected(graph: CircuitGraph) -> bool:
-    if graph.is_empty:
-        return False
-    neighbors: dict[int, set[int]] = {nd.id: set() for nd in graph.nodes}
-    for e in graph.edges:
-        neighbors[e.src].add(e.dst)
-        neighbors[e.dst].add(e.src)
-    start = graph.nodes[0].id
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in neighbors[v]:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return len(seen) == len(graph)
-
-
-def oracle_stationary(circuit: Circuit, chosen) -> bool:
-    gates = sorted((i, *circuit.gates[i]) for i in chosen)
-    m = len(gates)
-    for i in range(m):
-        li, ci, ti = gates[i]
-        for j in range(i + 1, m):
-            lj, cj, tj = gates[j]
-            shared = {ci, ti} & {cj, tj}
-            if not shared:
-                continue
-            blocked = any(
-                li < lk < lj and ({ck, tk} & shared)
-                for k, (lk, ck, tk) in enumerate(gates) if k not in (i, j))
-            if blocked:
-                continue
-            if ci != tj and ti != cj:
-                return False
-    return True
-
-
-def oracle_mine(circuit: Circuit, c_g: int):
-    """Exhaustive mining with the oracle filters only."""
-    kept = []
-    for chosen in itertools.combinations(range(circuit.cx_count), c_g):
-        if oracle_tainted(circuit, chosen):
-            continue
-        g = oracle_candidate_graph(circuit, chosen)
-        if not oracle_connected(g) or not oracle_closed(g):
-            continue
-        if not oracle_stationary(circuit, chosen):
-            continue
-        kept.append(g)
-    return kept
-
-
-def oracle_group(graphs):
-    """Isomorphism classes via the backtracking oracle; (rep, count) list."""
-    classes: list[list] = []
-    for g in graphs:
-        for cls in classes:
-            if graph_isomorphic_oracle(cls[0], g):
-                cls.append(g)
-                break
-        else:
-            classes.append([g])
-    return [(cls[0], len(cls)) for cls in classes]
-
-
-def permutation_isomorphic(a: CircuitGraph, b: CircuitGraph) -> bool:
-    """Literal scan over all label-preserving node permutations."""
-    if len(a) != len(b):
-        return False
-    an, bn = a.nodes, b.nodes
-    labels_a = sorted(nd.label for nd in an)
-    labels_b = sorted(nd.label for nd in bn)
-    if labels_a != labels_b:
-        return False
-
-    def classify(nodes):
-        groups: dict[str, list[int]] = {}
-        for i, nd in enumerate(nodes):
-            groups.setdefault(nd.label, []).append(i)
-        return groups
-
-    ga, gb = classify(an), classify(bn)
-    if {k: len(v) for k, v in ga.items()} != {k: len(v) for k, v in gb.items()}:
-        return False
-
-    def edge_sets(g):
-        idx = {nd.id: i for i, nd in enumerate(g.nodes)}
-        cnot = frozenset((idx[e.src], idx[e.dst]) for e in g.cnot_edges)
-        time_ = frozenset((idx[e.src], idx[e.dst]) for e in g.time_edges)
-        return cnot, time_
-
-    ac, at = edge_sets(a)
-    bc, bt = edge_sets(b)
-    if len(ac) != len(bc) or len(at) != len(bt):
-        return False
-    labels = sorted(ga)
-    for perms in itertools.product(
-            *(itertools.permutations(gb[lab]) for lab in labels)):
-        mapping = {}
-        for lab, perm in zip(labels, perms):
-            for src_pos, dst_pos in zip(ga[lab], perm):
-                mapping[src_pos] = dst_pos
-        if (frozenset((mapping[i], mapping[j]) for i, j in ac) == bc
-                and frozenset((mapping[i], mapping[j]) for i, j in at) == bt):
-            return True
-    return False
-
-
-def scrambled_copy(graph: CircuitGraph, rng: random.Random) -> CircuitGraph:
-    ids = [nd.id for nd in graph.nodes]
-    new_ids = list(range(1000, 1000 + len(ids)))
-    rng.shuffle(new_ids)
-    remap = dict(zip(ids, new_ids))
-    nodes = [GraphNode(remap[nd.id], rng.randrange(9), rng.randrange(9),
-                       nd.label) for nd in graph.nodes]
-    edges = [GraphEdge(remap[e.src], remap[e.dst], e.kind)
-             for e in graph.edges]
-    return CircuitGraph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +132,10 @@ def test_a3_planted_gadget_recovery(planted_hosts, tmp_path):
         report = json.loads((out_dir / "report.json").read_text())
 
         # brute-force oracle over the same three hosts, cutoff N_r > 2
-        oracle_kept = []
-        for h in hosts:
-            oracle_kept.extend(oracle_mine(h, c_g))
+        oracle_kept = [reference.candidate_graph(h, chosen) for h in hosts
+                       for chosen in reference.mine(h, c_g)]
         oracle_classes = [(rep, count)
-                          for rep, count in oracle_group(oracle_kept)
+                          for rep, count in reference.classes(oracle_kept)
                           if count > 2]
 
         assert len(report) == len(oracle_classes), name
@@ -332,7 +144,7 @@ def test_a3_planted_gadget_recovery(planted_hosts, tmp_path):
             rep = graph_from_json_dict(cls["representative_graph"])
             hits = [i for i, (orep, ocount) in enumerate(oracle_classes)
                     if i not in matched
-                    and graph_isomorphic_oracle(rep, orep)
+                    and reference.isomorphic(rep, orep)
                     and cls["n_r"] == ocount]
             assert hits, f"{name}: unmatched mined class"
             matched.add(hits[0])
@@ -348,8 +160,9 @@ def test_a3_planted_gadget_recovery(planted_hosts, tmp_path):
 
 
 def test_a4_certificate_matches_permutation_oracle():
-    """A4: certificate equality agrees with the all-permutations oracle on
-    1000 graph pairs (<= 8 nodes, half isomorphic), 0 mismatches, < 30 s."""
+    """A4: certificate equality agrees with the backtracking isomorphism
+    search of reference.isomorphic on 1000 graph pairs (<= 8 nodes, half
+    forced isomorphic by reference.relabeled), 0 mismatches, < 30 s."""
     started = time.monotonic()
     rng = random.Random(44)
     mismatches = 0
@@ -358,11 +171,11 @@ def test_a4_certificate_matches_permutation_oracle():
         n = rng.randrange(1, 9)
         a = random_labeled_graph(rng, n, 6)
         if trial % 2 == 0:
-            b = scrambled_copy(a, rng)
+            b = reference.relabeled(a, rng)
         else:
             b = random_labeled_graph(rng, n, 6)
         same_cert = certificate(a) == certificate(b)
-        truth = permutation_isomorphic(a, b)
+        truth = reference.isomorphic(a, b)
         if trial % 2 == 0:
             assert truth, "construction must yield isomorphic pairs"
         if same_cert != truth:
@@ -375,37 +188,38 @@ def test_a4_certificate_matches_permutation_oracle():
 
 
 def test_a5_filter_soundness_fuzz():
-    """A5: of 10^4 randomly drawn candidates, every one the filters keep is
-    independently re-verified connected, closed, untainted and stationary;
-    0 violations."""
+    """A5: of 10^4 randomly drawn candidates, mine_circuit keeps exactly
+    those that reference.keeps finds connected, closed, untainted and
+    stationary, and so do extract_candidate and the passes_* filters;
+    0 disagreements in either direction."""
     rng = random.Random(55)
     total = 0
     kept = 0
-    violations = 0
+    disagreements = 0
     while total < 10_000:
         circuit = random_circuit(rng, rng.randrange(2, 5),
                                  rng.randrange(2, 10), name=f"f{total}")
         graph = circuit_to_graph(circuit)
         edges = ordered_cnot_edges(graph)
+        mined: dict[int, set] = {}
         for _ in range(min(40, 10_000 - total)):
             c_g = rng.randrange(1, min(5, len(edges)) + 1)
             chosen = tuple(sorted(rng.sample(range(len(edges)), c_g)))
             subset = tuple(edges[i] for i in chosen)
             cand = extract_candidate(graph, subset)
             total += 1
-            if (cand.tainted or not passes_closure_filter(cand)
-                    or not passes_stationarity_filter(cand)):
-                continue
-            kept += 1
-            g = oracle_candidate_graph(circuit, chosen)
-            if not (oracle_connected(g)
-                    and oracle_closed(g)
-                    and not oracle_tainted(circuit, chosen)
-                    and oracle_stationary(circuit, chosen)):
-                violations += 1
+            if c_g not in mined:
+                mined[c_g] = {x.layers for x in
+                              mine_circuit(circuit, c_g).candidates}
+            want = reference.keeps(circuit, chosen)
+            filters = (not cand.tainted and passes_closure_filter(cand)
+                       and passes_stationarity_filter(cand))
+            kept += want
+            disagreements += (chosen in mined[c_g]) != want
+            disagreements += filters != want
     assert total == 10_000
     assert kept > 100, "fuzz corpus kept too few candidates to be meaningful"
-    assert violations == 0
+    assert disagreements == 0
 
 
 def test_a6_tableau_correctness(five_qubit_code):
@@ -429,7 +243,7 @@ def test_a6_tableau_correctness(five_qubit_code):
             g1, g2 = (qubits[0], qubits[1]), (qubits[2], qubits[3])
         else:
             continue
-        assert cnots_commute(g1, g2)
+        assert reference.cnots_commute(g1, g2)
         suffix = random_circuit(rng, n, rng.randrange(0, 6)).pairs()
         v1 = Circuit.from_pairs(n, prefix + [g1, g2] + suffix)
         v2 = Circuit.from_pairs(n, prefix + [g2, g1] + suffix)
@@ -443,7 +257,7 @@ def test_a6_tableau_correctness(five_qubit_code):
     assert built == 100 and misses == 0
 
     assert code_distance(five_qubit_code) == 3
-    assert pauli_group_distance_oracle(five_qubit_code) == 3
+    assert reference.distance(FIVE_QUBIT_ROWS, 5) == 3
 
     t = CliffordTableau(8)
     for step in range(10_000):

@@ -33,26 +33,8 @@ from gadgetminer.graph import (
 )
 from gadgetminer.mining import MinedCandidate, mine_circuit
 
-from conftest import (
-    graph_isomorphic_oracle,
-    ordered_graph_key,
-    random_circuit,
-    random_labeled_graph,
-)
-
-
-def relabeled(graph: CircuitGraph, rng: random.Random) -> CircuitGraph:
-    """Isomorphic copy under a random id permutation (qubit/layer metadata
-    is scrambled too; certificates must not depend on either)."""
-    ids = [nd.id for nd in graph.nodes]
-    new_ids = list(range(100, 100 + len(ids)))
-    rng.shuffle(new_ids)
-    remap = dict(zip(ids, new_ids))
-    nodes = [GraphNode(remap[nd.id], rng.randrange(50), rng.randrange(50),
-                       nd.label) for nd in graph.nodes]
-    edges = [GraphEdge(remap[e.src], remap[e.dst], e.kind)
-             for e in graph.edges]
-    return CircuitGraph(nodes, edges)
+import reference
+from conftest import ordered_graph_key, random_circuit, random_labeled_graph
 
 
 def test_certificate_header():
@@ -67,7 +49,7 @@ def test_certificate_invariant_under_relabeling():
     for _ in range(40):
         c = random_circuit(rng, rng.randrange(2, 5), rng.randrange(2, 8))
         g = circuit_to_graph(c)
-        assert certificate(relabeled(g, rng)) == certificate(g)
+        assert certificate(reference.relabeled(g, rng)) == certificate(g)
 
 
 def test_certificate_separates_directions():
@@ -76,29 +58,35 @@ def test_certificate_separates_directions():
     # control/target labels break the mirror symmetry ...
     assert certificate(a) == certificate(b)
     # ... so the single-gate graphs above are genuinely isomorphic
-    assert graph_isomorphic_oracle(a, b)
+    assert reference.isomorphic(a, b)
     # an asymmetric composite is not
     c = circuit_to_graph(Circuit.from_pairs(3, [(0, 1), (0, 2)]))
     d = circuit_to_graph(Circuit.from_pairs(3, [(0, 1), (2, 1)]))
     assert certificate(c) != certificate(d)
-    assert not graph_isomorphic_oracle(c, d)
+    assert not reference.isomorphic(c, d)
 
 
 def test_certificate_matches_oracle_on_random_pairs():
-    """Certificate equality must coincide with brute-force isomorphism."""
+    """Certificate equality must coincide with brute-force isomorphism, on
+    random pairs and on a c/t pair whose cnot self-loop is on the control
+    in one graph and on the target in the other."""
     rng = random.Random(77)
-    agree = 0
+    pairs = []
     for trial in range(300):
         n = rng.randrange(1, 7)
         a = random_labeled_graph(rng, n, 8)
         if trial % 2 == 0:
-            b = relabeled(a, rng)  # forced isomorphic
+            b = reference.relabeled(a, rng)  # forced isomorphic
         else:
             b = random_labeled_graph(rng, n, 8)
+        pairs.append((a, b))
+    ct = [GraphNode(0, 0, 0, "c"), GraphNode(1, 1, 0, "t")]
+    pairs.append((CircuitGraph(ct, [GraphEdge(0, 0, "cnot")]),
+                  CircuitGraph(ct, [GraphEdge(1, 1, "cnot")])))
+    for a, b in pairs:
         same_cert = certificate(a) == certificate(b)
-        assert same_cert == graph_isomorphic_oracle(a, b)
-        agree += 1
-    assert agree == 300
+        assert same_cert == reference.isomorphic(a, b)
+    assert len(pairs) == 301
 
 
 def test_certificate_size_bound():
@@ -130,7 +118,7 @@ def test_certificate_of_symmetric_ring_is_fast():
     ring = circuit_to_graph(
         Circuit.from_pairs(16, (bonds[0::2] + bonds[1::2]) * 2))
     assert len(ring) == 64
-    scrambled = relabeled(ring, random.Random(16))
+    scrambled = reference.relabeled(ring, random.Random(16))
     canon._certificate.cache_clear()
     started = time.monotonic()
     assert certificate(ring) == certificate(scrambled)
@@ -157,7 +145,7 @@ def test_certificate_matches_oracle_on_mined_candidates():
     assert [certificate(cand.gates) for cand in cands] == certs
     for i, a in enumerate(graphs):
         for j in range(i):
-            assert (certs[i] == certs[j]) == graph_isomorphic_oracle(
+            assert (certs[i] == certs[j]) == reference.isomorphic(
                 a, graphs[j])
 
 
@@ -169,7 +157,8 @@ def test_certificate_cache_is_exact():
     graphs = [circuit_to_graph(spec.as_circuit()) for spec in all_gadgets()]
     for _ in range(150):
         g = random_labeled_graph(rng, rng.randrange(1, 7), 8)
-        graphs += [g, relabeled(g, rng), relabeled(g, rng)]
+        graphs += [g, reference.relabeled(g, rng),
+                   reference.relabeled(g, rng)]
     uncached = [canon._certificate.__wrapped__(*ordered_graph_key(g))
                 for g in graphs]
     canon._certificate.cache_clear()

@@ -30,18 +30,18 @@ from gadgetminer.corpus import (
     _move_scores,
     _propose_hillclimb,
 )
-from gadgetminer.tableau import encoder_code, encoder_tableau
+from gadgetminer.tableau import encoder_tableau
 
+import reference
 from conftest import (
     STEANE_PAIRS,
     STEANE_X_ANCILLAS,
     cnot_moved,
     logical_slices,
-    pauli_group_distance_oracle,
+    random_generator_set,
     reference_hillclimb,
     slice_logicals,
 )
-from test_kernels import brute_force_profile, random_generators
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +259,8 @@ def test_generate_distance_two_quickly():
     for e in corpus.entries:
         assert e.origin == "generated"
         assert e.distance is not None and e.distance >= 2
-        assert e.distance == pauli_group_distance_oracle(
-            encoder_code(e.circuit, e.k, e.x_ancillas))
+        rows = encoder_tableau(e.circuit, e.x_ancillas).rows[cfg.n + e.k:]
+        assert e.distance == reference.distance(rows, cfg.n)
 
 
 def test_generate_deterministic():
@@ -317,22 +317,13 @@ def test_generate_random_method():
         assert e.distance >= 2
 
 
-def _random_generator_set(rng, n):
-    # commuting or not, with a dependent generator mixed in half the time
-    m = rng.randrange(0, n + 1)
-    gens = random_generators(rng, n, m)
-    if m >= 2 and rng.random() < 0.5:
-        gens.append(gens[0] ^ gens[1])
-    return gens
-
-
 def test_move_scores_match_moved_profiles():
     # every ordered pair on random generator sets
     rng = random.Random(99)
     for _ in range(60):
         n = rng.randrange(2, 9)
         d = rng.randrange(1, 6)
-        gens = _random_generator_set(rng, n)
+        gens = random_generator_set(rng, n)
         directed = [(a, b) for a in range(n) for b in range(n) if a != b]
         sl, ws = logical_slices(kernels.logicals_by_weight(gens, n, d), n)
         scores, ups, downs = _move_scores(sl, ws, n, directed)
@@ -343,8 +334,9 @@ def test_move_scores_match_moved_profiles():
         # the brute-force oracle on one move per set, where it is cheap
         if n <= 6:
             i = rng.randrange(len(directed))
-            assert list(scores[i]) == brute_force_profile(
-                cnot_moved(gens, n, *directed[i]), n, d - 1)
+            moved = cnot_moved(gens, n, *directed[i])
+            assert list(scores[i]) == [
+                len(found) for found in reference.logicals(moved, n, d - 1)]
 
 
 def test_carried_logicals_match_fresh_walks():
@@ -355,7 +347,7 @@ def test_carried_logicals_match_fresh_walks():
     for _ in range(40):
         n = rng.randrange(2, 8)
         d = rng.randrange(1, 6)
-        gens = _random_generator_set(rng, n)
+        gens = random_generator_set(rng, n)
         sl, ws = [0] * (2 * n), [0] * (d + 1)
         for w, found in enumerate(kernels.logicals_by_weight(gens, n, d), 1):
             _list_logicals(sl, ws, w, found)
@@ -448,8 +440,8 @@ def test_generate_walks_once_per_proposal(monkeypatch, method, n, d):
     assert len(walks) == len(proposals)
     assert all(args[2] == cfg.n for args in walks)
     for e in corpus.entries:
-        assert e.distance == pauli_group_distance_oracle(
-            encoder_code(e.circuit, e.k, e.x_ancillas))
+        rows = encoder_tableau(e.circuit, e.x_ancillas).rows[n + e.k:]
+        assert e.distance == reference.distance(rows, n)
 
 
 def test_generate_k0_runs_no_walk(monkeypatch):

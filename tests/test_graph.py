@@ -18,6 +18,7 @@ from gadgetminer.graph import (
     is_connected,
 )
 
+import reference
 from conftest import graph_from_json_dict
 
 
@@ -129,25 +130,8 @@ def test_connectivity():
 
 def test_is_closed_matches_peeling_oracle():
     """A graph is closed exactly when it is non-empty and peeling nodes of
-    degree <= 1 until none is left removes nothing: compare against a slow
-    recompute-from-scratch peel on random graphs."""
-
-    def reference_prune(g: CircuitGraph) -> CircuitGraph:
-        keep = {nd.id for nd in g.nodes}
-        while True:
-            deg = {nid: 0 for nid in keep}
-            for e in g.edges:
-                if e.src in keep and e.dst in keep:
-                    deg[e.src] += 1
-                    deg[e.dst] += 1
-            drop = {nid for nid, d in deg.items() if d <= 1}
-            if not drop:
-                break
-            keep -= drop
-        nodes = [nd for nd in g.nodes if nd.id in keep]
-        edges = [e for e in g.edges if e.src in keep and e.dst in keep]
-        return CircuitGraph(nodes, edges)
-
+    degree <= 1 until none is left removes nothing: compare against the
+    recompute-from-scratch peel of reference.closed on random graphs."""
     rng = random.Random(424242)
     outcomes = set()
     for _ in range(40):
@@ -162,7 +146,7 @@ def test_is_closed_matches_peeling_oracle():
                 seen.add((a, b, kind))
                 edges.append(GraphEdge(a, b, kind))
         g = CircuitGraph(nodes, edges)
-        assert is_closed(g) == (reference_prune(g) == g)
+        assert is_closed(g) == reference.closed(g)
         outcomes.add(is_closed(g))
     assert outcomes == {False, True}
 

@@ -1,8 +1,11 @@
 """Every module under src/ and tests/ uses each name it imports, every
-function under src/ reads each parameter it takes, and every private name
-defined under src/ is read there, with no exemption: an import, a
-parameter or a private helper left behind by a change is dead code, and
-an import still costs start-up time."""
+function under src/ and in tests/reference.py reads each parameter it
+takes, and every private name defined under src/ is read there, with no
+exemption: an import, a parameter or a private helper left behind by a
+change is dead code, and an import still costs start-up time.  The
+brute-force references in tests/reference.py import from the program
+only the circuit type and the graph containers, and no test module
+imports another."""
 
 from __future__ import annotations
 
@@ -11,6 +14,26 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "tests" / "reference.py"
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """(module, name) for each import in the tree: ("a.b", "") for
+    ``import a.b`` and ("a", "x") for ``from a import x``; a relative
+    module keeps its leading dots."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(a.name, "") for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            found += [(module, a.name) for a in node.names]
+    return found
+
 
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names bound by an import in the tree and read nowhere in it.  An
@@ -59,9 +82,44 @@ def test_unused_imports_are_found():
 def test_no_module_imports_a_name_it_never_uses():
     found = []
     for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")]):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.relative_to(ROOT)}: {name}"
-                  for name in unused_imports(tree)]
+                  for name in unused_imports(parse(path))]
+    assert found == []
+
+
+def test_imports_are_listed():
+    tree = ast.parse("import os.path, json as j\n"
+                     "from . import a\n"
+                     "from .m import b as c\n"
+                     "def f():\n"
+                     "    from x.y import z\n")
+    assert imports(tree) == [("os.path", ""), ("json", ""), (".", "a"),
+                             (".m", "b"), ("x.y", "z")]
+
+
+def test_reference_imports_only_inputs_and_graph_containers():
+    """tests/reference.py takes from gadgetminer only the circuit module
+    and the graph containers, so it shares no code with what it checks,
+    and imports neither pytest nor a test module, so it runs standalone."""
+    found = []
+    for module, name in imports(parse(REFERENCE)):
+        top = module.split(".")[0]
+        allowed = (module == "gadgetminer.circuit"
+                   or module == "gadgetminer.graph"
+                   and name in ("CircuitGraph", "GraphNode", "GraphEdge"))
+        if not allowed and (top in ("", "gadgetminer", "pytest", "conftest")
+                            or top.startswith("test_")):
+            found.append(f"{module} {name}".strip())
+    assert found == []
+
+
+def test_no_test_module_imports_another():
+    """Helpers the test modules share live in conftest.py and
+    reference.py, not in a test module."""
+    found = [f"{path.relative_to(ROOT)}: {module}"
+             for path in sorted(ROOT.glob("tests/*.py"))
+             for module, _ in imports(parse(path))
+             if module.startswith("test_")]
     assert found == []
 
 
@@ -82,10 +140,9 @@ def test_unused_parameters_are_found():
 
 def test_no_function_takes_a_parameter_it_never_reads():
     found = []
-    for path in sorted(ROOT.glob("src/**/*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for path in [*sorted(ROOT.glob("src/**/*.py")), REFERENCE]:
         found += [f"{path.relative_to(ROOT)}: {name}"
-                  for name in unused_parameters(tree)]
+                  for name in unused_parameters(parse(path))]
     assert found == []
 
 
@@ -143,7 +200,6 @@ def test_unread_private_names_are_found():
 
 
 def test_every_private_name_under_src_is_read():
-    trees = {str(path.relative_to(ROOT)):
-             ast.parse(path.read_text(encoding="utf-8"), str(path))
+    trees = {str(path.relative_to(ROOT)): parse(path)
              for path in sorted(ROOT.glob("src/**/*.py"))}
     assert unread_private_names(trees) == []

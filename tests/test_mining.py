@@ -10,7 +10,6 @@ import pickle
 import random
 import time
 import tracemalloc
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -28,6 +27,7 @@ from gadgetminer.mining import (
     passes_stationarity_filter,
 )
 
+import reference
 from conftest import random_circuit
 
 
@@ -139,28 +139,6 @@ def test_mined_candidates_satisfy_all_filters():
                 assert len(cand.layers) == c_g
 
 
-def _timeline_pairs(circuit) -> set:
-    """The gate pairs consecutive in the circuit on some qubit."""
-    on_qubit: dict[int, list[int]] = {}
-    for i, gate in enumerate(circuit.gates):
-        for q in gate:
-            on_qubit.setdefault(q, []).append(i)
-    return {frozenset(p) for seq in on_qubit.values()
-            for p in zip(seq, seq[1:])}
-
-
-def _timeline_connected(pairs, subset) -> bool:
-    """Gates joined when they are one of the pairs (_timeline_pairs)."""
-    reached, todo = {subset[0]}, [subset[0]]
-    while todo:
-        a = todo.pop()
-        for b in subset:
-            if b not in reached and frozenset((a, b)) in pairs:
-                reached.add(b)
-                todo.append(b)
-    return len(reached) == len(subset)
-
-
 def test_mine_matches_exhaustive_oracle():
     rng = random.Random(654)
     # gate 0 is the least gate of two kept sets at C_g = 4, so the order
@@ -173,36 +151,23 @@ def test_mine_matches_exhaustive_oracle():
     # above 64 gates, a set's mask spans more than one machine word
     cases.append((random_circuit(rng, 3, 70), range(2, 4)))
     for c, sizes in cases:
-        g = circuit_to_graph(c)
         for c_g in sizes:
-            want = []
-            for subset in combinations(ordered_cnot_edges(g), c_g):
-                # a lone endpoint on a qubit has degree 1: not closed
-                if min(Counter(g.node(n).qubit for e in subset
-                               for n in (e.src, e.dst)).values()) < 2:
-                    continue
-                cand = extract_candidate(g, subset)
-                if (not cand.tainted
-                        and passes_closure_filter(cand)
-                        and passes_stationarity_filter(cand)):
-                    want.append(cand)
+            want = reference.mine(c, c_g)
+            graphs = [reference.candidate_graph(c, s) for s in want]
             res = mine_circuit(c, c_g)
-            assert [(x.graph, x.layers) for x in res.candidates] == [
-                (x.graph, x.layers) for x in want]
+            assert [(x.graph, x.layers) for x in res.candidates] == list(
+                zip(graphs, want))
             assert not res.reason
             # the count does not depend on how the gates are numbered
-            pairs = _timeline_pairs(c)
-            connected = [s for s in combinations(range(c.cx_count), c_g)
-                         if _timeline_connected(pairs, s)]
+            connected = reference.timeline_connected_sets(c, c_g)
             assert res.subsets_examined == len(connected)
             for cap in range(len(want) + 1):
                 capped = mine_circuit(c, c_g, max_candidates=cap)
-                assert [x.graph for x in capped.candidates] == [
-                    x.graph for x in want[:cap]]
+                assert [x.graph for x in capped.candidates] == graphs[:cap]
                 # a capped run ends at the root boundary after the cap-th
                 # kept set: it examines every set whose least gate is at
                 # most that set's
-                last = want[cap - 1].layers[0] if cap else -1
+                last = want[cap - 1][0] if cap else -1
                 assert capped.subsets_examined == sum(
                     s[0] <= last for s in connected)
                 if cap < len(want):

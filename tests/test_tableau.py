@@ -24,12 +24,11 @@ from gadgetminer.tableau import (
     rows_digest,
 )
 
+import reference
 from conftest import (
+    FIVE_QUBIT_ROWS,
     STEANE_X_ANCILLAS,
     SignedTableau,
-    cnots_commute,
-    pauli_canonical_rows,
-    pauli_group_distance_oracle,
     pauli_row_text,
     random_circuit,
     symplectic_ok,
@@ -171,7 +170,7 @@ def test_commutation_rule_matches_tableau():
         t2 = (c2 + rng.randrange(1, n)) % n
         fwd = CliffordTableau(n).cnot(c1, t1).cnot(c2, t2)
         rev = CliffordTableau(n).cnot(c2, t2).cnot(c1, t1)
-        assert cnots_commute((c1, t1), (c2, t2)) == (fwd == rev)
+        assert reference.cnots_commute((c1, t1), (c2, t2)) == (fwd == rev)
 
 
 def test_symplectic_invariant_random_walk():
@@ -236,12 +235,12 @@ def _random_row_sets(rng):
 
 
 def test_canonical_rows_random_generating_sets():
-    """The mask RREF equals the Pauli-row reference on random row sets,
+    """canonical_rows equals reference.row_echelon on random row sets,
     shuffled and mixed by row operations, with dependent rows added: same
     rows, text and digest."""
     rng = random.Random(7)
     for n, rows in _random_row_sets(rng):
-        ref = pauli_canonical_rows(rows)
+        ref = reference.row_echelon(_mask(p) for p in rows)
         mixed = list(rows)
         for _ in range(10):
             i, j = rng.randrange(len(mixed)), rng.randrange(len(mixed))
@@ -252,8 +251,8 @@ def test_canonical_rows_random_generating_sets():
         mixed.append(Pauli(n, 0, 0))
         rng.shuffle(mixed)
         got = canonical_rows(_mask(p) for p in mixed)
-        assert got == [_mask(p) for p in ref]
-        text = [pauli_row_text(p) for p in ref]
+        assert got == ref
+        text = [pauli_row_text(v, n) for v in ref]
         assert [row_str(v, n) for v in got] == text
         assert rows_digest(got, n) == hashlib.sha256(
             (f"{n}|" + "|".join(text)).encode()).hexdigest()
@@ -284,7 +283,7 @@ def test_gf2_rank():
 
 def test_five_qubit_code_distance(five_qubit_code):
     assert code_distance(five_qubit_code) == 3
-    assert pauli_group_distance_oracle(five_qubit_code) == 3
+    assert reference.distance(FIVE_QUBIT_ROWS, 5) == 3
     rows = canonical_rows(_mask(g) for g in five_qubit_code.generators)
     assert [Pauli(5, v & 31, v >> 5).weight for v in rows] == [4, 4, 4, 4]
 
@@ -303,7 +302,8 @@ def test_distance_matches_oracle_on_random_encoders():
         c = random_circuit(rng, n, rng.randrange(2, 10))
         xa = tuple(q for q in range(1, n) if rng.random() < 0.5)
         code = encoder_code(c, k=1, x_ancillas=xa)
-        assert code_distance(code) == pauli_group_distance_oracle(code)
+        rows = encoder_tableau(c, xa).rows[n + 1:]
+        assert code_distance(code) == reference.distance(rows, n)
         checked += 1
     assert checked == 12
 
