@@ -541,10 +541,15 @@ def check_output(directory, files, reads=(), kind: str = "corpus") -> None:
 def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
     """Write one circuit text file per entry plus manifest.json.  Output is
     byte-identical for identical corpora.  An entry name that is not a
-    plain file name, or a directory check_output refuses, raises
-    CorpusError before any file is written.  One encoder tableau per entry
-    gives both of its manifest digests."""
+    plain file name or that names two entries, whose files would collide,
+    or a directory check_output refuses, raises CorpusError before any
+    file is written.  One encoder tableau per entry gives both of its
+    manifest digests."""
     files = [_plain_file_name(e.name, f"{e.name}.txt") for e in corpus.entries]
+    if len(set(files)) < len(files):
+        dup = next(e.name for i, e in enumerate(corpus.entries)
+                   if files[i] in files[:i])
+        raise CorpusError(f"{dup!r}: two entries share this name")
     check_output(directory, files)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -606,6 +611,8 @@ def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
     # a stated distance is bounded, not recomputed: loading stays cheap
     if distance is not None and not 1 <= distance <= n:
         raise ValueError(f"{name!r}: distance {distance} outside 1..{n}")
+    if distance is not None and k == 0:
+        raise ValueError(f"{name!r}: k=0 has no distance, got {distance}")
     entry = CorpusEntry(
         name=name,
         circuit=Circuit(circuit.n_qubits, circuit.gates, name=name),

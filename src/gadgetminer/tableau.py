@@ -10,11 +10,10 @@ row is an unsigned pure-X or pure-Z Pauli and the tableau keeps no sign
 column.
 
 A corpus manifest's canonical rows are kernels.canonical_rows of the
-stabilizer rows, printed by row_str and hashed by rows_digest.  Pauli,
-StabilizerCode, encoder_code, code_distance and row_pauli are on no
-command's path: they stay because the benchmark's tracer wraps the last
-three by name, and those take or return the first two (the tests'
-distance oracle is tests/reference.py).
+stabilizer rows, printed by row_str and hashed by rows_digest.  The
+methods copy and row_pauli and the functions encoder_code and
+code_distance are on no command's path: they stay, on integer rows,
+because the benchmark's tracer wraps them by name.
 
 Conventions (conjugation by CNOT with control c, target t):
     X_c -> X_c X_t      X_t -> X_t
@@ -24,8 +23,6 @@ Conventions (conjugation by CNOT with control c, target t):
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
@@ -34,49 +31,6 @@ from .circuit import Circuit
 
 class TableauError(ValueError):
     pass
-
-
-class DistanceSearchError(RuntimeError):
-    """Raised when the brute-force distance search exhausts its bound."""
-
-
-# ---------------------------------------------------------------------------
-# Pauli strings
-# ---------------------------------------------------------------------------
-
-_LETTERS = "IXZY"  # one qubit's letter at index x | z << 1
-
-
-@dataclass(frozen=True)
-class Pauli:
-    """Unsigned n-qubit Pauli with X/Z bitmasks (bit q = qubit q); as a
-    row it is x | z << n."""
-
-    n: int
-    x: int
-    z: int
-
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
-    def commutes(self, other: Pauli) -> bool:
-        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
-
-    def __str__(self) -> str:
-        return row_str(self.x | self.z << self.n, self.n)
-
-    @classmethod
-    def from_str(cls, s: str) -> Pauli:
-        s = s.strip().removeprefix("+")
-        x = z = 0
-        for q, ch in enumerate(s):
-            i = _LETTERS.find(ch)
-            if i < 0:
-                raise TableauError(f"bad Pauli letter {ch!r}")
-            x |= (i & 1) << q
-            z |= (i >> 1) << q
-        return cls(n=len(s), x=x, z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +70,19 @@ class CliffordTableau:
     # -- inspection ----------------------------------------------------------
 
     def copy(self) -> CliffordTableau:
+        """An independent tableau with the same rows.  Kept for the
+        benchmark's tracer, which wraps it by name, until ROADMAP item 1a
+        drops the target."""
         t = CliffordTableau.__new__(CliffordTableau)
         t.n = self.n
         t.rows = self.rows.copy()
         return t
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CliffordTableau)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def row_pauli(self, i: int) -> Pauli:
-        r, n = self.rows[i], self.n
-        return Pauli(n, r & (1 << n) - 1, r >> n)
+    def row_pauli(self, i: int) -> str:
+        """Row i as text, row_str(rows[i], n).  Kept for the benchmark's
+        tracer, which wraps it by name, until ROADMAP item 1a drops the
+        target."""
+        return row_str(self.rows[i], self.n)
 
     def to_bytes(self) -> bytes:
         """Faithful fixed-convention serialization; equal bytes <=> equal
@@ -175,6 +127,8 @@ def encoder_tableau(c: Circuit, x_ancillas: Iterable[int] = ()) -> CliffordTable
 # Printed rows
 # ---------------------------------------------------------------------------
 
+_LETTERS = "IXZY"  # one qubit's letter at index x | z << 1
+
 
 def row_str(v: int, n: int) -> str:
     """Row mask x | z << n as text, e.g. '+IXYZ'; the '+' of the signed
@@ -189,77 +143,17 @@ def rows_digest(rows: Iterable[int], n: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# Stabilizer codes
-# ---------------------------------------------------------------------------
+def encoder_code(c: Circuit, k: int, x_ancillas: Iterable[int] = ()) -> list[int]:
+    """Stabilizer rows n + k onwards of encoder_tableau: the images of the
+    ancilla wires' initial stabilizers, the generators gen judges.  Kept
+    for the benchmark's tracer, which wraps it by name, until ROADMAP item
+    1a drops the target."""
+    return encoder_tableau(c, x_ancillas).rows[c.n_qubits + k:]
 
 
-@dataclass(frozen=True)
-class StabilizerCode:
-    """[[n, k]] stabilizer code given by n-k commuting independent generators."""
-
-    n: int
-    k: int
-    generators: tuple[Pauli, ...]
-
-    def __post_init__(self):
-        if not (0 <= self.k < self.n):
-            raise TableauError(f"need 0 <= k < n, got k={self.k}, n={self.n}")
-        if len(self.generators) != self.n - self.k:
-            raise TableauError(
-                f"expected {self.n - self.k} generators, got {len(self.generators)}"
-            )
-        for i, g in enumerate(self.generators):
-            if g.n != self.n:
-                raise TableauError("generator length mismatch")
-            for h in self.generators[i + 1 :]:
-                if not g.commutes(h):
-                    raise TableauError(f"generators do not commute: {g}, {h}")
-        rows = kernels.canonical_rows(g.x | g.z << self.n
-                                      for g in self.generators)
-        if len(rows) != len(self.generators):
-            raise TableauError("generators are not independent over GF(2)")
-
-
-def encoder_code(c: Circuit, k: int, x_ancillas: Iterable[int] = ()) -> StabilizerCode:
-    """Code stabilized by the circuit images of the ancilla-wire stabilizers.
-
-    Qubits 0..k-1 carry logical information; qubit j >= k starts in |0>
-    (initial stabilizer Z_j) or, if listed in x_ancillas, in |+> (initial
-    stabilizer X_j = H Z_j H).  Either way the image is stabilizer row n+j
-    of encoder_tableau, whose H prefix folds the |+> preparations in; each
-    generator is an unsigned pure-X or pure-Z row.
-    """
-    if not (0 <= k < c.n_qubits):
-        raise TableauError(f"need 0 <= k < n, got k={k}, n={c.n_qubits}")
-    xset = set(x_ancillas)
-    bad = [q for q in xset if not (k <= q < c.n_qubits)]
-    if bad:
-        raise TableauError(f"x_ancillas outside ancilla range: {sorted(bad)}")
-    t = encoder_tableau(c, xset)
-    gens = tuple(t.row_pauli(t.n + j) for j in range(k, t.n))
-    return StabilizerCode(n=c.n_qubits, k=k, generators=gens)
-
-
-def code_distance(
-    code: StabilizerCode, n_limit: int = 15, max_weight: float = math.inf
-) -> int:
-    """Minimum weight over Paulis commuting with every generator but outside
-    the generator span, by exhaustive search in increasing weight.
-
-    This is the vector-space definition of distance.  Raises
-    DistanceSearchError beyond the qubit bound or if the weight search is
-    exhausted.
-    """
-    if code.n > n_limit:
-        raise DistanceSearchError(
-            f"brute-force distance limited to n <= {n_limit}, code has n={code.n}"
-        )
-    limit = min(max_weight, code.n)
-    gens = [g.x | g.z << code.n for g in code.generators]
-    w = kernels.min_logical_weight(gens, code.n, limit)
-    if w == 0:
-        raise DistanceSearchError(
-            f"search bound exceeded: no logical operator of weight <= {limit}"
-        )
-    return w
+def code_distance(rows: list[int], n: int) -> int:
+    """kernels.min_logical_weight(rows, n, n): the distance of the code the
+    rows generate, 0 if it has no logical operator.  Kept for the
+    benchmark's tracer, which wraps it by name, until ROADMAP item 1a
+    drops the target."""
+    return kernels.min_logical_weight(rows, n, n)

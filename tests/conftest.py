@@ -10,7 +10,7 @@ import pytest
 from gadgetminer import kernels
 from gadgetminer.circuit import Circuit
 from gadgetminer.graph import CircuitGraph, GraphEdge, GraphError, GraphNode
-from gadgetminer.tableau import Pauli, StabilizerCode, encoder_tableau
+from gadgetminer.tableau import encoder_tableau
 
 # three qubits, six CNOTs: every consecutive pair forms a back-to-back block
 REF_3Q6_PAIRS = ((0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2))
@@ -19,11 +19,18 @@ STEANE_PAIRS = ((0, 1), (0, 2), (6, 0), (6, 1), (6, 3),
                 (5, 0), (5, 2), (5, 3), (4, 1), (4, 2), (4, 3))
 STEANE_X_ANCILLAS = (4, 5, 6)
 
-# the [[5,1,3]] code: XZZXI and its cyclic shifts as rows x | z << 5
-# (bit q is X on qubit q, bit q + 5 Z on it)
-FIVE_QUBIT_ROWS = tuple(
-    sum((ch in "XY") << q | (ch in "ZY") << q + 5 for q, ch in enumerate(word))
-    for word in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"))
+
+def pauli_row(word: str) -> int:
+    """Row x | z << n of a word such as 'XZZXI' (bit q is X on qubit q,
+    bit q + n Z on it); a leading '+' is skipped."""
+    word = word.removeprefix("+")
+    n = len(word)
+    return sum((ch in "XY") << q | (ch in "ZY") << q + n
+               for q, ch in enumerate(word))
+
+
+# the [[5,1,3]] code: XZZXI and its cyclic shifts
+FIVE_QUBIT_ROWS = tuple(map(pauli_row, ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")))
 
 
 @pytest.fixture
@@ -34,12 +41,6 @@ def ref_circuit() -> Circuit:
 @pytest.fixture
 def steane_circuit() -> Circuit:
     return Circuit.from_pairs(7, STEANE_PAIRS, name="steane")
-
-
-@pytest.fixture
-def five_qubit_code() -> StabilizerCode:
-    gens = tuple(Pauli(5, v & 31, v >> 5) for v in FIVE_QUBIT_ROWS)
-    return StabilizerCode(5, 1, gens)
 
 
 def random_circuit(rng: random.Random, n_qubits: int, n_gates: int,

@@ -569,6 +569,17 @@ def test_save_rejects_path_names(tmp_path, bad):
     assert not (tmp_path / "corpus").exists()
 
 
+def test_save_rejects_duplicate_names(tmp_path):
+    # two entries named a would share a.txt, and the manifest's second
+    # digest would not match the file load_corpus reads
+    entries = [CorpusEntry(name="a", circuit=Circuit.from_pairs(2, pairs),
+                           origin="ingested") for pairs in ([(0, 1)], [(1, 0)])]
+    out = tmp_path / "corpus" / "out"
+    with pytest.raises(CorpusError, match="'a': two entries share this name"):
+        save_corpus(Corpus(entries=entries), out)
+    assert not (tmp_path / "corpus").exists()
+
+
 def _config_without(key):
     cfg = GeneratorConfig(n=7, k=1, target_d=3,
                           connectivity=connectivity_pairs("all", 7))
@@ -631,6 +642,9 @@ def test_load_rejects_bad_format(tmp_path):
          r"'steane': x_ancillas \[4, 4, 5, 6\] repeat a qubit"),
         (lambda m: m["entries"][0].update(distance=99),
          r"'steane': distance 99 outside 1\.\.7"),
+        # no logical qubit, so no distance; gen writes null there
+        (lambda m: m["entries"][0].update(k=0),
+         r"'steane': k=0 has no distance, got 3"),
         (entry_file(str(outside)), plain),
         (entry_file("../outside/steane.txt"), plain),
         (entry_file("sub/x.txt"), plain),
