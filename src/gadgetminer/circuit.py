@@ -168,8 +168,8 @@ def serialize_circuit_json(c: Circuit) -> str:
 def load_circuit(path: str | Path) -> Circuit:
     """Load a UTF-8 circuit file, dispatching on the .json extension.  A
     file that does not decode or parse raises CircuitParseError with the
-    path prefixed: this is the one place a read error gets its file name
-    (an OSError names the file itself)."""
+    path prefixed, as load_corpus and connectivity_pairs prefix theirs (an
+    OSError names the file itself)."""
     path = Path(path)
     parse = (parse_circuit_json if path.suffix.lower() == ".json"
              else parse_circuit)

@@ -243,13 +243,13 @@ def cmd_mine(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    pairs = connectivity_pairs(args.connectivity, args.n,
-                               path=args.connectivity_file)
     cfg = GeneratorConfig(
         n=args.n,
         k=args.k,
         target_d=args.d,
-        connectivity=pairs,
+        # built only for a request that passes the cheaper checks
+        connectivity=lambda n: connectivity_pairs(
+            args.connectivity, n, path=args.connectivity_file),
         connectivity_name=args.connectivity,
         max_gates=args.max_gates,
         attempts=args.attempts,

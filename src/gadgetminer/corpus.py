@@ -35,6 +35,8 @@ from .tableau import encoder_tableau, rows_digest
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
 CIRCUIT_SUFFIXES = (".txt", ".json")
+# generation checks distances by brute force, so it takes this many qubits
+MAX_GEN_QUBITS = 15
 
 
 class CorpusError(ValueError):
@@ -92,22 +94,6 @@ def connectivity_pairs(kind: str, n: int,
     return tuple(sorted(set(pairs)))
 
 
-def _pairs_connected(pairs, n: int) -> bool:
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return n <= 1 or len({find(i) for i in range(n)}) == 1
-
-
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
@@ -115,6 +101,10 @@ def _pairs_connected(pairs, n: int) -> bool:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """One generation request, checked on construction, cheap checks
+    first.  connectivity may be given as a function of n, called once n
+    is within MAX_GEN_QUBITS, so an oversized request builds no pairs."""
+
     n: int
     k: int
     target_d: int
@@ -132,6 +122,9 @@ class GeneratorConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise CorpusError(f"{name} must be an integer, got {value!r}")
+        if self.n > MAX_GEN_QUBITS:
+            raise CorpusError("generation needs brute-force distance checks, "
+                              f"n={self.n} > {MAX_GEN_QUBITS}")
         if not 0 <= self.k < self.n:
             raise CorpusError(f"need 0 <= k < n, got k={self.k} n={self.n}")
         if self.target_d < 1:
@@ -145,11 +138,20 @@ class GeneratorConfig:
             raise CorpusError("max_gates, attempts and count must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise CorpusError("seed must fit in 64 bits")
+        if callable(self.connectivity):
+            object.__setattr__(self, "connectivity", self.connectivity(self.n))
         for a, b in self.connectivity:
             if (type(a) is not int or type(b) is not int or a == b
                     or not (0 <= a < self.n and 0 <= b < self.n)):
                 raise CorpusError(f"bad connectivity pair ({a}, {b})")
-        if self.n > 1 and not _pairs_connected(self.connectivity, self.n):
+        # sweep the distinct pairs until none reaches a new qubit
+        pairs = set(self.connectivity)
+        reached, size = {0}, 0
+        while len(reached) > size:
+            size = len(reached)
+            reached = reached.union(*(p for p in pairs
+                                      if not reached.isdisjoint(p)))
+        if len(reached) < self.n:
             raise CorpusError("connectivity does not connect all qubits")
 
     def to_json_dict(self) -> dict:
@@ -406,9 +408,6 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
     exact distance, and the dedup digest.  A k = 0 code runs no walk: its
     n independent commuting generators span every Pauli that commutes with
     them, so it has no logical and no distance."""
-    if cfg.n > 15:
-        raise CorpusError(
-            f"generation needs brute-force distance checks, n={cfg.n} > 15")
     directed = []
     for a, b in cfg.connectivity:
         directed.append((a, b))

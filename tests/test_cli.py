@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from gadgetminer.canon import (
     group_candidates,
     identify_gadgets,
 )
-from gadgetminer import canon, cli
+from gadgetminer import canon, cli, mining
 from gadgetminer import corpus as corpus_module
 from gadgetminer.catalog import all_gadgets
 from gadgetminer.cli import main
@@ -191,21 +192,34 @@ def test_mine_max_candidates_bounds_work(tmp_path):
             assert manifest["subsets_examined"] == uncapped["subsets_examined"]
 
 
-def test_mine_time_budget_covers_whole_run(tmp_path):
+def _gaining_clock(monkeypatch, step: float) -> None:
+    """Mining reads time.monotonic() plus step for each earlier reading, so
+    a walk spends a budget after a fixed number of readings on any host;
+    cmd_mine's start and grouping keep the real clock."""
+    readings = itertools.count()
+    monkeypatch.setattr(mining, "monotonic",
+                        lambda: time.monotonic() + step * next(readings))
+
+
+def test_mine_time_budget_covers_whole_run(tmp_path, monkeypatch):
+    """One deadline bounds the whole run, not each circuit.  Each circuit
+    has thousands of sets at C_g = 6 and the walk reads the clock every
+    DEADLINE_STRIDE sets, so the first circuit's sixth reading spends the
+    0.5 s budget and the five circuits after it are skipped."""
     inputs = tmp_path / "in"
     inputs.mkdir()
     rng = random.Random(5)
-    # about a third of a second each at C_g = 6, so the full run takes
-    # about two seconds and outlasts the budget
     for i in range(6):
-        save_circuit(random_circuit(rng, 6, 600), inputs / f"c{i}.txt")
+        save_circuit(random_circuit(rng, 6, 60), inputs / f"c{i}.txt")
+    _gaining_clock(monkeypatch, 0.1)
     started = time.monotonic()
     rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 6,
                   "--time-budget", 0.5, "--output", tmp_path / "out"])
     elapsed = time.monotonic() - started
     assert rc == 2
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["circuits_skipped"] > 0
+    assert manifest["circuits_skipped"] == 5
+    assert 0 < manifest["subsets_examined"] <= 5 * mining.DEADLINE_STRIDE
     assert manifest["truncation_reasons"] == ["time_budget"]
     assert elapsed < 0.5 + 2.0
 
@@ -233,17 +247,17 @@ def test_mine_chunked_pool_matches_one_job(tmp_path):
             _mine_manifest(tmp_path / f"j{jobs}")
 
 
-def test_mine_time_budget_with_chunked_pool(tmp_path):
+def test_mine_time_budget_with_chunked_pool(tmp_path, monkeypatch):
     """Each circuit a worker mines still checks the deadline: 16 circuits
-    go to 2 forked workers, and the ones starting after the budget are
-    skipped."""
+    go to 2 forked workers, each worker's first circuit spends the 0.3 s
+    budget at its fourth clock reading, and the 14 circuits after them
+    are skipped."""
     inputs = tmp_path / "in"
     inputs.mkdir()
     rng = random.Random(6)
-    # about a third of a second each at C_g = 6, so the full run takes
-    # about two and a half seconds on 2 workers and outlasts the budget
     for i in range(16):
-        save_circuit(random_circuit(rng, 6, 600), inputs / f"c{i:02d}.txt")
+        save_circuit(random_circuit(rng, 6, 60), inputs / f"c{i:02d}.txt")
+    _gaining_clock(monkeypatch, 0.1)
     started = time.monotonic()
     rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 6,
                   "--time-budget", 0.3, "--jobs", 2,
@@ -251,7 +265,7 @@ def test_mine_time_budget_with_chunked_pool(tmp_path):
     elapsed = time.monotonic() - started
     assert rc == 2
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["circuits_skipped"] > 0
+    assert manifest["circuits_skipped"] == 14
     assert manifest["truncation_reasons"] == ["time_budget"]
     assert elapsed < 0.3 + 2.0
 
@@ -837,6 +851,23 @@ def test_gen_connectivity_file_needs_file_kind(tmp_path, capsys):
                   "--connectivity-file", conn, "--output", tmp_path / "c"])
     assert rc == 1
     assert "kind 'file', not 'nn'" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_gen_refuses_too_many_qubits_before_building_pairs(
+        tmp_path, capsys, monkeypatch):
+    """All-to-all pairs on 3,000 qubits are 4.5 M; the bound refuses the
+    request before any are built."""
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("connectivity_pairs was called")
+
+    monkeypatch.setattr(cli, "connectivity_pairs", no_pairs)
+    rc = run_cli(["gen", "--n", 3000, "--k", 1, "--d", 3,
+                  "--output", tmp_path / "c"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: generation needs brute-force distance checks, "
+        "n=3000 > 15\n")
     assert not (tmp_path / "c").exists()
 
 

@@ -103,8 +103,12 @@ def test_generator_config_validation():
     with pytest.raises(CorpusError):
         GeneratorConfig(n=4, k=1, target_d=2, connectivity=conn,
                         method="anneal")
-    with pytest.raises(CorpusError):
-        GeneratorConfig(n=4, k=1, target_d=2, connectivity=((0, 1),))
+    # a path from qubit 0 with one pair repeated, and disconnected pairs
+    GeneratorConfig(n=4, k=1, target_d=2,
+                    connectivity=((2, 3), (1, 2), (1, 2), (0, 1)))
+    for pairs in (((0, 1),), ((0, 1), (2, 3)), ((1, 2), (2, 3), (1, 3))):
+        with pytest.raises(CorpusError, match="does not connect all qubits"):
+            GeneratorConfig(n=4, k=1, target_d=2, connectivity=pairs)
     with pytest.raises(CorpusError):
         GeneratorConfig(n=4, k=1, target_d=2, connectivity=conn, seed=-1)
 
@@ -465,10 +469,15 @@ def test_generate_k0_runs_no_walk(monkeypatch):
 
 
 def test_generate_n_bound():
-    with pytest.raises(CorpusError):
-        generate_encoders(GeneratorConfig(
-            n=16, k=1, target_d=2,
-            connectivity=connectivity_pairs("all", 16)))
+    GeneratorConfig(n=15, k=1, target_d=2,
+                    connectivity=connectivity_pairs("all", 15))
+    with pytest.raises(CorpusError, match=r"^generation needs brute-force "
+                       r"distance checks, n=16 > 15$"):
+        GeneratorConfig(n=16, k=1, target_d=2,
+                        connectivity=connectivity_pairs("all", 16))
+    # the bound is checked before any pair is read
+    with pytest.raises(CorpusError, match=r"n=16 > 15"):
+        GeneratorConfig(n=16, k=1, target_d=2, connectivity=((0, 16),))
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +627,9 @@ def test_load_rejects_bad_format(tmp_path):
         (config_with(seed="7"), None),
         (config_with(seed=7.5), "seed must be an integer"),
         (config_with(count=True), "count must be an integer"),
+        # gen never writes this: the bound comes before the pairs
+        (config_with(n=16), "bad config: generation needs brute-force "
+         r"distance checks, n=16 > 15"),
         (config_with(connectivity_name=5),
          "connectivity_name must be a string, got 5"),
         (config_with(connectivity=[[0, 1.0], [1, 2], [2, 3], [3, 4], [4, 5],
