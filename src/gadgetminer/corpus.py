@@ -15,6 +15,11 @@ and seed, and FORMAT_VERSION, which mine manifests carry too.
 read_inputs reads the inputs of mine and stats, and check_output holds
 the rule for every output directory.
 
+The hill climb carries a syndrome table (kernels.syndrome_table) and
+its listed logicals as bit slices across its moves, scores every move
+in one packed pass, and judges its proposal from the profile of its
+last move; only a proposal that passes gets an encoder tableau.
+
 All generator randomness flows through random.Random (Mersenne Twister)
 seeded with the config's 64-bit seed, so corpora are reproducible
 byte-for-byte.
@@ -24,8 +29,11 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 from . import kernels
@@ -300,11 +308,15 @@ def _canonical_generators(t, k: int) -> list[int]:
     return kernels.canonical_rows(t.rows[t.n + k:])
 
 
-def _list_logicals(sl: list[int], ws: list[int], w: int, logicals) -> None:
+# the bit count of each byte value
+_POPCOUNT = bytes(i.bit_count() for i in range(256))
+
+
+def _list_logicals(sl: list[int], ws: list[int], w: int, logicals) -> int:
     """Give each weight-w logical a bit no listed logical holds and set it
     in ws[w] and, per letter, in sl: bit i of sl[q] (X on qubit q, Z at
     q + n, as in the logical's row) and of ws[w] says that listed logical
-    i has that letter or weight w."""
+    i has that letter or weight w.  Returns the listed logicals' bits."""
     live = 0
     for m in ws:
         live |= m
@@ -316,84 +328,198 @@ def _list_logicals(sl: list[int], ws: list[int], w: int, logicals) -> None:
             low = v & -v
             sl[low.bit_length() - 1] |= bit
             v ^= low
+    return live
 
 
-def _move_scores(sl: list[int], ws: list[int], n: int, directed):
+def _compact(sl: list[int], ws: list[int], live: int) -> None:
+    """Close the gaps that dropped logicals leave in the listing, whose
+    bits are live, once those fill less than about half their span:
+    every slice keeps the live bits only, in order, so the packed lanes
+    stay short."""
+    span = live.bit_length()
+    if span < 2 * live.bit_count() + 64:
+        return
+    pick = itemgetter(*[i for i, c in enumerate(format(live, "b")[::-1])
+                        if c == "1"])
+
+    def gather(x: int) -> int:
+        return int("".join(pick(format(x, f"0{span}b")[::-1]))[::-1], 2)
+
+    sl[:] = map(gather, sl)
+    ws[:] = map(gather, ws)
+
+
+def _flips(xa: int, za: int, xb: int, zb: int) -> tuple[int, int]:
+    """The up and down masks of CNOT a -> b, the listed logicals whose
+    weight it raises or lowers by one, from the slices X_a, Z_a, X_b and
+    Z_b; or of many moves at once, from those slices packed in lanes.
+    On {a, b} a logical's weight stays 1 or 2 and changes where it flips:
+    X on a spreads to b, Z on b spreads to a."""
+    was = (xa | za) & (xb | zb)
+    now = (xa | za ^ zb) & (xb ^ xa | zb)
+    both = was & now
+    return now ^ both, was ^ both
+
+
+def _moved(lo: int, mid: int, hi: int, up: int, down: int) -> int:
+    """The weight-w mask after a move with up and down masks, from
+    ws[w - 1], ws[w] and ws[w + 1]: a CNOT changes a logical's weight by
+    at most one.  The three parts are disjoint, and no operand is
+    negative, which Python's big integers handle more slowly."""
+    return mid ^ mid & (up | down) | lo & up | hi & down
+
+
+def _repeat(x: int, step: int, count: int) -> int:
+    """The sum of x << step * j for j < count, by doubling: about
+    2 log2(count) shifts and additions."""
+    total, done, piece, size = 0, 0, x, 1
+    while True:
+        if count & size:
+            total += piece << step * done
+            done += size
+        if 2 * size > count:
+            return total
+        piece += piece << step * size
+        size *= 2
+
+
+def _lane_counts(x: int, words: int, lanes: int) -> bytes | list[int]:
+    """The bit count of each lane of x, lowest first, where x holds lanes
+    lanes of words 64-bit words: bit counts per byte by table, then per
+    word from one multiplication (a word's bytes sum into its top byte),
+    then per lane in 32-bit fields, where _repeat sums each lane's words
+    into its last.  No field overflows, so counts stay exact however wide
+    the lanes are."""
+    size = 8 * words * lanes
+    per_word = (int.from_bytes(x.to_bytes(size, "little").translate(_POPCOUNT),
+                               "little")
+                * 0x0101010101010101).to_bytes(size + 8, "little")[7:size:8]
+    if words == 1:
+        return per_word
+    fields = bytearray(4 * len(per_word))
+    fields[::4] = per_word
+    sums = array("I", _repeat(int.from_bytes(fields, "little"), 32, words)
+                 .to_bytes(len(fields) + 4 * words, "little"))
+    if sys.byteorder == "big":
+        sums.byteswap()
+    return sums[words - 1:words * lanes:words].tolist()
+
+
+def _lane_columns(directed, n: int) -> list[itemgetter]:
+    """Per slice _flips reads, X_a, Z_a, X_b and Z_b, the getter of its
+    column of each move in directed, which holds at least two moves (a
+    connected pair set gives both directions of a pair)."""
+    return [itemgetter(*[a for a, _ in directed]),
+            itemgetter(*[a + n for a, _ in directed]),
+            itemgetter(*[b for _, b in directed]),
+            itemgetter(*[b + n for _, b in directed])]
+
+
+def _move_scores(sl: list[int], ws: list[int], columns) -> list[tuple]:
     """Violation profile (counts of undetected nontrivial Paulis at each
-    weight below the bound) after each move in directed, from the listed
-    logicals of weight up to the bound len(ws) - 1; and per move its up
-    and down masks, the listed logicals whose weight it raises or lowers
-    by one.
+    weight below the bound) after each move, from the listed logicals of
+    weight up to the bound len(ws) - 1 and the moves' _lane_columns.
 
-    A CNOT a -> b conjugates the code, and on {a, b} a logical's weight
-    stays 1 or 2 and changes where it flips: X on a spreads to b, Z on b
-    spreads to a."""
-    ups, downs = [], []
-    for a, b in directed:
-        xa, za, xb, zb = sl[a], sl[a + n], sl[b], sl[b + n]
-        was = (xa | za) & (xb | zb)
-        now = (xa | za ^ zb) & (xb ^ xa | zb)
-        ups.append(now & ~was)
-        downs.append(was & ~now)
-    # one column of counts per weight w, from ws[w - 1], ws[w], ws[w + 1]
-    cols = [[(mid & ~(up | down) | lo & up | hi & down).bit_count()
-             for up, down in zip(ups, downs)]
-            for lo, mid, hi in zip(ws, ws[1:], ws[2:])]
-    return list(zip(*cols)) or [()] * len(directed), ups, downs
+    Each column is packed with one lane per move, filled by joining
+    bytes, so one _flips and one _moved per weight score every move at
+    once, and _lane_counts reads off the counts."""
+    live = 0
+    for m in ws:
+        live |= m
+    words = max(1, -(-live.bit_length() // 64))
+    cols = [s.to_bytes(8 * words, "little") for s in sl]
+    packed = [column(cols) for column in columns]
+    lanes = len(packed[0])
+    up, down = _flips(*[int.from_bytes(b"".join(c), "little")
+                        for c in packed])
+    # no logical has weight 0
+    wide = [0] + [int.from_bytes(m.to_bytes(8 * words, "little") * lanes,
+                                 "little") for m in ws[1:]]
+    counts = [_lane_counts(_moved(lo, mid, hi, up, down), words, lanes)
+              for lo, mid, hi in zip(wide, wide[1:], wide[2:])]
+    return list(zip(*counts)) or [()] * lanes
 
 
-def _apply_move(gens: list[int], sl: list[int], ws: list[int], n: int,
-                a: int, b: int, up: int, down: int) -> None:
-    """Carry the generators and the listed logicals in sl and ws across the
-    move a -> b in place, given the move's up and down masks from
-    _move_scores: the generators and logicals are conjugated, the
-    logicals the move lifts past the bound are dropped, and those it
-    brings down into the bound are listed."""
+def _apply_move(t: list[int], m: int, sl: list[int], ws: list[int], n: int,
+                a: int, b: int) -> None:
+    """Carry the syndrome table t (generators on its m low bits) and the
+    listed logicals in sl and ws across the move a -> b in place: the
+    table and the logicals are conjugated, the logicals the move lifts
+    past the bound are dropped, and those it brings down into the bound
+    are listed."""
     top = len(ws) - 1
-    same = ~(up | down)
+    up, down = _flips(sl[a], sl[a + n], sl[b], sl[b + n])
     gone = ws[top] & up
     sl[b] ^= sl[a]
     sl[a + n] ^= sl[b + n]
-    ws[1:] = [mid & same | lo & up | hi & down
+    ws[1:] = [_moved(lo, mid, hi, up, down)
               for lo, mid, hi in zip(ws, ws[1:], ws[2:] + [0])]
     if gone:
-        keep = ~gone
-        sl[:] = [s & keep for s in sl]
-    kernels.cnot_rows(gens, n, a, b)
-    _list_logicals(sl, ws, top, kernels.logicals_entering(gens, n, top, a, b))
+        sl[:] = [s ^ s & gone for s in sl]
+    t[a] ^= t[b]
+    t[b + n] ^= t[a + n]
+    live = _list_logicals(sl, ws, top,
+                          kernels.logicals_entering(t, m, n, top, a, b))
+    if gone:
+        _compact(sl, ws, live)
 
 
-def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed, x_set):
-    """Greedy gate appension scored by the violation profile, with a random
-    kick on plateaus.  Stops as soon as the profile is clean.  The climb
-    starts from the generators the empty circuit prepares, X_q for a |+>
-    ancilla q and Z_q for the others; one walk lists the logicals up to
-    target_d, and each move carries the generators and the list on.
-    A k = 0 code has no logicals, so its profile is clean at the start."""
-    if not cfg.k:
-        return []
-    n, d = cfg.n, cfg.target_d
-    gens = [1 << q if q in x_set else 1 << q + n for q in range(cfg.k, n)]
-    sl = [0] * (2 * n)
-    ws = [0] * (d + 1)
-    for w, found in enumerate(kernels.logicals_by_weight(gens, n, d), 1):
+def _climb_start(n: int, k: int, d: int):
+    """The syndrome table, slices and weight masks of the rows the empty
+    circuit prepares with every ancilla in |0>: generators Z_q for
+    q >= k, then logical representatives X_i and Z_i for i < k, with the
+    logicals up to weight d listed by one walk."""
+    rows = [1 << q + n for q in range(k, n)]
+    rows += [1 << i for i in range(k)] + [1 << i + n for i in range(k)]
+    t = kernels.syndrome_table(rows, n)
+    sl, ws = [0] * (2 * n), [0] * (d + 1)
+    for w, found in enumerate(kernels.walk_logicals(t, n - k, n, d), 1):
         _list_logicals(sl, ws, w, found)
+    return t, sl, ws
+
+
+def _propose_hillclimb(sub: random.Random, cfg: GeneratorConfig, directed,
+                       x_set, start) -> tuple[list[tuple[int, int]],
+                                              int | None]:
+    """Greedy gate appension scored by the violation profile, with a random
+    kick on plateaus; the gates and the distance of the code they prepare.
+
+    The climb stops as soon as the profile is clean.  It starts from
+    _climb_start's listing for cfg: H on a |+> ancilla q swaps X and Z
+    there, so it swaps the table's and the slices' entries q and q + n
+    and keeps every weight.  Each move but the last carries the table
+    and the list on; the last move's profile judges the proposal, as
+    its least weight with a logical is the code's distance.  A k = 0
+    code has no logicals, so its profile is clean at the start, and no
+    distance."""
+    if not cfg.k:
+        return [], None
+    n, m, d = cfg.n, cfg.n - cfg.k, cfg.target_d
+    t, sl, ws = (list(x) for x in start)
+    for q in x_set:
+        t[q], t[q + n] = t[q + n], t[q]
+        sl[q], sl[q + n] = sl[q + n], sl[q]
+    columns = _lane_columns(directed, n)
     gates: list[tuple[int, int]] = []
     target = (0,) * (d - 1)
-    cur = tuple(m.bit_count() for m in ws[1:d])
+    cur = tuple(s.bit_count() for s in ws[1:d])
     while cur != target and len(gates) < cfg.max_gates:
-        scores, ups, downs = _move_scores(sl, ws, n, directed)
+        if gates:
+            _apply_move(t, m, sl, ws, n, *gates[-1])
+        scores = _move_scores(sl, ws, columns)
         best = min(scores)
         if best < cur:
-            ties = [i for i, s in enumerate(scores) if s == best]
-            i = ties[sub.randrange(len(ties))]
+            # the tie drawn, found by its rank among the best moves
+            i = -1
+            for _ in range(sub.randrange(scores.count(best)) + 1):
+                i = scores.index(best, i + 1)
         else:
             i = sub.randrange(len(directed))
-        a, b = directed[i]
-        _apply_move(gens, sl, ws, n, a, b, ups[i], downs[i])
-        gates.append((a, b))
+        gates.append(directed[i])
         cur = scores[i]
-    return gates
+    # a clean profile means distance d: the last move raised the last
+    # logicals below d to d, or d is 1 and X_0 has weight 1
+    return gates, next((w for w, c in enumerate(cur, 1) if c), d)
 
 
 def generate_encoders(cfg: GeneratorConfig) -> Corpus:
@@ -403,11 +529,13 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
     Each attempt draws its own |+>-ancilla subset and gate randomness from
     a per-attempt stream split off the seed, proposes max_gates random
     directed pairs or a hill climb's circuit, and keeps the circuit iff no
-    logical operator of weight < target_d exists.  One encoder tableau per
-    attempt gives the generators, whose single logical walk finds the
-    exact distance, and the dedup digest.  A k = 0 code runs no walk: its
-    n independent commuting generators span every Pauli that commutes with
-    them, so it has no logical and no distance."""
+    logical operator of weight < target_d exists.  A hill climb judges its
+    own proposal, and only a proposal that passes gets an encoder tableau,
+    for its dedup digest.  A random proposal gets its tableau first, whose
+    generators' single logical walk finds the exact distance.  A k = 0
+    code runs no walk: its n independent commuting generators span every
+    Pauli that commutes with them, so it has no logical and no
+    distance."""
     directed = []
     for a, b in cfg.connectivity:
         directed.append((a, b))
@@ -417,12 +545,15 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
     corpus = Corpus(config=cfg)
     seen: set[str] = set()
     ancillas = list(range(cfg.k, cfg.n))
+    start = (_climb_start(cfg.n, cfg.k, cfg.target_d)
+             if cfg.method == "hillclimb" and cfg.k else None)
     best_distance = 0
     for attempt in range(cfg.attempts):
         sub = random.Random(rng.getrandbits(63))
         x_set = frozenset(q for q in ancillas if sub.random() < 0.5)
         if cfg.method == "hillclimb":
-            gates = _propose_hillclimb(sub, cfg, directed, x_set)
+            gates, distance = _propose_hillclimb(sub, cfg, directed, x_set,
+                                                 start)
         else:
             # one qubit has no pair: the empty circuit, as the hill
             # climb proposes
@@ -430,15 +561,16 @@ def generate_encoders(cfg: GeneratorConfig) -> Corpus:
                      for _ in range(cfg.max_gates if directed else 0)]
         circuit = Circuit.from_pairs(
             cfg.n, gates, name=encoder_name(len(corpus.entries)))
-        t = encoder_tableau(circuit, x_set)
-        distance = None
-        if cfg.k:
+        t = None
+        if cfg.method == "random":
+            t = encoder_tableau(circuit, x_set)
             distance = kernels.min_logical_weight(
-                t.rows[cfg.n + cfg.k:], cfg.n, cfg.n)
+                t.rows[cfg.n + cfg.k:], cfg.n, cfg.n) if cfg.k else None
+        if distance is not None:
             best_distance = max(best_distance, distance)
             if distance < cfg.target_d:
                 continue
-        digest = t.digest()
+        digest = (t or encoder_tableau(circuit, x_set)).digest()
         if digest in seen:
             continue
         seen.add(digest)

@@ -26,6 +26,8 @@ from gadgetminer.corpus import (
     read_inputs,
     save_corpus,
     _apply_move,
+    _climb_start,
+    _lane_columns,
     _list_logicals,
     _move_scores,
     _propose_hillclimb,
@@ -321,6 +323,28 @@ def test_generate_random_method():
         assert e.distance >= 2
 
 
+def _product_start(n: int, k: int, d: int, x_set=frozenset()):
+    """The climb's start: rows of the empty circuit (generators, then the
+    logical representatives X_i and Z_i for i < k), their syndrome table
+    and the listed logicals up to weight d."""
+    rows = [1 << q if q in x_set else 1 << q + n for q in range(k, n)]
+    rows += [1 << i for i in range(k)] + [1 << i + n for i in range(k)]
+    t, m = kernels.syndrome_table(rows, n), n - k
+    sl, ws = logical_slices(kernels.walk_logicals(t, m, n, d), n)
+    return rows, t, m, sl, ws
+
+
+def _assert_scores_match_profiles(gens, n, d, sl, ws) -> list[tuple]:
+    # every ordered pair is a move
+    directed = [(a, b) for a in range(n) for b in range(n) if a != b]
+    scores = _move_scores(sl, ws, _lane_columns(directed, n))
+    assert len(scores) == len(directed)
+    for (a, b), score in zip(directed, scores):
+        assert list(score) == kernels.pauli_weight_profile(
+            cnot_moved(gens, n, a, b), n, d - 1)
+    return scores
+
+
 def test_move_scores_match_moved_profiles():
     # every ordered pair on random generator sets
     rng = random.Random(99)
@@ -328,52 +352,86 @@ def test_move_scores_match_moved_profiles():
         n = rng.randrange(2, 9)
         d = rng.randrange(1, 6)
         gens = random_generator_set(rng, n)
-        directed = [(a, b) for a in range(n) for b in range(n) if a != b]
         sl, ws = logical_slices(kernels.logicals_by_weight(gens, n, d), n)
-        scores, ups, downs = _move_scores(sl, ws, n, directed)
-        assert len(scores) == len(ups) == len(downs) == len(directed)
-        for (a, b), score in zip(directed, scores):
-            assert list(score) == kernels.pauli_weight_profile(
-                cnot_moved(gens, n, a, b), n, d - 1)
+        scores = _assert_scores_match_profiles(gens, n, d, sl, ws)
         # the brute-force oracle on one move per set, where it is cheap
         if n <= 6:
+            directed = [(a, b) for a in range(n) for b in range(n) if a != b]
             i = rng.randrange(len(directed))
             moved = cnot_moved(gens, n, *directed[i])
             assert list(scores[i]) == [
                 len(found) for found in reference.logicals(moved, n, d - 1)]
 
 
+def test_move_scores_on_wide_and_compacted_listings(monkeypatch):
+    # a 12-qubit product start listed to weight 5: its 495 weight-4
+    # logicals put lane counts above 255, over lanes of 27 words
+    n, k = 12, 1
+    rows, _, m, sl, ws = _product_start(n, k, 5)
+    scores = _assert_scores_match_profiles(rows[:m], n, 5, sl, ws)
+    assert max(max(s) for s in scores) > 255
+    # the [[12,1,4]] climb, greedily, until dropped logicals leave the
+    # live bits sparse and _compact closes the gaps
+    compacted = []
+    compact = corpus_module._compact
+
+    def spied(sl, ws, live):
+        compact(sl, ws, live)
+        compacted.append(max(w.bit_length() for w in ws) < live.bit_length())
+
+    monkeypatch.setattr(corpus_module, "_compact", spied)
+    rows, t, m, sl, ws = _product_start(n, k, 4, frozenset({3, 5, 8}))
+    directed = sorted((a, b) for a in range(n) for b in range(n) if a != b)
+    columns = _lane_columns(directed, n)
+    for _ in range(25):
+        scores = _move_scores(sl, ws, columns)
+        a, b = directed[scores.index(min(scores))]
+        _apply_move(t, m, sl, ws, n, a, b)
+        rows = cnot_moved(rows, n, a, b)
+        if any(compacted):
+            break
+    assert compacted[-1]
+    live = 0
+    for w in ws:
+        live |= w
+    assert live == (1 << live.bit_count()) - 1
+    _assert_scores_match_profiles(rows[:m], n, 4, sl, ws)
+
+
 def test_carried_logicals_match_fresh_walks():
-    # after every move of a random sequence, the slices hold exactly the
-    # moved generators' logicals up to the bound, weight by weight, and no
-    # bit of a dropped logical is left behind for a new one to inherit
+    # after every move of a random sequence, the table is the moved rows'
+    # and the slices hold exactly the moved generators' logicals up to
+    # the bound, weight by weight, with no bit of a dropped logical left
+    # behind for a new one to inherit
     rng = random.Random(17)
     for _ in range(40):
         n = rng.randrange(2, 8)
         d = rng.randrange(1, 6)
         gens = random_generator_set(rng, n)
+        rows = gens + kernels.commutant(gens, n)
+        t, m = kernels.syndrome_table(rows, n), len(gens)
         sl, ws = [0] * (2 * n), [0] * (d + 1)
-        for w, found in enumerate(kernels.logicals_by_weight(gens, n, d), 1):
+        for w, found in enumerate(kernels.walk_logicals(t, m, n, d), 1):
             _list_logicals(sl, ws, w, found)
         for _ in range(6):
             a, b = rng.sample(range(n), 2)
-            _, (up,), (down,) = _move_scores(sl, ws, n, [(a, b)])
-            moved = cnot_moved(gens, n, a, b)
-            _apply_move(gens, sl, ws, n, a, b, up, down)
-            assert gens == moved
+            _apply_move(t, m, sl, ws, n, a, b)
+            rows = cnot_moved(rows, n, a, b)
+            assert t == kernels.syndrome_table(rows, n)
             assert slice_logicals(sl, ws, n) == [
                 sorted(found)
-                for found in kernels.logicals_by_weight(gens, n, d)]
+                for found in kernels.logicals_by_weight(rows[:m], n, d)]
             live = 0
-            for m in ws:
-                live |= m
+            for w in ws:
+                live |= w
             assert all(s & ~live == 0 for s in sl)
 
 
 def test_hillclimb_matches_reference_climb():
     # the carried slices pick the same gates as the climb that walks afresh
-    # at every step, on every n, k and d (d > n included); long climbs at
-    # d >= 4 are cut short, where each fresh walk is dear
+    # at every step, on every n, k and d (d > n included), and the final
+    # listing gives the distance of the code the gates prepare; long
+    # climbs at d >= 4 are cut short, where each fresh walk is dear
     rng = random.Random(23)
     kinds = ("all", "nn", "nnn")
     for n in range(1, 10):
@@ -385,35 +443,51 @@ def test_hillclimb_matches_reference_climb():
                                       max_gates=25 if d <= 3 else 4)
                 x_set = frozenset(q for q in range(k, n) if rng.random() < 0.5)
                 seed = rng.getrandbits(32)
-                assert _propose_hillclimb(random.Random(seed), cfg, directed,
-                                          x_set) == reference_hillclimb(
+                start = _climb_start(n, k, d) if k else None
+                gates, distance = _propose_hillclimb(
+                    random.Random(seed), cfg, directed, x_set, start)
+                assert gates == reference_hillclimb(
                     random.Random(seed), cfg, directed, x_set)
+                rows = encoder_tableau(Circuit.from_pairs(n, gates),
+                                       x_set).rows[n + k:]
+                assert distance == (kernels.min_logical_weight(rows, n, n)
+                                    if k else None)
 
 
-def test_hillclimb_lists_logicals_once_per_proposal(monkeypatch):
-    # a structural guard in place of a timing: one full walk seeds the
-    # carried logicals, and no step walks or profiles afresh
-    calls = {"walk": 0, "profile": 0}
+def test_hillclimb_work_counts(monkeypatch):
+    # gen-hillclimb's configuration at seed 1, counted exactly: one full
+    # walk lists the start of all 24 proposals, and 552 moves are scored
+    # and appended.  Each but a climb's last is carried, with one
+    # restricted walk; the last move's profile judges the proposal, so
+    # only the proposals that pass get an encoder tableau, and the climb
+    # runs no GF(2) elimination
+    counts = dict.fromkeys(("moves", "carried", "full", "restricted",
+                            "tableaux", "judge", "eliminations"), 0)
 
-    def counted(key, fn):
+    def counted(module, attr, key):
+        fn = getattr(module, attr)
+
         def wrapper(*args):
-            calls[key] += 1
+            counts[key] += 1
             return fn(*args)
-        return wrapper
 
-    monkeypatch.setattr(kernels, "logicals_by_weight",
-                        counted("walk", kernels.logicals_by_weight))
-    monkeypatch.setattr(kernels, "pauli_weight_profile",
-                        counted("profile", kernels.pauli_weight_profile))
-    conn = connectivity_pairs("all", 7)
-    cfg = GeneratorConfig(n=7, k=1, target_d=3, connectivity=conn)
-    directed = sorted(conn + tuple((b, a) for a, b in conn))
-    for seed in range(4):
-        calls.update(walk=0, profile=0)
-        gates = _propose_hillclimb(random.Random(seed), cfg, directed,
-                                   frozenset(range(1, seed + 1)))
-        assert len(gates) > 1
-        assert calls == {"walk": 1, "profile": 0}
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counted(corpus_module, "_move_scores", "moves")
+    counted(corpus_module, "_apply_move", "carried")
+    counted(kernels, "walk_logicals", "full")
+    counted(kernels, "logicals_entering", "restricted")
+    counted(corpus_module, "encoder_tableau", "tableaux")
+    counted(kernels, "min_logical_weight", "judge")
+    counted(kernels, "_echelon", "eliminations")
+    cfg = GeneratorConfig(n=7, k=1, target_d=3,
+                          connectivity=connectivity_pairs("all", 7),
+                          attempts=24, count=24, seed=1)
+    corpus = generate_encoders(cfg)
+    assert len(corpus) == 6
+    assert counts == {"moves": 552, "carried": 528, "full": 1,
+                      "restricted": 528, "tableaux": 6, "judge": 0,
+                      "eliminations": 0}
 
 
 def _recording(monkeypatch, module, attr, log):
@@ -429,20 +503,35 @@ def _recording(monkeypatch, module, attr, log):
 @pytest.mark.parametrize("method, n, d", [("hillclimb", 7, 3),
                                           ("random", 4, 2)])
 def test_generate_walks_once_per_proposal(monkeypatch, method, n, d):
-    # one walk bounded by n gives both the rejection and the exact
-    # distance of a kept encoder; each proposal gets one encoder tableau
-    proposals, walks = [], []
-    _recording(monkeypatch, corpus_module, "encoder_tableau", proposals)
+    # a hill climb's final listing judges its proposal, and only a
+    # proposal that passes gets an encoder tableau, for its digest; a
+    # random proposal gets one tableau, whose one walk bounded by n gives
+    # both the rejection and the exact distance
+    climbs, tableaux, walks = [], [], []
+    propose = corpus_module._propose_hillclimb
+
+    def recorded(*args):
+        climbs.append(propose(*args))
+        return climbs[-1]
+
+    monkeypatch.setattr(corpus_module, "_propose_hillclimb", recorded)
+    _recording(monkeypatch, corpus_module, "encoder_tableau", tableaux)
     _recording(monkeypatch, kernels, "min_logical_weight", walks)
     cfg = GeneratorConfig(n=n, k=1, target_d=d,
                           connectivity=connectivity_pairs("all", n),
                           attempts=60, count=3, seed=4, method=method)
     corpus = generate_encoders(cfg)
     assert corpus.entries
-    # some proposals were rejected or duplicates
-    assert len(proposals) > len(corpus)
-    assert len(walks) == len(proposals)
-    assert all(args[2] == cfg.n for args in walks)
+    if method == "hillclimb":
+        assert not walks
+        passed = [dist for _, dist in climbs if dist >= d]
+        # some proposals were rejected
+        assert len(corpus) <= len(tableaux) == len(passed) < len(climbs)
+    else:
+        # some proposals were rejected or duplicates
+        assert len(tableaux) > len(corpus)
+        assert len(walks) == len(tableaux)
+        assert all(args[2] == cfg.n for args in walks)
     for e in corpus.entries:
         rows = encoder_tableau(e.circuit, e.x_ancillas).rows[n + e.k:]
         assert e.distance == reference.distance(rows, n)

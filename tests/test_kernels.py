@@ -86,7 +86,24 @@ def test_logicals_entering_matches_brute_force():
         pair = (1 << a | 1 << b) * ((1 << n) + 1)
         ref = [v for v in reference.logicals_at(gens, n, w)
                if v & pair in heads]
-        assert sorted(kernels.logicals_entering(gens, n, w, a, b)) == ref
+        t, m = kernels.code_table(gens, n)
+        assert sorted(kernels.logicals_entering(t, m, n, w, a, b)) == ref
+
+
+def test_commutant_is_the_symplectic_complement():
+    # the rows commute with every generator, are independent, and number
+    # 2n minus the generators' rank, so they span all that commutes
+    rng = random.Random(2718)
+    for _ in range(40):
+        n = rng.randrange(1, 8)
+        gens = random_generator_set(rng, n)
+        rows = kernels.commutant(gens, n)
+        mask = (1 << n) - 1
+        assert all(((r & mask & g >> n).bit_count()
+                    + (r >> n & g & mask).bit_count()) % 2 == 0
+                   for r in rows for g in gens)
+        assert len(kernels.canonical_rows(rows)) == len(rows)
+        assert len(rows) == 2 * n - len(kernels.canonical_rows(gens))
 
 
 def test_scan_parity_wide_inputs():
