@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cache
 from time import monotonic
 
 from . import kernels
@@ -40,12 +39,14 @@ class CertificateShapeError(ValueError):
     """Raised when a node has two edges of one kind and direction."""
 
 
-def certificate(graph) -> bytes:
+def certificate(graph, cache: dict | None = None) -> bytes:
     """Canonical byte string of a CircuitGraph, or of the graph
     (graph.gate_edges) of (index, control, target) gates in ascending
     index order; equal certificates iff isomorphic graphs (matching
     labels and all edge kinds/directions).  A node with two edges of one
-    kind and direction raises CertificateShapeError."""
+    kind and direction raises CertificateShapeError.  A cache dict, if
+    given, is read and filled by ordered labelled graph (labels and slot
+    table), which is exact."""
     if isinstance(graph, CircuitGraph):
         labels = tuple(nd.label for nd in graph.nodes)
         pos = {nd.id: i for i, nd in enumerate(graph.nodes)}
@@ -68,15 +69,16 @@ def certificate(graph) -> bytes:
                 f"node at position {i // 4} has two "
                 f"{_SLOT_NAMES[i % 4]} edges")
         slots[out], slots[into] = dst, src
-    return _certificate(labels, tuple(slots))
+    cache = {} if cache is None else cache
+    key = (labels, tuple(slots))
+    if key not in cache:
+        cache[key] = _certificate(*key)
+    return cache[key]
 
 
-@cache
 def _certificate(labels: tuple[str, ...], slots: tuple[int, ...]) -> bytes:
     """The certificate of the graph whose node i has labels[i] and the
-    slots slots[4*i:4*i + 4].  Labels and slots are the whole ordered
-    labelled graph, so the cache is exact; mined candidates mostly repeat
-    a few shapes, so most calls are cache hits."""
+    slots slots[4*i:4*i + 4]: the canonical search and the header."""
     body = kernels.canonical_encoding([_LABEL_CODE[lab] for lab in labels],
                                       slots)
     return CERT_VERSION + bytes([len(labels)]) + body
@@ -124,13 +126,15 @@ def group_candidates(candidates,
     The clock is read after every DEADLINE_STRIDE candidates; once past
     the deadline (a time.monotonic value, math.inf for none), grouping
     stops, and the classes hold only a prefix of the candidates (a total
-    N_r below len(candidates))."""
+    N_r below len(candidates)).  Mined candidates mostly repeat a few
+    shapes; a cache that lives for the call searches each once."""
     by_cert: dict[bytes, GadgetClass] = {}
+    cache: dict = {}
     for i, cand in enumerate(candidates):
         if i and i % DEADLINE_STRIDE == 0 and monotonic() >= deadline:
             break
         try:
-            cert = certificate(cand.gates)
+            cert = certificate(cand.gates, cache)
         except CertificateSizeError as exc:
             raise CertificateSizeError(
                 f"{exc} (candidate from {cand.source_circuit!r} "

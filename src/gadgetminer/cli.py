@@ -6,6 +6,11 @@ statistics), canon (tableau digest of a circuit).
 
 Exit codes: 0 success, 2 truncated mining run, 1 error.  GADGETMINER_OUTPUT
 sets the default output directory.  All randomness flows through --seed.
+
+mine mines circuits[w::N] in share w of N = min(--jobs, circuits), share 0
+in this process and the rest in forked workers; one reader applies both
+limits to the results root by root in input order, so outputs do not
+depend on --jobs.
 """
 
 from __future__ import annotations
@@ -67,45 +72,42 @@ def _mine_one(payload):
     return mine_circuit(*payload)
 
 
-def _run_share(fn, items, start: int, step: int, fd: int):
-    """Body of a forked worker: fn over items[start::step], pickled into
-    fd as (None, results), or as (index, exception) at the first item
-    that raises.  Never returns; a worker that cannot write exits 1."""
-    import pickle
-
-    status = 1
+def _mine_share(payloads, cap) -> tuple[list, Exception | None]:
+    """_mine_one over payloads in order, stopping after the result that
+    lifts the share's kept count past cap or that the deadline cut.
+    Returns the results and the exception raised by the payload after
+    them, or None."""
+    results = []
+    kept = 0
     try:
-        results = []
-        try:
-            for i in range(start, len(items), step):
-                results.append(fn(items[i]))
-            message = (None, results)
-        except Exception as exc:
-            message = (i, exc)
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(message, fh, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
+        for payload in payloads:
+            results.append(_mine_one(payload))
+            kept += len(results[-1].candidates)
+            if kept > cap or results[-1].reason == "time_budget":
+                break
+    except Exception as exc:
+        return results, exc
+    return results, None
 
 
-def _fork_map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items] in forked workers: worker w maps
-    items[w::workers] and pickles the results into a pipe, and the parent
-    puts them back in input order.  A worker's exception is re-raised
-    (the one at the earliest item, as a serial run would raise it); a
+def _mine_shares(payloads, shares: int, cap) -> list:
+    """_mine_share over payloads[w::shares] for w below shares: this
+    process mines share 0 while forked workers mine the others and
+    pickle theirs into a pipe (a worker that cannot write exits 1).  A
     worker that ends without a result raises WorkerError.  Every child
     is reaped, and on an early exit killed first.  Forking, unlike a
     fresh interpreter per worker, pays no import; the CLI starts no
     threads, so a fork copies no held lock."""
-    # imported here, as only --jobs > 1 needs them
+    if shares == 1:
+        return [_mine_share(payloads, cap)]
+    # imported here, as only forked shares need them
     import pickle
     import signal
 
     children = []  # (pid, read end of its pipe)
     statuses: dict[int, int] = {}
     try:
-        for w in range(workers):
+        for w in range(1, shares):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -114,10 +116,18 @@ def _fork_map(fn, items, workers: int) -> list:
                 os.close(write)
                 raise
             if pid == 0:
-                os.close(read)
-                _run_share(fn, items, w, workers, write)
+                status = 1
+                try:
+                    os.close(read)
+                    message = _mine_share(payloads[w::shares], cap)
+                    with os.fdopen(write, "wb") as fh:
+                        pickle.dump(message, fh, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
+        out = [_mine_share(payloads[::shares], cap)]
         messages = [fh.read() for _, fh in children]
         for pid, _ in children:
             statuses[pid] = os.waitpid(pid, 0)[1]
@@ -127,23 +137,15 @@ def _fork_map(fn, items, workers: int) -> list:
             if pid not in statuses:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    results = [None] * len(items)
-    failures = []
-    for w, ((pid, _), message) in enumerate(zip(children, messages)):
+    for w, ((pid, _), message) in enumerate(zip(children, messages), 1):
         code = os.waitstatus_to_exitcode(statuses[pid])
         if code or not message:
             how = (f"was killed by signal {-code}" if code < 0
                    else f"exited with status {code}")
             raise WorkerError(f"mining worker {w} (pid {pid}) {how} "
                               "without a result")
-        index, out = pickle.loads(message)
-        if index is None:
-            results[w::workers] = out
-        else:
-            failures.append((index, out))
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return results
+        out.append(pickle.loads(message))
+    return out
 
 
 def cmd_mine(args) -> int:
@@ -171,37 +173,50 @@ def cmd_mine(args) -> int:
                "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
               for f in corpus.files]
     circuits = corpus.circuits()
-    # no limit is math.inf.  Each circuit keeps at most cap + 1 candidates:
-    # that many prove the run is over, and the cut below keeps the first
-    # cap in input order, which every circuit's prefix holds
+    # no limit is math.inf.  Each circuit keeps at most cap + 1
+    # candidates: that many prove the run is over
     cap = math.inf if args.max_candidates is None else args.max_candidates
     # one absolute deadline for the whole run; the monotonic clock is
     # system-wide, so forked workers compare against the same clock
     deadline = (math.inf if args.time_budget is None
                 else started + args.time_budget)
     payloads = [(c, args.gadget_cnots, cap + 1, deadline) for c in circuits]
-    workers = min(args.jobs, len(payloads))
-    if workers > 1 and hasattr(os, "fork"):
-        results = _fork_map(_mine_one, payloads, workers)
-    else:
-        results = [_mine_one(p) for p in payloads]
-    # a circuit skipped for time tested no set before the deadline
-    skipped = sum(res.reason == "time_budget" and not res.subsets_examined
-                  for res in results)
-    candidates = []
-    for res in results:
-        candidates.extend(res.candidates)
-    reasons: list[str] = []
-    if len(candidates) > cap:
-        del candidates[cap:]
-        reasons.append("max_candidates")
+    n = min(args.jobs, len(payloads)) if hasattr(os, "fork") else 1
+    shares = _mine_shares(payloads, n, cap)
+    # the results in input order, root by root: the run stops after the
+    # first root that lifts its kept count past the cap or that the
+    # deadline cut.  No share stops before that root, so a share's
+    # results run out only where it raised
+    candidates: list = []
+    examined = skipped = 0
+    capped = timed_out = False
+    for i in range(len(circuits)):
+        results, error = shares[i % n]
+        if i // n == len(results):
+            raise error
+        res = results[i // n]
+        roots = len(res.tested_by_root)
+        candidates += res.candidates
+        if len(candidates) > cap:
+            # the root of the candidate past the cap is the last one read
+            roots = candidates[cap].gates[0][0] + 1
+            del candidates[cap:]
+            capped = True
+        examined += sum(res.tested_by_root[:roots])
+        if res.reason == "time_budget" and roots == len(res.tested_by_root):
+            # the circuits after the cut go unmined, and so does this one
+            # if the deadline came before its first set
+            skipped = len(circuits) - i - 1 + (res.subsets_examined == 0)
+            timed_out = True
+        if capped or timed_out:
+            break
     classes = group_candidates(candidates, deadline)
     # grouping stops certifying at the deadline; the rest go unreported
     certified = sum(cls.n_r for cls in classes)
-    if (certified < len(candidates)
-            or any(res.reason == "time_budget" for res in results)):
-        reasons.insert(0, "time_budget")
+    timed_out = timed_out or certified < len(candidates)
     del candidates[certified:]
+    reasons = [r for r, hit in (("time_budget", timed_out),
+                                ("max_candidates", capped)) if hit]
     truncated = bool(reasons)
     gadgets = identify_gadgets(classes, args.min_repeats)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -223,7 +238,7 @@ def cmd_mine(args) -> int:
         "kernel_backend": kernels.BACKEND,
         "circuits": len(circuits),
         "circuits_skipped": skipped,
-        "subsets_examined": sum(r.subsets_examined for r in results),
+        "subsets_examined": examined,
         "candidates": len(candidates),
         "classes": len(classes),
         "gadgets": len(gadgets),

@@ -21,7 +21,8 @@ tests' oracle is tests/reference.py).  mine_circuit runs the same tests
 on bitmasks of a circuit's gates.  Its walk applies the taint and closure
 test to each set it visits and holds only the sets that pass, the
 stationarity test runs on those, and each kept set is returned as its
-gates, with no graph (see its docstring).
+gates, with no graph (see its docstring), and the sets tested at each
+root, so a caller can cut a run at any (circuit, root) and count its work.
 """
 
 from __future__ import annotations
@@ -86,7 +87,13 @@ class MiningResult:
     # why the walk stopped early, "time_budget" or "max_candidates", or ""
     reason: str = ""
     subsets_total: int = 0
-    subsets_examined: int = 0
+    # the sets tested at each root walked, root 0 first; a kept set's
+    # root is its first gate's index
+    tested_by_root: list[int] = field(default_factory=list)
+
+    @property
+    def subsets_examined(self) -> int:
+        return sum(self.tested_by_root)
 
 
 def ordered_cnot_edges(graph: CircuitGraph) -> tuple[GraphEdge, ...]:
@@ -277,8 +284,8 @@ def mine_circuit(
     unchosen gate of that qubit lies between them, and stationary by its
     (index, control, target) tuples, which are read only for sets that
     pass the first two.  A kept set is returned as a MinedCandidate.
-    subsets_total is the binomial search-space size; subsets_examined
-    counts the sets tested, each once.
+    subsets_total is the binomial search-space size; tested_by_root
+    counts the sets tested at each root walked, each set once.
 
     The walk tests each set as it reaches it and holds only those that are
     closed and untainted, so memory follows the kept sets, not the visited
@@ -301,11 +308,13 @@ def mine_circuit(
             break
         above, bit = -1 << (root + 1), 1 << root  # above: the gates after root
         found: list[int] = []
+        before = keep.tested
         try:
             _walk(nbrs, above, keep.test, found, 0, bit, bit, c_g)
         except TimeoutError:
             # the root is cut: it gives the sets kept among those tested
             result.reason = "time_budget"
+        result.tested_by_root.append(keep.tested - before)
         passed = []
         for chosen in found:
             idx = _indices(chosen)
@@ -319,5 +328,4 @@ def mine_circuit(
     if len(kept) > max_candidates:
         del kept[max_candidates:]
         result.reason = result.reason or "max_candidates"
-    result.subsets_examined = keep.tested
     return result

@@ -4,11 +4,12 @@ the brute-force oracles are in reference.py."""
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from gadgetminer import kernels
-from gadgetminer.circuit import Circuit
+from gadgetminer.circuit import Circuit, save_circuit
 from gadgetminer.graph import CircuitGraph, GraphEdge, GraphError, GraphNode
 from gadgetminer.tableau import encoder_tableau
 
@@ -41,6 +42,22 @@ def ref_circuit() -> Circuit:
 @pytest.fixture
 def steane_circuit() -> Circuit:
     return Circuit.from_pairs(7, STEANE_PAIRS, name="steane")
+
+
+def brickwork_ring(n: int) -> Circuit:
+    """Two rounds of an n-qubit brickwork ring: even bonds, then odd."""
+    bonds = [(q, (q + 1) % n) for q in range(n)]
+    return Circuit.from_pairs(n, (bonds[0::2] + bonds[1::2]) * 2,
+                              name="ring")
+
+
+def save_ref_repeats(directory: Path) -> None:
+    """c0.txt, c1.txt and c2.txt: REF_3Q6_PAIRS three, two and one times,
+    so 9 + 6 + 3 candidates at C_g = 2, in input (file name) order."""
+    directory.mkdir()
+    for i, reps in enumerate((3, 2, 1)):
+        save_circuit(Circuit.from_pairs(3, REF_3Q6_PAIRS * reps),
+                     directory / f"c{i}.txt")
 
 
 def random_circuit(rng: random.Random, n_qubits: int, n_gates: int,

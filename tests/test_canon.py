@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from gadgetminer import canon
+from gadgetminer import canon, kernels
 from gadgetminer.canon import (
     CERT_VERSION,
     CSV_HEADER,
@@ -34,7 +34,12 @@ from gadgetminer.graph import (
 from gadgetminer.mining import MinedCandidate, mine_circuit
 
 import reference
-from conftest import ordered_graph_key, random_circuit, random_labeled_graph
+from conftest import (
+    brickwork_ring,
+    ordered_graph_key,
+    random_circuit,
+    random_labeled_graph,
+)
 
 
 def test_certificate_header():
@@ -114,12 +119,9 @@ def test_certificate_of_symmetric_ring_is_fast():
     """Two rounds of a 16-qubit brickwork ring (even bonds, then odd
     bonds) have 64 nodes and many automorphisms; the certificate and that
     of a scrambled copy agree and take well under a second."""
-    bonds = [(q, (q + 1) % 16) for q in range(16)]
-    ring = circuit_to_graph(
-        Circuit.from_pairs(16, (bonds[0::2] + bonds[1::2]) * 2))
+    ring = circuit_to_graph(brickwork_ring(16))
     assert len(ring) == 64
     scrambled = reference.relabeled(ring, random.Random(16))
-    canon._certificate.cache_clear()
     started = time.monotonic()
     assert certificate(ring) == certificate(scrambled)
     assert time.monotonic() - started < 1.0
@@ -159,14 +161,31 @@ def test_certificate_cache_is_exact():
         g = random_labeled_graph(rng, rng.randrange(1, 7), 8)
         graphs += [g, reference.relabeled(g, rng),
                    reference.relabeled(g, rng)]
-    uncached = [canon._certificate.__wrapped__(*ordered_graph_key(g))
-                for g in graphs]
-    canon._certificate.cache_clear()
-    cold = [certificate(g) for g in graphs]
-    assert canon._certificate.cache_info().hits > 0
-    warm = [certificate(g) for g in graphs]
+    uncached = [canon._certificate(*ordered_graph_key(g)) for g in graphs]
+    cache: dict = {}
+    cold = [certificate(g, cache) for g in graphs]
+    assert len(cache) < len(graphs)
+    warm = [certificate(g, cache) for g in graphs]
     assert cold == uncached
     assert warm == uncached
+    assert [certificate(g) for g in graphs] == uncached
+
+
+def test_each_grouping_has_its_own_certificate_cache(monkeypatch):
+    """Two groupings in a row each search every distinct ordered graph
+    once: no certificate outlives the grouping that computed it."""
+    candidates = mine_circuit(brickwork_ring(8), 8).candidates
+    distinct = {ordered_graph_key(c.graph) for c in candidates}
+    searched = []
+    search = kernels.canonical_encoding
+    monkeypatch.setattr(kernels, "canonical_encoding",
+                        lambda *a: searched.append(a) or search(*a))
+    first = group_candidates(candidates)
+    assert len(searched) == len(distinct) < len(candidates)
+    second = group_candidates(candidates)
+    assert len(searched) == 2 * len(distinct)
+    assert [cls.certificate for cls in first] == \
+        [cls.certificate for cls in second]
 
 
 def test_gate_list_certificate_matches_its_graph():

@@ -38,7 +38,12 @@ from gadgetminer.graph import circuit_to_graph
 from gadgetminer.mining import mine_circuit
 from gadgetminer.tableau import encoder_tableau
 
-from conftest import REF_3Q6_PAIRS, random_circuit
+from conftest import (
+    REF_3Q6_PAIRS,
+    brickwork_ring,
+    random_circuit,
+    save_ref_repeats,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HOSTS = FIXTURES / "hosts"
@@ -150,11 +155,7 @@ def _mine_manifest(outdir: Path) -> dict:
 
 def test_mine_max_candidates_bounds_work(tmp_path):
     inputs = tmp_path / "in"
-    inputs.mkdir()
-    # 9 + 6 + 3 candidates at C_g = 2, in input (file name) order
-    for i, reps in enumerate((3, 2, 1)):
-        save_circuit(Circuit.from_pairs(3, REF_3Q6_PAIRS * reps),
-                     inputs / f"c{i}.txt")
+    save_ref_repeats(inputs)
     circuits = [load_circuit(f) for f in sorted(inputs.iterdir())]
     full = [cand for c in circuits
             for cand in mine_circuit(c, 2).candidates]
@@ -248,10 +249,11 @@ def test_mine_chunked_pool_matches_one_job(tmp_path):
 
 
 def test_mine_time_budget_with_chunked_pool(tmp_path, monkeypatch):
-    """Each circuit a worker mines still checks the deadline: 16 circuits
-    go to 2 forked workers, each worker's first circuit spends the 0.3 s
-    budget at its fourth clock reading, and the 14 circuits after them
-    are skipped."""
+    """Each circuit a share mines still checks the deadline: 16 circuits
+    go to 2 shares, each share's first circuit spends the 0.3 s budget at
+    its fourth clock reading, and the run stops at the first cut root, in
+    circuit 0, so the 15 circuits after it are skipped, circuit 1 (cut
+    in the forked worker) included."""
     inputs = tmp_path / "in"
     inputs.mkdir()
     rng = random.Random(6)
@@ -265,7 +267,7 @@ def test_mine_time_budget_with_chunked_pool(tmp_path, monkeypatch):
     elapsed = time.monotonic() - started
     assert rc == 2
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["circuits_skipped"] == 14
+    assert manifest["circuits_skipped"] == 15
     assert manifest["truncation_reasons"] == ["time_budget"]
     assert elapsed < 0.3 + 2.0
 
@@ -288,14 +290,11 @@ def test_mine_time_budget_covers_grouping(tmp_path, monkeypatch):
     C_g = 12.  Mining fits in the budget, but the clock grouping reads is
     past it, so certification stops at the first check: the run is
     truncated and reports the candidates certified before it."""
-    bonds = [(i, (i + 1) % 12) for i in range(12)]
-    ring = Circuit.from_pairs(12, (bonds[0::2] + bonds[1::2]) * 2,
-                              name="ring")
-    save_circuit(ring, tmp_path / "ring.txt")
+    save_circuit(brickwork_ring(12), tmp_path / "ring.txt")
     certified = []
     cert = canon.certificate
     monkeypatch.setattr(canon, "certificate",
-                        lambda g: certified.append(g) or cert(g))
+                        lambda g, *a: certified.append(g) or cert(g, *a))
     monkeypatch.setattr(canon, "monotonic", lambda: math.inf)
     rc = run_cli(["mine", "--input", tmp_path / "ring.txt",
                   "--gadget-cnots", 12, "--time-budget", 60,
@@ -354,8 +353,9 @@ def _assert_no_child_left():
 
 
 def test_mine_forks_no_more_workers_than_circuits(tmp_path, monkeypatch):
-    """--jobs 8 over 3 circuits forks 3 workers, reaps them all, and
-    writes what --jobs 1 writes."""
+    """--jobs 8 over 3 circuits makes 3 shares: this process mines one
+    and forks 2 workers, reaps them all, and writes what --jobs 1
+    writes."""
     forks = []
     fork = os.fork
 
@@ -370,7 +370,7 @@ def test_mine_forks_no_more_workers_than_circuits(tmp_path, monkeypatch):
         rc = run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,
                       "--jobs", jobs, "--output", tmp_path / f"j{jobs}"])
         assert rc == 0
-    assert len(forks) == 3
+    assert len(forks) == 2
     _assert_no_child_left()
     for name in ("report.json", "summary.csv"):
         assert (tmp_path / "j1" / name).read_bytes() == \
@@ -402,12 +402,46 @@ def test_mine_worker_exception_is_the_serial_error(tmp_path, monkeypatch,
     _assert_no_child_left()
 
 
+def test_mine_worker_error_past_the_cap_is_not_raised(tmp_path,
+                                                     monkeypatch):
+    """A circuit past the cap's cut is never read, so its exception is
+    not raised at --jobs 2, as --jobs 1 never mines it: circuit c0 alone
+    lifts the run past a cap of 1, and c1, which raises, goes to the
+    forked worker."""
+    inputs = tmp_path / "in"
+    save_ref_repeats(inputs)
+    mine = cli.mine_circuit
+
+    def failing(circuit, c_g, cap, deadline):
+        if circuit.name == "c1":
+            raise ValueError("cannot mine c1")
+        return mine(circuit, c_g, cap, deadline)
+
+    monkeypatch.setattr(cli, "mine_circuit", failing)
+    for jobs in (1, 2):
+        rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 2,
+                      "--max-candidates", 1, "--jobs", jobs,
+                      "--output", tmp_path / f"j{jobs}"])
+        assert rc == 2
+    for name in ("report.json", "summary.csv"):
+        assert (tmp_path / "j1" / name).read_bytes() == \
+            (tmp_path / "j2" / name).read_bytes()
+    assert _mine_manifest(tmp_path / "j1") == _mine_manifest(tmp_path / "j2")
+    _assert_no_child_left()
+
+
 def test_mine_worker_without_result_is_an_error(tmp_path, monkeypatch,
                                                 capsys):
     """A worker that exits without writing its share is an explicit
-    error naming its exit status, not a partial report."""
+    error naming its exit status, not a partial report.  Only forked
+    workers die: this process mines share 0."""
+    parent = os.getpid()
+    mine = cli.mine_circuit
+
     def dying(circuit, c_g, cap, deadline):
-        os._exit(3)
+        if os.getpid() != parent:
+            os._exit(3)
+        return mine(circuit, c_g, cap, deadline)
 
     monkeypatch.setattr(cli, "mine_circuit", dying)
     rc = run_cli(["mine", "--input", HOSTS, "--gadget-cnots", 2,

@@ -28,7 +28,7 @@ from gadgetminer.mining import (
 )
 
 import reference
-from conftest import random_circuit
+from conftest import brickwork_ring, random_circuit
 
 
 def test_ordered_cnot_edges(ref_circuit):
@@ -273,8 +273,7 @@ def test_capped_run_tests_each_set_once(monkeypatch):
     """A cap ends the walk at a root boundary, with no second walk of the
     root where it is reached: every set the run tests is counted once in
     subsets_examined."""
-    bonds = [(i, (i + 1) % 12) for i in range(12)]
-    ring = Circuit.from_pairs(12, (bonds[0::2] + bonds[1::2]) * 2)
+    ring = brickwork_ring(12)
     calls = []
     closed = mining._closed_untainted
     monkeypatch.setattr(mining, "_closed_untainted",
@@ -289,8 +288,7 @@ def test_time_budget_cuts_inside_a_root(monkeypatch):
     too.  With a clock that reads the number of sets tested, the run
     stops within one stride of the deadline, in the middle of root 0's
     823 sets, and the cut root gives the kept sets among those tested."""
-    bonds = [(i, (i + 1) % 8) for i in range(8)]
-    ring = Circuit.from_pairs(8, (bonds[0::2] + bonds[1::2]) * 2)
+    ring = brickwork_ring(8)
     tested, reads = [], []
     closed = mining._closed_untainted
     monkeypatch.setattr(mining, "_closed_untainted",
