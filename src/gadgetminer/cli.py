@@ -8,9 +8,10 @@ Exit codes: 0 success, 2 truncated mining run, 1 error.  GADGETMINER_OUTPUT
 sets the default output directory.  All randomness flows through --seed.
 
 mine mines circuits[w::N] in share w of N = min(--jobs, circuits), share 0
-in this process and the rest in forked workers; one reader applies both
-limits to the results root by root in input order, so outputs do not
-depend on --jobs.
+in this process and the rest in forked workers.  The walk, the share and
+the reader all stop after the root that lifts a kept count past
+--max-candidates; the reader, which takes the results root by root in
+input order, makes the one cut, so outputs do not depend on --jobs.
 """
 
 from __future__ import annotations
@@ -67,31 +68,31 @@ class WorkerError(RuntimeError):
     """A forked mining worker ended without returning its share."""
 
 
-def _mine_one(payload):
-    """mine_circuit over one (circuit, c_g, cap, deadline) payload."""
-    return mine_circuit(*payload)
+def _mine_one(circuit, c_g, cap, deadline):
+    """mine_circuit on one circuit of a share."""
+    return mine_circuit(circuit, c_g, cap, deadline)
 
 
-def _mine_share(payloads, cap) -> tuple[list, Exception | None]:
-    """_mine_one over payloads in order, stopping after the result that
-    lifts the share's kept count past cap or that the deadline cut.
-    Returns the results and the exception raised by the payload after
-    them, or None."""
+def _mine_share(circuits, c_g, cap, deadline) -> tuple[list, Exception | None]:
+    """_mine_one over circuits in order, each walk bounded by cap less the
+    share's kept count, so the share stops after the root that lifts that
+    count past cap, or after the root the deadline cut.  Returns the
+    results and the exception raised by the circuit after them, or None."""
     results = []
     kept = 0
     try:
-        for payload in payloads:
-            results.append(_mine_one(payload))
+        for circuit in circuits:
+            results.append(_mine_one(circuit, c_g, cap - kept, deadline))
             kept += len(results[-1].candidates)
-            if kept > cap or results[-1].reason == "time_budget":
+            if kept > cap or results[-1].timed_out:
                 break
     except Exception as exc:
         return results, exc
     return results, None
 
 
-def _mine_shares(payloads, shares: int, cap) -> list:
-    """_mine_share over payloads[w::shares] for w below shares: this
+def _mine_shares(circuits, shares: int, *args) -> list:
+    """_mine_share(circuits[w::shares], *args) for w below shares: this
     process mines share 0 while forked workers mine the others and
     pickle theirs into a pipe (a worker that cannot write exits 1).  A
     worker that ends without a result raises WorkerError.  Every child
@@ -99,7 +100,7 @@ def _mine_shares(payloads, shares: int, cap) -> list:
     fresh interpreter per worker, pays no import; the CLI starts no
     threads, so a fork copies no held lock."""
     if shares == 1:
-        return [_mine_share(payloads, cap)]
+        return [_mine_share(circuits, *args)]
     # imported here, as only forked shares need them
     import pickle
     import signal
@@ -119,7 +120,7 @@ def _mine_shares(payloads, shares: int, cap) -> list:
                 status = 1
                 try:
                     os.close(read)
-                    message = _mine_share(payloads[w::shares], cap)
+                    message = _mine_share(circuits[w::shares], *args)
                     with os.fdopen(write, "wb") as fh:
                         pickle.dump(message, fh, pickle.HIGHEST_PROTOCOL)
                     status = 0
@@ -127,7 +128,7 @@ def _mine_shares(payloads, shares: int, cap) -> list:
                     os._exit(status)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        out = [_mine_share(payloads[::shares], cap)]
+        out = [_mine_share(circuits[::shares], *args)]
         messages = [fh.read() for _, fh in children]
         for pid, _ in children:
             statuses[pid] = os.waitpid(pid, 0)[1]
@@ -173,19 +174,18 @@ def cmd_mine(args) -> int:
                "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
               for f in corpus.files]
     circuits = corpus.circuits()
-    # no limit is math.inf.  Each circuit keeps at most cap + 1
-    # candidates: that many prove the run is over
+    # no limit is math.inf
     cap = math.inf if args.max_candidates is None else args.max_candidates
     # one absolute deadline for the whole run; the monotonic clock is
     # system-wide, so forked workers compare against the same clock
     deadline = (math.inf if args.time_budget is None
                 else started + args.time_budget)
-    payloads = [(c, args.gadget_cnots, cap + 1, deadline) for c in circuits]
-    n = min(args.jobs, len(payloads)) if hasattr(os, "fork") else 1
-    shares = _mine_shares(payloads, n, cap)
+    n = min(args.jobs, len(circuits)) if hasattr(os, "fork") else 1
+    shares = _mine_shares(circuits, n, args.gadget_cnots, cap, deadline)
     # the results in input order, root by root: the run stops after the
     # first root that lifts its kept count past the cap or that the
-    # deadline cut.  No share stops before that root, so a share's
+    # deadline cut.  Before each of its circuits a share has kept no more
+    # than the run has, so no walk stops before that root, and a share's
     # results run out only where it raised
     candidates: list = []
     examined = skipped = 0
@@ -203,7 +203,7 @@ def cmd_mine(args) -> int:
             del candidates[cap:]
             capped = True
         examined += sum(res.tested_by_root[:roots])
-        if res.reason == "time_budget" and roots == len(res.tested_by_root):
+        if res.timed_out and roots == len(res.tested_by_root):
             # the circuits after the cut go unmined, and so does this one
             # if the deadline came before its first set
             skipped = len(circuits) - i - 1 + (res.subsets_examined == 0)

@@ -84,8 +84,8 @@ class MinedCandidate(NamedTuple):
 @dataclass
 class MiningResult:
     candidates: list[MinedCandidate] = field(default_factory=list)
-    # why the walk stopped early, "time_budget" or "max_candidates", or ""
-    reason: str = ""
+    # the deadline cut the walk
+    timed_out: bool = False
     subsets_total: int = 0
     # the sets tested at each root walked, root 0 first; a kept set's
     # root is its first gate's index
@@ -292,9 +292,10 @@ def mine_circuit(
     ones.  Each limit is math.inf for none.  The clock is read before the
     first set and then once every DEADLINE_STRIDE sets; past the deadline
     (a time.monotonic value) the root cut gives the sets kept among those
-    tested before the cut.  A max_candidates cap ends the walk at a root
-    boundary: a walk that already keeps that many sets stops before the
-    next root, and the kept sets are cut to the first max_candidates."""
+    tested before the cut.  max_candidates bounds the walk, not what it
+    returns: the walk stops after the root that lifts its kept count past
+    max_candidates and returns every set kept so far, so a caller that
+    wants N takes [:N]."""
     if c_g < 1:
         raise ValueError(f"subset size {c_g} must be >= 1")
     gates = gate_tuples(circuit)
@@ -303,9 +304,6 @@ def mine_circuit(
     result = MiningResult(subsets_total=math.comb(len(gates), c_g))
     kept = result.candidates
     for root in range(len(gates) - c_g + 1):
-        if len(kept) >= max_candidates:
-            result.reason = "max_candidates"
-            break
         above, bit = -1 << (root + 1), 1 << root  # above: the gates after root
         found: list[int] = []
         before = keep.tested
@@ -313,7 +311,7 @@ def mine_circuit(
             _walk(nbrs, above, keep.test, found, 0, bit, bit, c_g)
         except TimeoutError:
             # the root is cut: it gives the sets kept among those tested
-            result.reason = "time_budget"
+            result.timed_out = True
         result.tested_by_root.append(keep.tested - before)
         passed = []
         for chosen in found:
@@ -323,9 +321,6 @@ def mine_circuit(
         passed.sort()
         kept += (MinedCandidate(circuit.name, tuple(gates[i] for i in idx))
                  for idx in passed)
-        if result.reason:
+        if result.timed_out or len(kept) > max_candidates:
             break
-    if len(kept) > max_candidates:
-        del kept[max_candidates:]
-        result.reason = result.reason or "max_candidates"
     return result

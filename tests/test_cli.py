@@ -164,20 +164,21 @@ def test_mine_max_candidates_bounds_work(tmp_path):
                   "--output", tmp_path / "uncapped"])
     assert rc == 0
     uncapped = _mine_manifest(tmp_path / "uncapped")
-    for cap in (1, 5, 30):
+    for cap in (0, 1, 5, 12, 30):
         outs = []
-        for jobs in (1, 2):
+        for jobs in (1, 2, 8):
             out = tmp_path / f"cap{cap}_j{jobs}"
             rc = run_cli(["mine", "--input", inputs, "--gadget-cnots", 2,
                           "--max-candidates", cap, "--jobs", jobs,
                           "--output", out])
             assert rc == (2 if cap < len(full) else 0)
             outs.append(out)
-        for name in ("report.json", "summary.csv"):
-            assert (outs[0] / name).read_bytes() == \
-                (outs[1] / name).read_bytes()
         manifest = _mine_manifest(outs[0])
-        assert manifest == _mine_manifest(outs[1])
+        for out in outs[1:]:
+            for name in ("report.json", "summary.csv"):
+                assert (outs[0] / name).read_bytes() == \
+                    (out / name).read_bytes()
+            assert _mine_manifest(out) == manifest
         gadgets = identify_gadgets(group_candidates(full[:cap]), 1)
         expected = json.dumps(classes_to_json_obj(gadgets), indent=2,
                               sort_keys=True) + "\n"

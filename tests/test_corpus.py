@@ -454,13 +454,9 @@ def test_hillclimb_matches_reference_climb():
                                     if k else None)
 
 
-def test_hillclimb_work_counts(monkeypatch):
-    # gen-hillclimb's configuration at seed 1, counted exactly: one full
-    # walk lists the start of all 24 proposals, and 552 moves are scored
-    # and appended.  Each but a climb's last is carried, with one
-    # restricted walk; the last move's profile judges the proposal, so
-    # only the proposals that pass get an encoder tableau, and the climb
-    # runs no GF(2) elimination
+def _climb_work_counts(monkeypatch, cfg) -> tuple[int, dict]:
+    """The encoders a hill-climb gen keeps and the calls it makes of each
+    step of the climb."""
     counts = dict.fromkeys(("moves", "carried", "full", "restricted",
                             "tableaux", "judge", "eliminations"), 0)
 
@@ -480,14 +476,33 @@ def test_hillclimb_work_counts(monkeypatch):
     counted(corpus_module, "encoder_tableau", "tableaux")
     counted(kernels, "min_logical_weight", "judge")
     counted(kernels, "_echelon", "eliminations")
+    return len(generate_encoders(cfg)), counts
+
+
+def test_hillclimb_work_counts(monkeypatch):
+    # gen-hillclimb's configuration at seed 1, counted exactly: one full
+    # walk lists the start of all 24 proposals, and 552 moves are scored
+    # and appended.  Each but a climb's last is carried, with one
+    # restricted walk; the last move's profile judges the proposal, so
+    # only the proposals that pass get an encoder tableau, and the climb
+    # runs no GF(2) elimination
     cfg = GeneratorConfig(n=7, k=1, target_d=3,
                           connectivity=connectivity_pairs("all", 7),
                           attempts=24, count=24, seed=1)
-    corpus = generate_encoders(cfg)
-    assert len(corpus) == 6
-    assert counts == {"moves": 552, "carried": 528, "full": 1,
-                      "restricted": 528, "tableaux": 6, "judge": 0,
-                      "eliminations": 0}
+    assert _climb_work_counts(monkeypatch, cfg) == (6, {
+        "moves": 552, "carried": 528, "full": 1, "restricted": 528,
+        "tableaux": 6, "judge": 0, "eliminations": 0})
+
+
+def test_hillclimb_12_qubit_work_counts(monkeypatch):
+    # a short [[12,1,4]] climb at seed 1: four proposals of 25 moves
+    # each, of which one passes
+    cfg = GeneratorConfig(n=12, k=1, target_d=4,
+                          connectivity=connectivity_pairs("all", 12),
+                          attempts=4, count=4, seed=1)
+    assert _climb_work_counts(monkeypatch, cfg) == (1, {
+        "moves": 100, "carried": 96, "full": 1, "restricted": 96,
+        "tableaux": 1, "judge": 0, "eliminations": 0})
 
 
 def _recording(monkeypatch, module, attr, log):

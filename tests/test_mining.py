@@ -119,7 +119,7 @@ def test_mine_reference_circuit(ref_circuit):
     assert res.subsets_total == 15
     # the six pairs of gates consecutive on some qubit
     assert res.subsets_examined == 6
-    assert not res.reason
+    assert not res.timed_out
     assert [c.layers for c in res.candidates] == [(0, 1), (2, 3), (4, 5)]
 
 
@@ -157,21 +157,23 @@ def test_mine_matches_exhaustive_oracle():
             res = mine_circuit(c, c_g)
             assert [(x.graph, x.layers) for x in res.candidates] == list(
                 zip(graphs, want))
-            assert not res.reason
+            assert not res.timed_out
             # the count does not depend on how the gates are numbered
             connected = reference.timeline_connected_sets(c, c_g)
             assert res.subsets_examined == len(connected)
             for cap in range(len(want) + 1):
                 capped = mine_circuit(c, c_g, max_candidates=cap)
-                assert [x.graph for x in capped.candidates] == graphs[:cap]
-                # a capped run ends at the root boundary after the cap-th
-                # kept set: it examines every set whose least gate is at
-                # most that set's
-                last = want[cap - 1][0] if cap else -1
+                # a capped walk stops after the root of the (cap + 1)-th
+                # kept set, with no cut: it returns the uncapped prefix up
+                # to that root and tests every set whose least gate is at
+                # most that root
+                last = want[cap][0] if cap < len(want) else math.inf
+                prefix = sum(s[0] <= last for s in want)
+                assert [(x.graph, x.layers) for x in capped.candidates] == \
+                    list(zip(graphs, want))[:prefix]
                 assert capped.subsets_examined == sum(
                     s[0] <= last for s in connected)
-                if cap < len(want):
-                    assert capped.reason == "max_candidates"
+                assert not capped.timed_out
 
 
 def test_mine_builds_graphs_only_for_reported_classes(monkeypatch, tmp_path):
@@ -206,7 +208,7 @@ def test_mine_result_pickle_holds_no_graph():
     """What a --jobs worker pickles back is the mining result and its
     candidates' gate tuples: no graph, node or edge objects."""
     c = random_circuit(random.Random(3), 3, 20)
-    res = cli._mine_one((c, 4, math.inf, math.inf))
+    res = cli._mine_one(c, 4, math.inf, math.inf)
     assert res.candidates
     classes = []
 
@@ -250,36 +252,39 @@ def test_mining_frees_visited_sets_without_the_cyclic_collector():
 def test_oversized_subset_returns_empty():
     c = Circuit.from_pairs(2, [(0, 1)])
     res = mine_circuit(c, 5)
-    assert res.candidates == [] and not res.reason
+    assert res.candidates == [] and not res.timed_out
     assert res.subsets_total == 0
     with pytest.raises(ValueError):
         mine_circuit(c, 0)
 
 
 def test_max_candidates_truncation(ref_circuit):
-    res = mine_circuit(ref_circuit, 2, max_candidates=1)
-    assert res.reason == "max_candidates"
-    assert len(res.candidates) == 1
-    assert res.subsets_examined < res.subsets_total
-    # the second keep comes from root 2, the third from root 4, the last
-    # root: a cap of 2 stops before root 3, and a cap of 3 walks every root
-    two = mine_circuit(ref_circuit, 2, max_candidates=2)
-    assert two.reason == "max_candidates" and len(two.candidates) == 2
-    exact = mine_circuit(ref_circuit, 2, max_candidates=3)
-    assert not exact.reason and len(exact.candidates) == 3
+    # the keeps come from roots 0, 2 and 4, the last root: a cap of N
+    # stops the walk after the root that holds the (N + 1)-th keep, and
+    # every set kept by then is returned, none cut
+    for cap, kept, roots in ((0, 1, 1), (1, 2, 3), (2, 3, 5), (3, 3, 5)):
+        res = mine_circuit(ref_circuit, 2, max_candidates=cap)
+        assert len(res.candidates) == kept
+        assert len(res.tested_by_root) == roots
+        assert not res.timed_out
 
 
 def test_capped_run_tests_each_set_once(monkeypatch):
-    """A cap ends the walk at a root boundary, with no second walk of the
-    root where it is reached: every set the run tests is counted once in
-    subsets_examined."""
+    """A cap ends the walk after the root of the (cap + 1)-th kept set,
+    with no second walk of that root: every set the run tests is counted
+    once in subsets_examined."""
     ring = brickwork_ring(12)
     calls = []
     closed = mining._closed_untainted
     monkeypatch.setattr(mining, "_closed_untainted",
                         lambda m, lines: calls.append(m) or closed(m, lines))
     res = mine_circuit(ring, 12, max_candidates=50)
-    assert res.reason == "max_candidates" and len(res.candidates) == 50
+    # of the 322 sets the ring keeps, the walk returns those up to the
+    # root of the 51st, which is the last root it walks
+    last = len(res.tested_by_root) - 1
+    assert 50 < len(res.candidates) < 322
+    assert res.candidates[50].gates[0][0] == last
+    assert res.candidates[-1].gates[0][0] == last
     assert len(calls) == len(set(calls)) == res.subsets_examined
 
 
@@ -300,7 +305,7 @@ def test_time_budget_cuts_inside_a_root(monkeypatch):
                         lambda: reads.append(1) or len(tested))
     deadline = 250
     res = mine_circuit(ring, 8, deadline=deadline)
-    assert res.reason == "time_budget"
+    assert res.timed_out
     assert res.subsets_examined == len(tested)
     assert deadline <= len(tested) <= deadline + mining.DEADLINE_STRIDE
     assert len(reads) <= len(tested) // mining.DEADLINE_STRIDE + 1
@@ -315,6 +320,6 @@ def test_time_budget_truncation():
     rng = random.Random(8)
     c = random_circuit(rng, 6, 24)
     res = mine_circuit(c, 4, deadline=time.monotonic())
-    assert res.reason == "time_budget"
+    assert res.timed_out
     # the deadline is checked before the first set is visited
     assert res.subsets_examined == 0
