@@ -165,16 +165,18 @@ def serialize_circuit_json(c: Circuit) -> str:
     )
 
 
-def load_circuit(path: str | Path) -> Circuit:
-    """Load a UTF-8 circuit file, dispatching on the .json extension.  A
-    file that does not decode or parse raises CircuitParseError with the
-    path prefixed, as load_corpus and connectivity_pairs prefix theirs (an
-    OSError names the file itself)."""
+def load_circuit(path: str | Path, data: bytes | None = None) -> Circuit:
+    """Load a UTF-8 circuit file, from data if its bytes were read,
+    dispatching on the .json extension.  A file that does not decode or
+    parse raises CircuitParseError with the path prefixed, as load_corpus
+    and connectivity_pairs prefix theirs (an OSError names the file
+    itself)."""
     path = Path(path)
     parse = (parse_circuit_json if path.suffix.lower() == ".json"
              else parse_circuit)
+    data = path.read_bytes() if data is None else data
     try:
-        return parse(path.read_text(encoding="utf-8"), name=path.stem)
+        return parse(data.decode("utf-8"), name=path.stem)
     except (UnicodeDecodeError, CircuitParseError) as exc:
         raise CircuitParseError(f"{path}: {exc}") from None
 

@@ -6,6 +6,7 @@ statistics), canon (tableau digest of a circuit).
 
 Exit codes: 0 success, 2 truncated mining run, 1 error.  GADGETMINER_OUTPUT
 sets the default output directory.  All randomness flows through --seed.
+mine reads its inputs through corpus.read_inputs alone, each file once.
 
 mine mines circuits[w::N] in share w of N = min(--jobs, circuits), share 0
 in this process and the rest in forked workers.  The walk, the share and
@@ -17,7 +18,6 @@ input order, makes the one cut, so outputs do not depend on --jobs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -168,11 +168,9 @@ def cmd_mine(args) -> int:
         raise ValueError("--time-budget must be a finite number >= 0")
     corpus = read_inputs(args.input)
     outdir = Path(args.output)
-    check_output(outdir, REPORT_FILES, corpus.files, kind="report")
-    # hashed before any output is written
-    inputs = [{"path": str(f),
-               "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
-              for f in corpus.files]
+    check_output(outdir, REPORT_FILES, [f for f, _ in corpus.files],
+                 kind="report")
+    inputs = [{"path": str(f), "sha256": sha} for f, sha in corpus.files]
     circuits = corpus.circuits()
     # no limit is math.inf
     cap = math.inf if args.max_candidates is None else args.max_candidates
@@ -329,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mine", help="discover repeated gadgets")
-    p.add_argument("--input", nargs="+", required=True,
+    p.add_argument("--input", nargs="+", action="extend", required=True,
                    help="circuit files, corpus directories, or directories "
-                        "of circuit files")
+                        "of circuit files; a repeated --input appends")
     p.add_argument("--gadget-cnots", type=int, required=True, metavar="C_G",
                    help="number of CNOTs per candidate block (at most 32)")
     p.add_argument("--min-repeats", type=int, default=1, metavar="N_C",

@@ -12,8 +12,8 @@ can prepare the same code.
 Corpus directory layout: one circuit text file per entry plus
 manifest.json carrying digests, per-entry code data, the generator config
 and seed, and FORMAT_VERSION, which mine manifests carry too.
-read_inputs reads the inputs of mine and stats, and check_output holds
-the rule for every output directory.
+read_inputs reads each input of mine and stats once and hashes the
+bytes it parses; check_output holds the rule for every output directory.
 
 The hill climb carries a syndrome table (kernels.syndrome_table) and
 its listed logicals as bit slices across its moves, scores every move
@@ -27,6 +27,7 @@ byte-for-byte.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
@@ -202,14 +203,14 @@ class CorpusEntry:
 
 @dataclass
 class Corpus:
-    """Entries in order; files lists every file read, in reading order:
-    a circuit file, or a corpus's manifest and then the file each of its
-    entries names."""
+    """Entries in order; files holds (path, sha256 of the bytes parsed)
+    for every file read, in reading order: a circuit file, or a corpus's
+    manifest and then the file each of its entries names."""
 
     entries: list[CorpusEntry] = field(default_factory=list)
     config: GeneratorConfig | None = None
     warnings: list[str] = field(default_factory=list)
-    files: list[Path] = field(default_factory=list)
+    files: list[tuple[Path, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -243,6 +244,13 @@ def circuit_files(path) -> list[Path]:
     return [p]
 
 
+def _read(path: Path, files: list) -> bytes:
+    """path's bytes, read once, with (path, their sha256) put in files."""
+    data = path.read_bytes()
+    files.append((path, hashlib.sha256(data).hexdigest()))
+    return data
+
+
 def read_inputs(paths) -> Corpus:
     """Circuit files, directories of circuit files and corpus directories
     (those holding a manifest), read literally in input order, so repeats
@@ -256,12 +264,12 @@ def read_inputs(paths) -> Corpus:
         p = Path(raw)
         if (p / MANIFEST_NAME).is_file():
             part = load_corpus(p)
-            entries, files = part.entries, part.files
+            entries = part.entries
+            corpus.files += part.files
         else:
-            files = circuit_files(p)
-            entries = [CorpusEntry(c.name, c, "ingested")
-                       for c in map(load_circuit, files)]
-        corpus.files += files
+            circuits = [load_circuit(f, _read(f, corpus.files))
+                        for f in circuit_files(p)]
+            entries = [CorpusEntry(c.name, c, "ingested") for c in circuits]
         for e in entries:
             name = base = e.name or f"circuit_{len(corpus.entries):04d}"
             i = 1
@@ -711,9 +719,9 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
     return directory
 
 
-def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
+def _load_entry(directory: Path, obj, files: list) -> CorpusEntry:
     """One manifest entry with its field types and ranges checked and its
-    digest re-verified, and the circuit file it names."""
+    digest re-verified; the circuit file it names goes into files."""
     if not isinstance(obj, dict):
         raise ValueError(f"{obj!r} is not an object")
     name, file, digest = obj["name"], obj["file"], obj["digest"]
@@ -731,7 +739,7 @@ def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
         raise ValueError(f"{name!r}: k, x_ancillas and distance "
                          "must be integers")
     path = directory / file
-    circuit = load_circuit(path)
+    circuit = load_circuit(path, _read(path, files))
     n = circuit.n_qubits
     if not 0 <= k < n:
         raise ValueError(f"{name!r}: k={k} outside 0..{n - 1}")
@@ -754,18 +762,20 @@ def _load_entry(directory: Path, obj) -> tuple[CorpusEntry, Path]:
     )
     if entry.digest != digest:
         raise ValueError(f"digest mismatch for entry {name!r}")
-    return entry, path
+    return entry
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Read a corpus directory, re-verifying every entry's digest.  A
-    manifest without entries is a CorpusError."""
+    """Read a corpus directory, re-verifying every entry's digest, each
+    file once.  A manifest without entries is a CorpusError."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
         raise CorpusError(f"{directory} has no {MANIFEST_NAME}")
+    corpus = Corpus()
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(
+            _read(manifest_path, corpus.files).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorpusError(f"{manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -774,10 +784,9 @@ def load_corpus(directory: str | Path) -> Corpus:
     # True and 1.0 equal 1 but are not the version written
     if type(version) is not int or version != FORMAT_VERSION:
         raise CorpusError(f"unsupported corpus format {version!r}")
-    config = None
     if manifest.get("config"):
         try:
-            config = GeneratorConfig.from_json_dict(manifest["config"])
+            corpus.config = GeneratorConfig.from_json_dict(manifest["config"])
         except KeyError as exc:
             raise CorpusError(
                 f"{directory}: bad config: missing key {exc}") from exc
@@ -789,12 +798,9 @@ def load_corpus(directory: str | Path) -> Corpus:
         raise CorpusError(f"{manifest_path}: entries is missing or not a list")
     if not entries:
         raise CorpusError(f"{directory}: no corpus entries")
-    corpus = Corpus(config=config, files=[manifest_path])
     for obj in entries:
         try:
-            entry, path = _load_entry(directory, obj)
+            corpus.entries.append(_load_entry(directory, obj, corpus.files))
         except (KeyError, OSError, ValueError) as exc:
             raise CorpusError(f"{directory}: bad entry: {exc}") from exc
-        corpus.entries.append(entry)
-        corpus.files.append(path)
     return corpus

@@ -275,7 +275,8 @@ def test_mine_time_budget_with_chunked_pool(tmp_path, monkeypatch):
 
 def test_mine_time_budget_skips_no_circuit_with_nothing_to_mine(tmp_path):
     """A one-gate circuit has no 2-gate set to test, so a spent budget
-    skips nothing and truncates nothing."""
+    skips nothing and truncates nothing.  The hosts after it have sets
+    to test, so the same budget skips all three and truncates the run."""
     save_circuit(Circuit.from_pairs(2, [(0, 1)]), tmp_path / "one.txt")
     rc = run_cli(["mine", "--input", tmp_path / "one.txt",
                   "--gadget-cnots", 2, "--time-budget", 0,
@@ -284,6 +285,13 @@ def test_mine_time_budget_skips_no_circuit_with_nothing_to_mine(tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["circuits_skipped"] == 0
     assert manifest["truncation_reasons"] == []
+    rc = run_cli(["mine", "--input", tmp_path / "one.txt", HOSTS,
+                  "--gadget-cnots", 2, "--time-budget", 0,
+                  "--output", tmp_path / "hosts"])
+    assert rc == 2
+    manifest = json.loads((tmp_path / "hosts" / "manifest.json").read_text())
+    assert (manifest["circuits"], manifest["circuits_skipped"]) == (4, 3)
+    assert manifest["truncation_reasons"] == ["time_budget"]
 
 
 def test_mine_time_budget_covers_grouping(tmp_path, monkeypatch):
@@ -755,6 +763,28 @@ def test_mine_names_repeated_circuits_apart(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     (cls,) = report
     assert [o["circuit"] for o in cls["occurrences"]] == ["h"] * 3 + ["h_1"] * 3
+
+
+def test_mine_reads_every_repeated_input_in_order(tmp_path, capsys):
+    """A repeated --input adds its paths after the earlier ones: the run
+    is the one that all its paths given to one --input make."""
+    repeated, single = tmp_path / "repeated", tmp_path / "single"
+    assert run_cli(["mine", "--input", HOSTS, "--input", HOSTS / "host_a.txt",
+                    "--gadget-cnots", 2, "--output", repeated]) == 0
+    assert capsys.readouterr().out.startswith("mined 4 circuits:")
+    manifest = json.loads((repeated / "manifest.json").read_text())
+    assert manifest["circuits"] == 4
+    assert [item["path"] for item in manifest["inputs"]] == [
+        str(HOSTS / name) for name in
+        ("host_a.txt", "host_b.txt", "host_c.txt", "host_a.txt")]
+    assert run_cli(["mine", "--input", HOSTS, HOSTS / "host_a.txt",
+                    "--gadget-cnots", 2, "--output", single]) == 0
+    for name in cli.REPORT_FILES:
+        assert (repeated / name).read_bytes() == (single / name).read_bytes()
+    del manifest["wall_time_s"]
+    other = json.loads((single / "manifest.json").read_text())
+    del other["wall_time_s"]
+    assert manifest == other
 
 
 def test_output_env_default(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -181,8 +182,8 @@ def test_read_inputs_bad_file_names_it(tmp_path):
 
 def test_read_inputs_names_and_files_in_input_order(tmp_path):
     """A corpus and circuit files read as mine reads them: entries and
-    files in input order, a nameless circuit named by its position, and a
-    taken name suffixed."""
+    files, each with the sha256 of its bytes, in input order, a nameless
+    circuit named by its position, and a taken name suffixed."""
     corpus_dir = save_corpus(steane_corpus(), tmp_path / "corpus")
     plain = tmp_path / "plain"
     plain.mkdir()
@@ -202,8 +203,10 @@ def test_read_inputs_names_and_files_in_input_order(tmp_path):
     assert [(e.origin, e.k, e.x_ancillas, e.distance)
             for e in corpus.entries[1:4]] == [("ingested", 0, (), None)] * 3
     corpus_files = [corpus_dir / "manifest.json", corpus_dir / "steane.txt"]
-    assert corpus.files == [*corpus_files, plain / "steane.txt",
-                            plain / "z.json", single, *corpus_files]
+    assert corpus.files == [
+        (f, hashlib.sha256(f.read_bytes()).hexdigest())
+        for f in [*corpus_files, plain / "steane.txt", plain / "z.json",
+                  single, *corpus_files]]
     # repeats stay
     assert corpus.entries[4].circuit.gates == steane.circuit.gates
 

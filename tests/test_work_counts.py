@@ -9,6 +9,7 @@ each count old -> new.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -47,6 +48,9 @@ WORK_COUNTS = {
     # mine over tests/fixtures/hosts (3 circuits) at --jobs: processes
     # forked
     "forks": {2: 1, 8: 2},
+    # mine --jobs 1 over gen+hosts (24 files: the gen manifest, its 20
+    # entries and the 3 hosts): reads of input files
+    "reads": 24,
 }
 
 
@@ -126,6 +130,28 @@ def test_share_work_counts(tmp_path, monkeypatch, inputs, jobs):
         assert tested[-1] == by_jobs[jobs]
         if jobs == 1:
             assert manifest["subsets_examined"] == tested[-1]
+
+
+def test_read_work_counts(tmp_path, monkeypatch, inputs):
+    """Each input file is read once, and the manifest's sha256 is that of
+    its bytes."""
+    dirs = {Path(p) for p in inputs["gen+hosts"]}
+    reads = []
+    with monkeypatch.context() as m:
+        for name in ("read_bytes", "read_text"):
+            def counting(self, *args, _read=getattr(Path, name), **kwargs):
+                if self.parent in dirs:
+                    reads.append(self)
+                return _read(self, *args, **kwargs)
+
+            m.setattr(Path, name, counting)
+        manifest = _mine(inputs["gen+hosts"], tmp_path, 2)
+    assert len(reads) == WORK_COUNTS["reads"]
+    assert [item["path"] for item in manifest["inputs"]] == [
+        str(f) for f in reads]
+    for item in manifest["inputs"]:
+        data = Path(item["path"]).read_bytes()
+        assert item["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("jobs", sorted(WORK_COUNTS["forks"]))
